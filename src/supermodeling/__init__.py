@@ -10,7 +10,6 @@ configuration sits in the provably convergent regime.
 
 from .fields import (
     BlowUpError,
-    EnsembleState,
     GridSpec,
     ScalarField,
     l2_norm,
@@ -34,7 +33,6 @@ from .tumor import (
     compute_flux,
     gaussian_bump_state,
     stability_monitor,
-    tumor_step,
     tumor_tendency,
     tumor_volumes,
     vessel_free_mask,

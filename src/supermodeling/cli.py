@@ -106,9 +106,7 @@ def cmd_simulate(args) -> int:
     cm = experiments.load_coupling(coupling_path)
     params_list = experiments.instantiate_submodels(reference, config)
     ensemble = SubModelEnsemble.identical_start(system, params_list, initial)
-    run = experiments._prediction_run(ensemble, cm, gt, config)
-    experiments._write_curves_csv(gt, run, out / "curves.csv", config)
-    experiments._write_volume_diff_csv(gt, run, out / "volume_diff.csv", config)
+    experiments.predict(ensemble, cm, gt, config, out)
     print(f"simulated {config.steps} steps -> {out / 'curves.csv'}")
     return 0
 

@@ -1,9 +1,9 @@
 """Dynamical-system contract, explicit stepping, and Lipschitz estimation.
 
 A system supplies the tendency (time derivative) of a state for a given
-parameter set.  States are duck-typed: anything supporting ``+``, ``-`` and
-scalar ``*`` works, which covers plain floats (toy systems) and composite
-grid states alike.
+parameter set.  A member state is a float64 array whose leading axis runs
+over the system's ``variables`` (one value for the toy systems, five fields
+for the tumor model); stepping and the Lipschitz estimate also take numbers.
 """
 
 from __future__ import annotations
@@ -18,47 +18,34 @@ from .fields import BlowUpError, state_norm
 class DynamicalSystem:
     """Behavior contract for a steppable model.
 
-    Subclasses implement ``tendency`` and declare which variables of the
-    state can be coupled to other ensemble members.  ``tendency`` must be
-    deterministic and return a tendency of the same shape as the state.
+    Subclasses implement ``tendency`` and declare which of their
+    ``variables`` can be coupled to other ensemble members.  ``tendency``
+    must be deterministic and return a new array of the state's shape;
+    ``cell_volume`` weights one array entry in domain integrals.
     """
 
+    variables: tuple[str, ...] = ("b",)
     couplable: tuple[str, ...] = ()
+    cell_volume: float = 1.0
 
     def tendency(self, state, params):
         raise NotImplementedError
 
-    def state_dimension(self, state) -> int:
-        """Number of scalar degrees of freedom in a state."""
-        if np.isscalar(state):
-            return 1
-        return int(np.asarray(state).size)
-
-    # -- coupled-variable access ----------------------------------------
-
     def get_variable(self, state, name):
-        """Extract one couplable variable from a state."""
-        self._check_couplable(name)
-        return state
-
-    def replace_variable(self, state, name, value):
-        """Return a copy of the state with one variable replaced."""
-        self._check_couplable(name)
-        return value
-
-    def _check_couplable(self, name):
+        """An independent copy of one couplable variable of a member array."""
         if name not in self.couplable:
             raise KeyError(f"{name!r} is not a couplable variable of {type(self).__name__}")
-
-    # -- validation ------------------------------------------------------
+        return state[self.variables.index(name)].copy()
 
     def validate_state(self, state, context: str = ""):
-        """Raise BlowUpError naming the offending variable if non-finite."""
+        """Raise BlowUpError naming the first non-finite variable."""
         arr = np.asarray(state, dtype=np.float64)
-        if not np.isfinite(arr).all():
-            name = self.couplable[0] if self.couplable else "state"
-            where = f" during {context}" if context else ""
-            raise BlowUpError(f"non-finite value in variable '{name}'{where}")
+        if np.isfinite(arr).all():
+            return
+        per_variable = arr.reshape(len(self.variables), -1)
+        name = next(n for n, v in zip(self.variables, per_variable) if not np.isfinite(v).all())
+        where = f" during {context}" if context else ""
+        raise BlowUpError(f"non-finite value in variable '{name}'{where}")
 
     # -- sampling support for the Lipschitz estimator ---------------------
 
@@ -78,11 +65,15 @@ class DynamicalSystem:
         return state_norm(state)
 
 
-def explicit_step(system: DynamicalSystem, state, params, dt: float):
-    """Forward Euler: state + dt * tendency."""
+def explicit_step(system: DynamicalSystem, state, params, dt: float, out=None):
+    """Forward Euler: state + dt * tendency, into a new array or number, or
+    into ``out`` (which may be ``state`` itself: it then advances in place)."""
     if not dt > 0:
         raise ValueError("dt must be positive")
-    new = state + system.tendency(state, params) * dt
+    tend = system.tendency(state, params)
+    with np.errstate(over="ignore", invalid="ignore"):
+        tend *= dt
+        new = np.add(state, tend, out=out)
     system.validate_state(new, context="explicit step")
     return new
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import DynamicalSystem, explicit_step
-from .fields import BlowUpError, EnsembleState, state_norm, volume_inner
+from .fields import BlowUpError, state_norm
 from .groundtruth import GroundTruth, gt_at
 
 
@@ -82,15 +82,23 @@ class CouplingMatrix:
 
 @dataclass
 class SubModelEnsemble:
-    """N parameter sets plus N current states, stepped in lockstep."""
+    """N parameter sets plus the N member states, stepped in lockstep.
+
+    ``states`` is one C-contiguous float64 array of shape (N, ...) whose
+    entry i is member i's state array (one value for the toy systems, five
+    fields for the tumor model).  Coupled steps advance it in place.
+    """
 
     system: DynamicalSystem
     params: list
-    states: EnsembleState
+    states: np.ndarray
     coupled_variable: str
-    initial_state: object = None
+    initial_state: np.ndarray | None = None
 
     def __post_init__(self):
+        self.states = np.ascontiguousarray(self.states, dtype=np.float64)
+        if self.initial_state is not None:
+            self.initial_state = np.array(self.initial_state, dtype=np.float64, ndmin=1)
         if len(self.params) != len(self.states):
             raise ValueError("one parameter set per member is required")
         if self.coupled_variable not in self.system.couplable:
@@ -105,27 +113,20 @@ class SubModelEnsemble:
     @classmethod
     def identical_start(cls, system, params_list, initial_state, coupled_variable=None):
         """All members start from one shared initial condition."""
-        if coupled_variable is None:
-            coupled_variable = system.couplable[0]
-        members = [_copy_state(initial_state) for _ in params_list]
-        return cls(system=system, params=list(params_list),
-                   states=EnsembleState(members), coupled_variable=coupled_variable,
-                   initial_state=initial_state)
+        x0 = np.array(initial_state, dtype=np.float64, ndmin=1)
+        states = np.stack([x0] * len(params_list))
+        return cls(system=system, params=list(params_list), states=states,
+                   coupled_variable=coupled_variable or system.couplable[0], initial_state=x0)
 
     def reset(self) -> "SubModelEnsemble":
         """Fresh ensemble with every member back at the shared initial condition."""
         if self.initial_state is None:
             raise ValueError("ensemble has no recorded initial condition")
-        members = [_copy_state(self.initial_state) for _ in self.params]
-        return dataclasses.replace(self, states=EnsembleState(members))
+        return dataclasses.replace(self, states=np.stack([self.initial_state] * self.n))
 
-    def coupled_values(self) -> list:
-        var = self.coupled_variable
-        return [self.system.get_variable(s, var) for s in self.states]
-
-
-def _copy_state(state):
-    return state.copy() if hasattr(state, "copy") else state
+    def coupled_values(self) -> np.ndarray:
+        """View of every member's coupled variable, shape (N, ...)."""
+        return self.states[:, self.system.variables.index(self.coupled_variable)]
 
 
 class TrainingAborted(RuntimeError):
@@ -167,84 +168,59 @@ class TrainingReport:
     iterations_used: int = 0
     trajectory_history: list | None = None
 
-    def epoch_mean_abs_voldiff(self, epoch: int, gt: GroundTruth) -> float:
-        """Mean |reference volume - supermodel volume| over one epoch's steps."""
-        diffs = [
-            abs(_gt_total(gt, rec.step) - rec.volumes[0])
-            for rec in self.step_records
-            if rec.epoch == epoch and rec.volumes is not None
-        ]
-        if not diffs:
-            raise ValueError(f"no volume records for epoch {epoch}")
-        return float(np.mean(diffs))
-
-
-def _gt_total(gt: GroundTruth, n: int) -> float:
-    from .groundtruth import gt_volume_at
-
-    return gt_volume_at(gt, n)
-
 
 def coupled_step(
     ens: SubModelEnsemble, cm: CouplingMatrix, gt_now, dt: float
 ) -> SubModelEnsemble:
-    """Advance every member one step with synchronization and nudging.
+    """Advance every member one step, in place, with synchronization and nudging.
 
     ``dt`` may be zero, which freezes the model dynamics but still applies
     the coupling and nudging corrections (the training escape hatch for
-    ensembles that drift apart).
+    ensembles that drift apart).  Returns ``ens``.
     """
     if dt < 0:
         raise ValueError("dt must be nonnegative")
     if cm.n != ens.n:
         raise ValueError(f"coupling is {cm.n}x{cm.n} but ensemble has {ens.n} members")
-    system, var = ens.system, ens.coupled_variable
-    n = ens.n
-    pre = ens.coupled_values()
-
+    values = ens.coupled_values()
+    # the corrections only read pre-step values, so they are formed first
+    corrections = _corrections(values, cm, gt_now)
     if dt > 0:
-        stepped = [
-            explicit_step(system, s, p, dt) for s, p in zip(ens.states, ens.params)
-        ]
-    else:
-        stepped = [_copy_state(s) for s in ens.states]
+        for state, params in zip(ens.states, ens.params):
+            explicit_step(ens.system, state, params, dt, out=state)
+    for i, correction in enumerate(corrections):
+        if correction is not None:
+            values[i] += correction
+    # explicit_step checked the stepped states; only the corrections are new
+    if any(c is not None for c in corrections) and not np.isfinite(values).all():
+        raise BlowUpError(
+            f"non-finite value in variable '{ens.coupled_variable}' during coupled step"
+        )
+    return ens
 
-    # reduction fast path: nothing to add, keep the free-model states bit-exact
-    if cm.k_nudge == 0.0 and not np.any(cm.c):
-        return dataclasses.replace(ens, states=EnsembleState(stepped))
 
+def _corrections(values: np.ndarray, cm: CouplingMatrix, gt_now) -> list:
+    """Per member, (1/N) sum_j C_ij (B_j - B_i) + (K/N) sum_j (GT - B_j) summed
+    in that order, or None when there is nothing to add."""
+    n = len(values)
     if cm.k_nudge != 0.0:
-        residuals = [gt_now - pre[j] for j in range(n)]
-        nudge_all = _accumulate(residuals)
-
-    new_states = []
+        residuals = np.asarray(gt_now) - values
+        nudge_all = residuals[0].copy()
+        for r in residuals[1:]:
+            nudge_all += r
+    corrections = []
     for i in range(n):
         correction = None
         for j in range(n):
             if cm.c[i, j] != 0.0:
-                term = (pre[j] - pre[i]) * (cm.c[i, j] / n)
+                term = (values[j] - values[i]) * (cm.c[i, j] / n)
                 correction = term if correction is None else correction + term
         if cm.k_nudge != 0.0:
-            nudge = nudge_all
-            if cm.exclude_self_in_nudge:
-                nudge = nudge - residuals[i]
+            nudge = nudge_all - residuals[i] if cm.exclude_self_in_nudge else nudge_all
             term = nudge * (cm.k_nudge / n)
             correction = term if correction is None else correction + term
-        if correction is None:
-            new_states.append(stepped[i])
-            continue
-        value = system.get_variable(stepped[i], var) + correction
-        state = system.replace_variable(stepped[i], var, value)
-        system.validate_state(state, context="coupled step")
-        new_states.append(state)
-    return dataclasses.replace(ens, states=EnsembleState(new_states))
-
-
-def _accumulate(terms):
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = acc + t
-    return acc
+        corrections.append(correction)
+    return corrections
 
 
 def update_coupling(
@@ -256,14 +232,16 @@ def update_coupling(
     being the domain integral of the product of the two mismatch fields.
     """
     values = ens.coupled_values()
+    mismatch = np.asarray(gt_now) - values
     n = ens.n
     new_c = cm.c.copy()
     for i in range(n):
-        gt_minus_bi = gt_now - values[i]
+        gt_minus_bi = np.ravel(mismatch[i])
         for j in range(n):
             if i == j:
                 continue
-            inner = volume_inner(gt_minus_bi, values[i] - values[j])
+            inner = float(np.dot(gt_minus_bi, np.ravel(values[i] - values[j]))
+                          * ens.system.cell_volume)
             new_c[i, j] = cm.a_rate * cm.c[i, j] + cm.a_rate * inner
     if not np.isfinite(new_c).all():
         raise BlowUpError("non-finite coupling coefficient update")
@@ -272,16 +250,18 @@ def update_coupling(
     return dataclasses.replace(cm, c=new_c)
 
 
-def supermodel_output(ens: SubModelEnsemble):
+def supermodel_output(ens: SubModelEnsemble) -> np.ndarray:
     """Member average, computed so that N identical members return exactly."""
-    members = list(ens.states)
+    members = ens.states
     base = members[0]
     if len(members) == 1:
-        return _copy_state(base)
+        return base.copy()
     acc = members[1] - base
     for m in members[2:]:
-        acc = acc + (m - base)
-    return base + acc * (1.0 / len(members))
+        acc += m - base
+    acc *= 1.0 / len(members)
+    acc += base
+    return acc
 
 
 def train(
@@ -323,20 +303,23 @@ def train(
     for epoch in range(max_epochs):
         ens = ens.reset()
         errors: list[float] = []
-        trajectory = [ens.coupled_values()] if record_trajectories else None
+        trajectory = [ens.coupled_values().copy()] if record_trajectories else None
+        gt_now = gt_at(gt, 0)
         for step in range(steps_per_epoch):
+            gt_next = gt_at(gt, step + 1)
             try:
-                ens = coupled_step(ens, cm, gt_at(gt, step), dt)
-                cm = update_coupling(cm, ens, gt_at(gt, step + 1))
+                coupled_step(ens, cm, gt_now, dt)
+                cm = update_coupling(cm, ens, gt_next)
                 output = supermodel_output(ens)
                 coupled_out = ens.system.get_variable(output, ens.coupled_variable)
-                error = state_norm(gt_at(gt, step + 1) - coupled_out)
+                error = state_norm(gt_next - coupled_out)
                 volumes = tuple(ens.system.volumes(output)) if has_volumes else None
             except BlowUpError as exc:
                 report.iterations_used = epoch
                 raise TrainingAborted(epoch, step, report, str(exc)) from exc
+            gt_now = gt_next
             if record_trajectories:
-                trajectory.append(ens.coupled_values())
+                trajectory.append(ens.coupled_values().copy())
             errors.append(error)
             report.step_records.append(StepRecord(
                 epoch=epoch,
@@ -366,15 +349,17 @@ def simulate(
     steps: int,
     nudge_in_prediction: bool = True,
     observer=None,
+    record=None,
 ) -> list:
-    """Run the trained supermodel and record its averaged output per step.
+    """Run the trained supermodel from the ensemble's current states.
 
-    The coefficient matrix stays frozen.  By default the reference keeps
-    nudging the ensemble during prediction (as in training); pass
-    ``nudge_in_prediction=False`` for a free forecast, in which case no
-    reference data is needed.  Returns steps+1 outputs including the
-    averaged initial state; ``observer(step, ens)`` is called after every
-    step for callers that want per-member data.
+    The coefficient matrix stays frozen and the ensemble advances in place.
+    By default the reference keeps nudging the ensemble during prediction
+    (as in training); pass ``nudge_in_prediction=False`` for a free
+    forecast, in which case no reference data is needed.  Returns steps+1
+    entries including the averaged initial state: ``record(output)`` of
+    every averaged output, or the output itself.  ``observer(step, ens)`` is
+    called after every step for callers that want per-member data.
     """
     if not nudge_in_prediction:
         cm = dataclasses.replace(cm.copy(), k_nudge=0.0)
@@ -385,11 +370,14 @@ def simulate(
             raise ValueError(
                 f"reference covers steps up to {gt.final_index}, need {steps}"
             )
-    outputs = [supermodel_output(ens)]
+    if record is None:
+        def record(output):
+            return output
+    outputs = [record(supermodel_output(ens))]
     for step in range(steps):
         gt_now = gt_at(gt, step) if cm.k_nudge != 0.0 else None
-        ens = coupled_step(ens, cm, gt_now, dt)
-        outputs.append(supermodel_output(ens))
+        coupled_step(ens, cm, gt_now, dt)
+        outputs.append(record(supermodel_output(ens)))
         if observer is not None:
             observer(step + 1, ens)
     return outputs

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import estimate_lipschitz
+from .dynamics import estimate_lipschitz, explicit_step
 from .engine import (
     CouplingMatrix,
     SubModelEnsemble,
@@ -42,8 +42,6 @@ from .tumor import (
     TumorSystem,
     gaussian_bump_state,
     stability_monitor,
-    tumor_step,
-    tumor_volumes,
     vessel_free_mask,
 )
 
@@ -281,16 +279,17 @@ def cfl_sweep(
         raise ValueError("empty dt list")
     if params is None:
         params = TumorParams()
+    system = TumorSystem(spec, oxygen_source_mask=oxygen_source_mask)
     results = []
     for dt in dt_list:
-        state = initial.copy() if initial is not None else gaussian_bump_state(spec, params)
-        history = [l2_norm(state.b)]
+        state = np.array(initial if initial is not None else gaussian_bump_state(spec, params))
+        history = [l2_norm(system.get_variable(state, "b"))]
         verdict = stability_monitor(history, factor)
         completed = 0
         for _n in range(steps):
             try:
-                state = tumor_step(state, params, dt, oxygen_source_mask)
-                history.append(l2_norm(state.b))
+                explicit_step(system, state, params, dt, out=state)
+                history.append(l2_norm(system.get_variable(state, "b")))
             except BlowUpError:
                 verdict = DIVERGING
                 break
@@ -427,10 +426,8 @@ def run_experiment(config: ExperimentConfig) -> Path:
 
     if trained is not None:
         save_coupling(trained, out / "trained_coupling.json")
-        after = _prediction_run(ensemble, trained, gt, config)
-        before = _prediction_run(ensemble, cm_init, gt, config)
-        _write_curves_csv(gt, after, out / "curves.csv", config)
-        _write_volume_diff_csv(gt, after, out / "volume_diff.csv", config)
+        after = predict(ensemble, trained, gt, config, out)
+        before = predict(ensemble, cm_init, gt, config)
         _write_before_after_csv(gt, before, after, out / "before_after.csv", config)
 
     manifest = emit_config(config) + f"\n[run]\nstatus = {status}\n"
@@ -439,25 +436,38 @@ def run_experiment(config: ExperimentConfig) -> Path:
 
 
 @dataclass
-class _PredictionRun:
-    outputs: list
-    member_volumes: list  # per step: list of VolumeTriple per member
+class Prediction:
+    """Per step from the initial state on, what the CSVs read of a prediction."""
+
+    outputs: list  # the supermodel's (b field, VolumeTriple)
+    member_volumes: list  # every member's VolumeTriple
 
 
-def _prediction_run(ensemble, cm, gt, config) -> _PredictionRun:
+def predict(ensemble, cm, gt, config, out_dir: Path | None = None) -> Prediction:
+    """Run the supermodel from the shared initial condition with frozen coefficients.
+
+    With ``out_dir`` the run's curves.csv and volume_diff.csv are written
+    there.
+    """
     ens = ensemble.reset()
-    member_volumes = [[tumor_volumes(s, ens.system.metric_params) for s in ens.states]]
+    system = ens.system
+    member_volumes = [[system.volumes(x) for x in ens.states]]
 
     def observer(_step, current):
-        member_volumes.append(
-            [tumor_volumes(s, current.system.metric_params) for s in current.states]
-        )
+        member_volumes.append([system.volumes(x) for x in current.states])
+
+    def record(output):
+        return system.get_variable(output, "b"), system.volumes(output)
 
     outputs = simulate(
         ens, cm, gt, config.dt, config.steps,
-        nudge_in_prediction=config.nudge_in_prediction, observer=observer,
+        nudge_in_prediction=config.nudge_in_prediction, observer=observer, record=record,
     )
-    return _PredictionRun(outputs=outputs, member_volumes=member_volumes)
+    run = Prediction(outputs=outputs, member_volumes=member_volumes)
+    if out_dir is not None:
+        _write_curves_csv(gt, run, out_dir / "curves.csv", config)
+        _write_volume_diff_csv(gt, run, out_dir / "volume_diff.csv", config)
+    return run
 
 
 def _write_coupling_trajectories(report, path, n, steps_per_epoch):
@@ -493,7 +503,7 @@ def _write_contraction_csv(report, path, config, system, params_list):
     export_contraction_csv(reports, path)
 
 
-def _write_curves_csv(gt, run: _PredictionRun, path, config):
+def _write_curves_csv(gt, run: Prediction, path, config):
     n = len(run.member_volumes[0])
     header = ["step", "t", "gt_total", "gt_proliferating", "gt_quiescent",
               "sm_total", "sm_proliferating", "sm_quiescent"]
@@ -502,47 +512,38 @@ def _write_curves_csv(gt, run: _PredictionRun, path, config):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for step, output in enumerate(run.outputs):
-            gt_vol = gt_volumes_at(gt, step)
-            sm_vol = tumor_volumes(output, TumorParams())
+        for step, (_b, sm_vol) in enumerate(run.outputs):
             row = [step, repr(step * config.dt)]
-            row += [repr(float(v)) for v in gt_vol]
+            row += [repr(float(v)) for v in gt_volumes_at(gt, step)]
             row += [repr(float(v)) for v in sm_vol]
             for member in run.member_volumes[step]:
                 row += [repr(float(v)) for v in member]
             writer.writerow(row)
 
 
-def _write_volume_diff_csv(gt, run: _PredictionRun, path, config):
+def _write_volume_diff_csv(gt, run: Prediction, path, config):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "t", "volume_diff"])
-        for step, output in enumerate(run.outputs):
-            diff = gt_volume_at(gt, step) - tumor_volumes(output, TumorParams()).total
+        for step, (_b, volumes) in enumerate(run.outputs):
+            diff = gt_volume_at(gt, step) - volumes.total
             writer.writerow([step, repr(step * config.dt), repr(diff)])
 
 
-def _write_before_after_csv(gt, before: _PredictionRun, after: _PredictionRun, path, config):
+def _write_before_after_csv(gt, before: Prediction, after: Prediction, path, config):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "t", "l2_before", "l2_after",
                          "volume_diff_before", "volume_diff_after"])
-        for step in range(len(after.outputs)):
+        for step, ((b_before, vol_before), (b_after, vol_after)) in enumerate(
+            zip(before.outputs, after.outputs)
+        ):
             ref = gt_at(gt, step)
             gt_total = gt_volume_at(gt, step)
-            out_b = before.outputs[step]
-            out_a = after.outputs[step]
             writer.writerow([
                 step, repr(step * config.dt),
-                repr(state_norm(ref - out_b.b)),
-                repr(state_norm(ref - out_a.b)),
-                repr(gt_total - tumor_volumes(out_b, TumorParams()).total),
-                repr(gt_total - tumor_volumes(out_a, TumorParams()).total),
+                repr(state_norm(ref - b_before)),
+                repr(state_norm(ref - b_after)),
+                repr(gt_total - vol_before.total),
+                repr(gt_total - vol_after.total),
             ])
-
-
-def read_csv_column(path, column: str) -> list[float]:
-    """Convenience reader for one numeric column of an emitted CSV."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        return [float(row[column]) for row in reader]

@@ -1,12 +1,13 @@
 """Regular-grid scalar fields, norms, and ensemble distances.
 
-Every other module works in terms of these containers.  Fields live on a
-uniform 3-D grid; arrays are stored C-ordered with shape (nz, ny, nx) so the
-flat layout runs x fastest.  Norms carry the cell-volume factor h^3, which
-keeps values comparable across grid refinements.
+Fields live on a uniform 3-D grid; arrays are stored C-ordered with shape
+(nz, ny, nx) so the flat layout runs x fastest.  Norms carry the cell-volume
+factor h^3, which keeps values comparable across grid refinements.
 
-Fields are treated as immutable once handed to another component: all
-arithmetic returns new objects, so they are safe to share between threads.
+ScalarField arithmetic returns new fields, but a field may be a view into an
+array that is updated in place (a ModelState's fields view its one array,
+and the ensemble engine advances its member array in place), so copy a
+field to keep it; none of this is thread-safe.
 """
 
 from __future__ import annotations
@@ -100,11 +101,8 @@ class ScalarField:
         """Flat view of the data, x fastest."""
         return self.data.reshape(-1)
 
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.spec, self.data.copy())
-
-    def is_finite(self) -> bool:
-        return bool(np.isfinite(self.data).all())
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.data, dtype=dtype, copy=copy)
 
     # -- arithmetic (returns new fields) --------------------------------
 
@@ -125,33 +123,6 @@ class ScalarField:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "ScalarField":
-        return ScalarField(self.spec, -self.data)
-
-
-@dataclass
-class EnsembleState:
-    """Ordered member states of an ensemble.
-
-    Members may be ScalarField, full model states, plain floats, or numpy
-    vectors, as long as all members are alike.
-    """
-
-    members: list
-
-    def __post_init__(self):
-        if len(self.members) < 1:
-            raise ValueError("ensemble needs at least one member")
-
-    def __len__(self):
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __getitem__(self, i):
-        return self.members[i]
-
 
 def l2_norm(f: ScalarField) -> float:
     """Discrete L2 norm sqrt(sum f^2 * h^3), volume-weighted."""
@@ -163,15 +134,10 @@ def l2_norm(f: ScalarField) -> float:
 
 
 def state_norm(x) -> float:
-    """Norm of a generic state: fields get l2_norm, scalars get abs.
-
-    Model states and other composite objects may provide their own ``norm``
-    method; numpy arrays fall back to the euclidean norm.
-    """
+    """Norm of a generic state: fields get l2_norm, numbers and arrays the
+    euclidean norm (abs for a number)."""
     if isinstance(x, ScalarField):
         return l2_norm(x)
-    if hasattr(x, "norm"):
-        return float(x.norm())
     arr = np.asarray(x, dtype=np.float64)
     sumsq = float(np.dot(arr.reshape(-1), arr.reshape(-1)))
     if not np.isfinite(sumsq):
@@ -179,14 +145,12 @@ def state_norm(x) -> float:
     return float(np.sqrt(sumsq))
 
 
-def taxi_ensemble_distance(a: EnsembleState, b: EnsembleState) -> float:
-    """Sum over members of the per-member norm of the difference."""
-    if len(a) != len(b):
-        raise ValueError(f"ensemble sizes differ: {len(a)} vs {len(b)}")
-    total = 0.0
-    for am, bm in zip(a, b):
-        total += state_norm(am - bm)
-    return total
+def taxi_ensemble_distance(a, b) -> float:
+    """Sum over members (the leading axis) of the euclidean norm of their difference."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise ValueError(f"ensembles differ in shape: {a.shape} vs {b.shape}")
+    return sum(state_norm(diff) for diff in a - b)
 
 
 def max_over_time(d) -> float:

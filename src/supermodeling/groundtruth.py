@@ -10,6 +10,7 @@ augmentation that cannot hallucinate structure.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import json
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import DynamicalSystem, explicit_step
-from .fields import GridSpec, ScalarField, read_field, state_norm, volume_integral, write_field
+from .fields import ScalarField, read_field, state_norm, volume_integral, write_field
 from .tumor import TumorParams, VolumeTriple
 
 
@@ -36,6 +37,7 @@ class GroundTruth:
         if not indices or indices[0] != 0:
             raise ValueError("ground truth must include step 0")
         self._indices = indices
+        self._volume_indices = sorted(self.volumes) if self.volumes is not None else None
 
     @property
     def stored_indices(self) -> list[int]:
@@ -75,14 +77,23 @@ def generate_gt(
         if has_volumes:
             volumes[n] = system.volumes(state)
 
-    state = initial_state
+    state = np.array(initial_state, dtype=np.float64, ndmin=1)
     record(0, state)
     for n in range(1, steps + 1):
-        state = explicit_step(system, state, reference_params, dt)
+        explicit_step(system, state, reference_params, dt, out=state)
         if n % keep_every == 0 or n == steps:
             record(n, state)
     return GroundTruth(snapshots=snapshots, step_dt=dt,
                        reference_params=reference_params, volumes=volumes)
+
+
+def _bracket(indices: list[int], n: int) -> tuple[int, int, float]:
+    """Stored steps lo < n < hi around an unstored step n, and n's weight on hi."""
+    if n < 0 or n > indices[-1]:
+        raise ValueError(f"step {n} outside stored range [0, {indices[-1]}]")
+    pos = bisect.bisect_left(indices, n)
+    lo, hi = indices[pos - 1], indices[pos]
+    return lo, hi, (n - lo) / (hi - lo)
 
 
 def gt_at(gt: GroundTruth, n: int):
@@ -90,14 +101,9 @@ def gt_at(gt: GroundTruth, n: int):
 
     No extrapolation: n must lie within [0, final stored index].
     """
-    if n < 0 or n > gt.final_index:
-        raise ValueError(f"step {n} outside stored range [0, {gt.final_index}]")
     if n in gt.snapshots:
         return gt.snapshots[n]
-    indices = gt.stored_indices
-    hi = next(i for i in indices if i > n)
-    lo = max(i for i in indices if i < n)
-    w = (n - lo) / (hi - lo)
+    lo, hi, w = _bracket(gt._indices, n)
     return gt.snapshots[lo] * (1.0 - w) + gt.snapshots[hi] * w
 
 
@@ -110,14 +116,9 @@ def gt_volumes_at(gt: GroundTruth, n: int) -> VolumeTriple:
     """Recorded volume triple at step n, linearly interpolated when absent."""
     if gt.volumes is None:
         raise ValueError("this ground truth carries no volume records")
-    if n < 0 or n > gt.final_index:
-        raise ValueError(f"step {n} outside stored range [0, {gt.final_index}]")
     if n in gt.volumes:
         return gt.volumes[n]
-    indices = sorted(gt.volumes)
-    hi = next(i for i in indices if i > n)
-    lo = max(i for i in indices if i < n)
-    w = (n - lo) / (hi - lo)
+    lo, hi, w = _bracket(gt._volume_indices, n)
     a, b = gt.volumes[lo], gt.volumes[hi]
     return VolumeTriple(*((1.0 - w) * np.array(a) + w * np.array(b)))
 
@@ -192,9 +193,3 @@ def _params_to_dict(params) -> dict:
 
 def _params_from_dict(d: dict):
     return TumorParams(**d)
-
-
-def grid_from_manifest(directory) -> GridSpec:
-    with open(Path(directory) / "manifest.json") as fh:
-        g = json.load(fh)["grid"]
-    return GridSpec(g["nx"], g["ny"], g["nz"], g["h"])

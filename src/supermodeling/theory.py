@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import CouplingMatrix, TrainingReport, update_coupling
-from .fields import EnsembleState, max_over_time, taxi_ensemble_distance, volume_inner
+from .fields import max_over_time, taxi_ensemble_distance, volume_inner
 
 VACUOUS = "vacuous"
 
@@ -158,8 +158,7 @@ def iterate_distances(run1: TrainingReport, run2: TrainingReport) -> list[float]
         if len(t1) != len(t2):
             raise ValueError("epoch trajectories have different lengths")
         state_part = max_over_time([
-            taxi_ensemble_distance(EnsembleState(list(m1)), EnsembleState(list(m2)))
-            for m1, m2 in zip(t1, t2)
+            taxi_ensemble_distance(m1, m2) for m1, m2 in zip(t1, t2)
         ])
         c_part = float(np.max(np.abs(run1.c_history[k] - run2.c_history[k])))
         distances.append(state_part + c_part)

@@ -12,12 +12,15 @@ derivatives are second-order centered differences (one-sided at the domain
 faces for first derivatives); Laplacians use mirrored ghost cells, which
 gives zero-flux walls.  Stability is the caller's job: pick dt small enough
 for the grid (see ``stability_monitor`` and the sweep in experiments).
+
+The tendency kernel writes its intermediates into work arrays that a
+TumorSystem allocates once and reuses for every tendency it computes, so a
+system must not be shared between threads; no work array is ever returned.
 """
 
 from __future__ import annotations
 
 import csv
-import dataclasses
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -79,54 +82,44 @@ class TumorParams:
                 raise ValueError(f"rate {name} must be nonnegative")
 
 
-@dataclass(frozen=True)
+def _field(index: int) -> property:
+    """Field ``index`` of a ModelState, as a ScalarField view into its array."""
+    return property(lambda state: ScalarField(state.spec, state.data[index]))
+
+
 class ModelState:
-    """The five coupled fields of one sub-model at one time level."""
+    """The five coupled fields of one sub-model at one time level.
 
-    b: ScalarField
-    c: ScalarField
-    o: ScalarField
-    M: ScalarField
-    A: ScalarField
+    ``data`` is one C-contiguous (5, nz, ny, nx) float64 array holding b, c,
+    o, M and A in that order, and the named fields are ScalarField views into
+    it.  The five-field constructor copies its fields into a new array;
+    ``ModelState.view`` wraps an existing array without copying.
+    """
 
-    def __post_init__(self):
-        spec = self.b.spec
-        for name in FIELD_NAMES[1:]:
-            if getattr(self, name).spec != spec:
-                raise ValueError("all fields of a state must share one grid")
+    b, c, o, M, A = (_field(k) for k in range(len(FIELD_NAMES)))
 
-    @property
-    def spec(self) -> GridSpec:
-        return self.b.spec
+    def __init__(self, b: ScalarField, c: ScalarField, o: ScalarField,
+                 M: ScalarField, A: ScalarField):
+        fields = (b, c, o, M, A)
+        if any(f.spec != b.spec for f in fields):
+            raise ValueError("all fields of a state must share one grid")
+        self.spec = b.spec
+        self.data = np.stack([f.data for f in fields])
+
+    @classmethod
+    def view(cls, spec: GridSpec, data: np.ndarray) -> "ModelState":
+        state = cls.__new__(cls)
+        state.spec, state.data = spec, data
+        return state
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.data, dtype=dtype, copy=copy)
 
     def field_items(self):
         return tuple((name, getattr(self, name)) for name in FIELD_NAMES)
 
-    def copy(self) -> "ModelState":
-        return ModelState(*(getattr(self, n).copy() for n in FIELD_NAMES))
-
     def is_finite(self) -> bool:
-        return all(f.is_finite() for _, f in self.field_items())
-
-    def norm(self) -> float:
-        sumsq = 0.0
-        for _, f in self.field_items():
-            flat = f.values
-            sumsq += float(np.dot(flat, flat))
-        if not np.isfinite(sumsq):
-            raise BlowUpError("non-finite values in state norm")
-        return math.sqrt(sumsq * self.spec.cell_volume)
-
-    def __add__(self, other: "ModelState") -> "ModelState":
-        return ModelState(*(getattr(self, n) + getattr(other, n) for n in FIELD_NAMES))
-
-    def __sub__(self, other: "ModelState") -> "ModelState":
-        return ModelState(*(getattr(self, n) - getattr(other, n) for n in FIELD_NAMES))
-
-    def __mul__(self, factor: float) -> "ModelState":
-        return ModelState(*(getattr(self, n) * factor for n in FIELD_NAMES))
-
-    __rmul__ = __mul__
+        return bool(np.isfinite(self.data).all())
 
 
 @dataclass(frozen=True)
@@ -145,114 +138,184 @@ class VolumeTriple(NamedTuple):
 
 
 # -- stencils ---------------------------------------------------------------
+# _laplacian rebuilds np.pad(mode="edge") as ghost-cell fills and _gradient
+# rebuilds np.gradient(edge_order=1); every operation and every sum keeps the
+# order of those formulas, so the results are bit-identical to them.
 
 
-def _gradient(data: np.ndarray, h: float):
-    """d/dx, d/dy, d/dz by centered differences, one-sided at the faces."""
-    gz, gy, gx = np.gradient(data, h)
-    return gx, gy, gz
+class _Work:
+    """Work arrays of the tendency kernel for one grid shape; each has one user."""
+
+    def __init__(self, shape: tuple[int, int, int]):
+        self.shape = shape
+        # _laplacian: up to two fields with their ghost cells, and 6 * field
+        self.padded = np.empty((2,) + tuple(n + 2 for n in shape))
+        self.six = np.empty((2,) + shape)
+        self.div = np.empty(shape)  # _divergence
+        # compute_flux: normalized b and A, their gradients per component
+        self.potentials = np.empty((2,) + shape)
+        self.grads = np.empty((3, 2) + shape)
+        self.coeff, self.gate, self.gate_hi = np.empty((3,) + shape)
+        # tumor_tendency (hypoxic and proliferative are 0/1 masks)
+        self.flux = np.empty((3,) + shape)
+        self.t1, self.t2, self.hypoxic, self.proliferative = np.empty((4,) + shape)
+        # _gradient, per axis: the flat stride, and where the two faces sit
+        # in the result and which entries of the input their differences take
+        self.strides = [int(np.prod(shape[axis + 1:])) for axis in range(3)]
+        self.faces = [
+            tuple((Ellipsis, index) + (slice(None),) * (2 - axis) for index in (
+                slice(None, None, n - 1), slice(1, None, n - 2), slice(None, n - 1, n - 2)))
+            for axis, n in enumerate(shape)
+        ]
 
 
-def _laplacian(data: np.ndarray, h: float) -> np.ndarray:
-    """7-point Laplacian with mirrored (zero-flux) boundary cells."""
-    p = np.pad(data, 1, mode="edge")
-    return (
-        p[2:, 1:-1, 1:-1] + p[:-2, 1:-1, 1:-1]
-        + p[1:-1, 2:, 1:-1] + p[1:-1, :-2, 1:-1]
-        + p[1:-1, 1:-1, 2:] + p[1:-1, 1:-1, :-2]
-        - 6.0 * data
-    ) / (h * h)
+def _gradient(f: np.ndarray, h: float, axis: int, out: np.ndarray, w: _Work) -> np.ndarray:
+    """d/d(grid axis) of a field or a stack of fields into C-contiguous ``out``."""
+    s = w.strides[axis]
+    # centered differences over the flattened array; the entries this gives
+    # on the two faces (which straddle rows or fields) are overwritten below
+    inner = out.reshape(-1)[s:-s]
+    flat = f.reshape(-1)
+    np.subtract(flat[2 * s:], flat[:-2 * s], out=inner)
+    np.divide(inner, 2.0 * h, out=inner)
+    # both faces at once: out[0] = f[1] - f[0] and out[n-1] = f[n-1] - f[n-2]
+    faces, upper, lower = w.faces[axis]
+    faces = out[faces]
+    np.subtract(f[upper], f[lower], out=faces)
+    np.divide(faces, h, out=faces)
+    return out
 
 
-def compute_flux(s: ModelState, p: TumorParams) -> FluxField:
+def _laplacian(data: np.ndarray, h: float, out: np.ndarray | None = None,
+               work: _Work | None = None) -> np.ndarray:
+    """7-point Laplacian with mirrored (zero-flux) boundary cells.
+
+    ``data`` is one field or a stack of two.
+    """
+    w = _Work(data.shape[-3:]) if work is None else work
+    fields = data.reshape((-1,) + w.shape)
+    nz, ny, nx = w.shape
+    p = w.padded[:len(fields)]
+    p[:, 1:-1, 1:-1, 1:-1] = fields
+    # ghost faces repeat the edge cells (two faces per copy)
+    p[:, ::nz + 1, 1:-1, 1:-1] = fields[:, ::nz - 1]
+    p[:, 1:-1, ::ny + 1, 1:-1] = fields[:, :, ::ny - 1]
+    p[:, 1:-1, 1:-1, ::nx + 1] = fields[:, :, :, ::nx - 1]
+    out = np.empty(data.shape) if out is None else out
+    result = out.reshape(fields.shape)
+    np.add(p[:, 2:, 1:-1, 1:-1], p[:, :-2, 1:-1, 1:-1], out=result)
+    result += p[:, 1:-1, 2:, 1:-1]
+    result += p[:, 1:-1, :-2, 1:-1]
+    result += p[:, 1:-1, 1:-1, 2:]
+    result += p[:, 1:-1, 1:-1, :-2]
+    result -= np.multiply(fields, 6.0, out=w.six[:len(fields)])
+    result /= h * h
+    return out
+
+
+def compute_flux(s: ModelState, p: TumorParams, out: np.ndarray | None = None,
+                 work: _Work | None = None) -> FluxField:
     """Auxiliary flux J = -d_b * b * (grad(normalized b) * gate + r_b * grad A).
 
     The pressure part acts only where the density sits between its normal
     and maximal levels; the gate multiplies the computed gradient pointwise.
+    ``out`` is an optional (3, nz, ny, nx) array for (Jx, Jy, Jz).
     """
-    spec = s.spec
-    h = spec.h
-    b = s.b.data
-    normalized = (b - p.b_norm) / (p.b_M - p.b_norm)
-    gate = ((b >= p.b_norm) & (b <= p.b_M)).astype(np.float64)
-    nx_, ny_, nz_ = _gradient(normalized, h)
-    ax, ay, az = _gradient(s.A.data, h)
-    coeff = -p.d_b * b
-    return FluxField(
-        Jx=ScalarField(spec, coeff * (nx_ * gate + p.r_b * ax)),
-        Jy=ScalarField(spec, coeff * (ny_ * gate + p.r_b * ay)),
-        Jz=ScalarField(spec, coeff * (nz_ * gate + p.r_b * az)),
-    )
+    h = s.spec.h
+    b, A = s.data[0], s.data[4]
+    w = _Work(b.shape) if work is None else work
+    out = np.empty((3,) + b.shape) if out is None else out
+    potentials = w.potentials
+    np.subtract(b, p.b_norm, out=potentials[0])
+    potentials[0] /= p.b_M - p.b_norm
+    potentials[1] = A
+    gate = np.greater_equal(b, p.b_norm, out=w.gate)
+    gate *= np.less_equal(b, p.b_M, out=w.gate_hi)
+    coeff = np.multiply(b, -p.d_b, out=w.coeff)
+    for component, axis in enumerate((2, 1, 0)):  # x runs along the last axis
+        _gradient(potentials, h, axis, w.grads[component], w)
+    pressure, chemotaxis = w.grads[:, 0], w.grads[:, 1]
+    pressure *= gate
+    chemotaxis *= p.r_b
+    pressure += chemotaxis
+    np.multiply(coeff, pressure, out=out)
+    return FluxField(*(ScalarField(s.spec, component) for component in out))
 
 
-def _divergence(flux: FluxField, h: float) -> np.ndarray:
-    return (
-        np.gradient(flux.Jx.data, h, axis=2)
-        + np.gradient(flux.Jy.data, h, axis=1)
-        + np.gradient(flux.Jz.data, h, axis=0)
-    )
+def _divergence(flux: np.ndarray, h: float, out: np.ndarray | None = None,
+                work: _Work | None = None) -> np.ndarray:
+    """dJx/dx + dJy/dy + dJz/dz of a (3, nz, ny, nx) flux array."""
+    w = _Work(flux.shape[1:]) if work is None else work
+    out = np.empty(flux.shape[1:]) if out is None else out
+    _gradient(flux[0], h, 2, out, w)
+    out += _gradient(flux[1], h, 1, w.div, w)
+    out += _gradient(flux[2], h, 0, w.div, w)
+    return out
 
 
 def tumor_tendency(
-    s: ModelState, p: TumorParams, oxygen_source_mask: np.ndarray | None = None
+    s: ModelState, p: TumorParams, oxygen_source_mask: np.ndarray | None = None,
+    work: _Work | None = None,
 ) -> ModelState:
-    """Time derivative of all five fields.
+    """Time derivative of all five fields, as a new state.
 
     ``oxygen_source_mask`` optionally restricts oxygen delivery to a static
     0/1 region (a crude stand-in for a vessel network); by default delivery
-    acts everywhere.
+    acts everywhere.  ``work`` holds the grid's reusable work arrays.
     """
-    spec = s.spec
-    h = spec.h
-    b, c, o, M, A = (s.b.data, s.c.data, s.o.data, s.M.data, s.A.data)
+    h = s.spec.h
+    b, c, o, M, A = s.data
+    w = _Work(b.shape) if work is None else work
+    out = np.empty(s.data.shape)
+    db, dc, do, dM, dA = out
+    t1, t2 = w.t1, w.t2
 
-    hypoxic = (o < p.o_death).astype(np.float64)
-    proliferative = (o > p.o_prol).astype(np.float64)
+    hypoxic = np.less(o, p.o_death, out=w.hypoxic)
+    proliferative = np.greater(o, p.o_prol, out=w.proliferative)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        flux = compute_flux(s, p)
-        mitosis_boost = 1.0 + (p.tau_b * A / (p.tau_b * A + 1.0)) * p.P_b
-        db = (
-            -_divergence(flux, h)
-            - (b / p.T_death) * hypoxic
-            + (b / p.T_prol) * mitosis_boost * (1.0 - b / p.b_M) * proliferative
-        )
-        dc = p.chi_c * _laplacian(c, h) - p.gamma_c * o * c + b * (1.0 - c) * hypoxic
-        delivery = p.delta_o * (p.o_max - o)
+        compute_flux(s, p, out=w.flux, work=w)
+        # mitosis boost 1 + P_b * tau_b A / (tau_b A + 1), kept in t1
+        np.multiply(A, p.tau_b, out=t1)
+        t1 /= np.add(t1, 1.0, out=t2)
+        t1 *= p.P_b
+        t1 += 1.0
+        # db = -div J - (b / T_death) hypoxic
+        #      + (b / T_prol) boost (1 - b / b_M) proliferative
+        _divergence(w.flux, h, out=db, work=w)
+        np.negative(db, out=db)
+        db -= np.multiply(np.divide(b, p.T_death, out=t2), hypoxic, out=t2)
+        np.divide(b, p.T_prol, out=t2)
+        t2 *= t1
+        np.subtract(1.0, np.divide(b, p.b_M, out=t1), out=t1)
+        t2 *= t1
+        t2 *= proliferative
+        db += t2
+        # dc = chi_c lap(c) - gamma_c o c + b (1 - c) hypoxic
+        _laplacian(s.data[1:3], h, out=out[1:3], work=w)  # lap(c) and lap(o)
+        dc *= p.chi_c
+        dc -= np.multiply(np.multiply(o, p.gamma_c, out=t1), c, out=t1)
+        np.multiply(b, np.subtract(1.0, c, out=t1), out=t1)
+        t1 *= hypoxic
+        dc += t1
+        # do = alpha_o lap(o) - gamma_o b o + delta_o (o_max - o) [* mask]
+        do *= p.alpha_o
+        do -= np.multiply(np.multiply(b, p.gamma_o, out=t1), o, out=t1)
+        np.subtract(p.o_max, o, out=t1)
+        t1 *= p.delta_o
         if oxygen_source_mask is not None:
-            delivery = delivery * oxygen_source_mask
-        do = p.alpha_o * _laplacian(o, h) - p.gamma_o * b * o + delivery
-        dM = -p.beta_M * M * b
-        dA = p.gamma_A * M * b + p.chi_aA * _laplacian(A, h) - p.gamma_oA * A
+            t1 *= oxygen_source_mask
+        do += t1
+        # dM = -beta_M M b
+        np.multiply(M, -p.beta_M, out=dM)
+        dM *= b
+        # dA = gamma_A M b + chi_aA lap(A) - gamma_oA A
+        _laplacian(A, h, out=dA, work=w)
+        dA *= p.chi_aA
+        dA += np.multiply(np.multiply(M, p.gamma_A, out=t1), b, out=t1)
+        dA -= np.multiply(A, p.gamma_oA, out=t1)
 
-    return ModelState(
-        b=ScalarField(spec, db),
-        c=ScalarField(spec, dc),
-        o=ScalarField(spec, do),
-        M=ScalarField(spec, dM),
-        A=ScalarField(spec, dA),
-    )
-
-
-def tumor_step(
-    s: ModelState,
-    p: TumorParams,
-    dt: float,
-    oxygen_source_mask: np.ndarray | None = None,
-) -> ModelState:
-    """One forward-Euler step of the full split system."""
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    tend = tumor_tendency(s, p, oxygen_source_mask)
-    with np.errstate(over="ignore", invalid="ignore"):
-        fields = {}
-        for name, f in s.field_items():
-            fields[name] = ScalarField(s.spec, f.data + dt * getattr(tend, name).data)
-    new = ModelState(**fields)
-    for name, f in new.field_items():
-        if not f.is_finite():
-            raise BlowUpError(f"non-finite value in field '{name}' after step")
-    return new
+    return ModelState.view(s.spec, out)
 
 
 def stability_monitor(history, factor: float = 10.0) -> str:
@@ -349,11 +412,13 @@ def gaussian_bump_state(
 class TumorSystem(DynamicalSystem):
     """Dynamical-system wrapper so the ensemble engine can step the model.
 
-    ``metric_params`` fixes the thresholds used for volume reporting, so
-    sub-models with perturbed parameters are all measured with the same
-    yardstick (defaults to the reference parametrization).
+    A state is the (5, nz, ny, nx) array of a ModelState.  ``metric_params``
+    fixes the thresholds used for volume reporting, so sub-models with
+    perturbed parameters are all measured with the same yardstick (defaults
+    to the reference parametrization).
     """
 
+    variables = FIELD_NAMES
     couplable = ("b",)
 
     def __init__(
@@ -363,46 +428,36 @@ class TumorSystem(DynamicalSystem):
         metric_params: TumorParams | None = None,
     ):
         self.spec = spec
+        self.cell_volume = spec.cell_volume
         self.oxygen_source_mask = oxygen_source_mask
         self.metric_params = metric_params if metric_params is not None else TumorParams()
+        self._work = None  # the kernel's work arrays, allocated by the first tendency
 
-    def tendency(self, state: ModelState, params: TumorParams) -> ModelState:
-        return tumor_tendency(state, params, self.oxygen_source_mask)
+    def tendency(self, state: np.ndarray, params: TumorParams) -> np.ndarray:
+        if self._work is None:
+            self._work = _Work(self.spec.shape)
+        s = ModelState.view(self.spec, state)
+        return tumor_tendency(s, params, self.oxygen_source_mask, self._work).data
 
-    def state_dimension(self, state: ModelState) -> int:
-        return len(FIELD_NAMES) * state.spec.size
+    def get_variable(self, state: np.ndarray, name: str) -> ScalarField:
+        return ScalarField(self.spec, super().get_variable(state, name))
 
-    def get_variable(self, state: ModelState, name: str) -> ScalarField:
-        self._check_couplable(name)
-        return state.b
+    def volumes(self, state: np.ndarray) -> VolumeTriple:
+        return tumor_volumes(ModelState.view(self.spec, state), self.metric_params)
 
-    def replace_variable(self, state: ModelState, name: str, value: ScalarField) -> ModelState:
-        self._check_couplable(name)
-        return dataclasses.replace(state, b=value)
+    def random_state(self, params: TumorParams, rng) -> np.ndarray:
+        ranges = (params.b_M, 1.0, params.o_max, 1.0, 1.0)  # b, c, o, M, A
+        return np.stack([rng.uniform(0.0, hi, size=self.spec.shape) for hi in ranges])
 
-    def validate_state(self, state: ModelState, context: str = ""):
-        for name, f in state.field_items():
-            if not f.is_finite():
-                where = f" during {context}" if context else ""
-                raise BlowUpError(f"non-finite value in variable '{name}'{where}")
+    def noise_like(self, state: np.ndarray, rng) -> np.ndarray:
+        return rng.standard_normal(state.shape)
 
-    def volumes(self, state: ModelState) -> VolumeTriple:
-        return tumor_volumes(state, self.metric_params)
-
-    def random_state(self, params: TumorParams, rng) -> ModelState:
-        spec = self.spec
-        ranges = {"b": params.b_M, "c": 1.0, "o": params.o_max, "M": 1.0, "A": 1.0}
-        fields = {
-            name: ScalarField(spec, rng.uniform(0.0, hi, size=spec.shape))
-            for name, hi in ranges.items()
-        }
-        return ModelState(**fields)
-
-    def noise_like(self, state: ModelState, rng) -> ModelState:
-        return ModelState(
-            *(ScalarField(state.spec, rng.standard_normal(state.spec.shape))
-              for _ in FIELD_NAMES)
-        )
+    def state_norm(self, state: np.ndarray) -> float:
+        """Volume-weighted L2 norm over all five fields, summed field by field."""
+        sumsq = sum(float(np.dot(field, field)) for field in state.reshape(len(state), -1))
+        if not np.isfinite(sumsq):
+            raise BlowUpError("non-finite values in state norm")
+        return math.sqrt(sumsq * self.cell_volume)
 
     def lipschitz_scale(self, params: TumorParams) -> float:
         # 1e-2 of the coupled variable's range

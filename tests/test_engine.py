@@ -15,7 +15,7 @@ from supermodeling.engine import (
     train,
     update_coupling,
 )
-from supermodeling.fields import EnsembleState
+from supermodeling.experiments import ExperimentConfig, build_setup, instantiate_submodels
 from supermodeling.groundtruth import GroundTruth, generate_gt, gt_at
 
 
@@ -27,7 +27,7 @@ def toy_ensemble(states, r_values=None, cap=2.0):
     ens = SubModelEnsemble(
         system=system,
         params=params,
-        states=EnsembleState(list(states)),
+        states=np.array(states, dtype=float).reshape(-1, 1),
         coupled_variable="b",
         initial_state=states[0],
     )
@@ -120,6 +120,22 @@ class TestCoupledStep:
             spread = new_spread
 
 
+class TestTumorReduction:
+    def test_uncoupled_step_is_explicit_step_per_member(self):
+        # K = 0 and C = 0: every member advances exactly as a free model step
+        config = ExperimentConfig(nx=8, ny=7, nz=6, variant="V2")
+        _spec, reference, system, initial = build_setup(config)
+        params = instantiate_submodels(reference, config)
+        ens = SubModelEnsemble.identical_start(system, params, initial)
+        cm = CouplingMatrix.uniform(len(params), 0.0, k_nudge=0.0, c_min=0.0)
+        free = [np.array(initial) for _ in params]
+        for _ in range(5):
+            ens = coupled_step(ens, cm, gt_now=None, dt=0.1)
+            free = [explicit_step(system, x, p, 0.1) for x, p in zip(free, params)]
+        for member, expected in zip(ens.states, free):
+            assert np.array_equal(member, expected)
+
+
 class TestUpdateCoupling:
     def test_fixed_point_at_perfect_fit(self):
         ens = toy_ensemble([0.7, 0.7, 0.7])
@@ -148,7 +164,7 @@ class TestUpdateCoupling:
         cm = CouplingMatrix.uniform(3, 0.5, k_nudge=0.9)
         for _ in range(30):
             states = list(rng.uniform(0, 2, size=3))
-            ens = dataclasses.replace(ens, states=EnsembleState(states))
+            ens = dataclasses.replace(ens, states=np.reshape(states, (-1, 1)))
             cm = update_coupling(cm, ens, gt_now=float(rng.uniform(0, 2)))
             off = cm.offdiag_values()
             assert np.all(off >= cm.c_min) and np.all(off <= cm.c_max)
@@ -205,7 +221,7 @@ class TestTrain:
         system = LinearSystem(1e60)
         ens = SubModelEnsemble(
             system=system, params=[None, None],
-            states=EnsembleState([0.5, 0.6]), coupled_variable="b",
+            states=np.array([[0.5], [0.6]]), coupled_variable="b",
             initial_state=0.5,
         )
         cm = CouplingMatrix.uniform(2, 0.5, k_nudge=0.9)

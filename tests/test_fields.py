@@ -5,7 +5,6 @@ import pytest
 
 from supermodeling.fields import (
     BlowUpError,
-    EnsembleState,
     GridSpec,
     ScalarField,
     l2_norm,
@@ -21,6 +20,11 @@ from supermodeling.fields import (
 
 def random_field(spec, rng, lo=-1.0, hi=1.0):
     return ScalarField(spec, rng.uniform(lo, hi, size=spec.shape))
+
+
+def ensemble(members):
+    """Member states (fields or numbers) stacked along a leading member axis."""
+    return np.stack([np.asarray(m, dtype=float) for m in members])
 
 
 class TestGridSpec:
@@ -84,27 +88,27 @@ class TestTaxiDistance:
     def test_identical_ensembles(self):
         spec = GridSpec(4, 4, 4, 1.0)
         rng = np.random.default_rng(0)
-        a = EnsembleState([random_field(spec, rng) for _ in range(3)])
+        a = ensemble([random_field(spec, rng) for _ in range(3)])
         assert taxi_ensemble_distance(a, a) == 0.0
 
     def test_scalar_members_hand_value(self):
-        a = EnsembleState([1.0, 2.0])
-        b = EnsembleState([0.0, 0.0])
+        a = ensemble([1.0, 2.0])
+        b = ensemble([0.0, 0.0])
         assert taxi_ensemble_distance(a, b) == 3.0
 
     def test_single_member_reduces_to_norm(self):
         spec = GridSpec(4, 4, 4, 1.0)
         rng = np.random.default_rng(1)
         f, g = random_field(spec, rng), random_field(spec, rng)
-        assert taxi_ensemble_distance(EnsembleState([f]), EnsembleState([g])) == l2_norm(f - g)
+        assert taxi_ensemble_distance(ensemble([f]), ensemble([g])) == l2_norm(f - g)
 
     def test_mismatched_sizes_rejected(self):
         with pytest.raises(ValueError):
-            taxi_ensemble_distance(EnsembleState([1.0]), EnsembleState([1.0, 2.0]))
+            taxi_ensemble_distance(ensemble([1.0]), ensemble([1.0, 2.0]))
 
     def test_mismatched_grids_rejected(self):
-        a = EnsembleState([ScalarField.zeros(GridSpec(4, 4, 4, 1.0))])
-        b = EnsembleState([ScalarField.zeros(GridSpec(5, 4, 4, 1.0))])
+        a = ensemble([ScalarField.zeros(GridSpec(4, 4, 4, 1.0))])
+        b = ensemble([ScalarField.zeros(GridSpec(5, 4, 4, 1.0))])
         with pytest.raises(ValueError):
             taxi_ensemble_distance(a, b)
 
@@ -114,7 +118,7 @@ class TestTaxiDistance:
         n = int(rng.integers(1, 5))
         spec = GridSpec(*(int(rng.integers(3, 9)) for _ in range(3)), h=0.5)
         ens = [
-            EnsembleState([random_field(spec, rng) for _ in range(n)])
+            ensemble([random_field(spec, rng) for _ in range(n)])
             for _ in range(3)
         ]
         a, b, c = ens

@@ -3,7 +3,6 @@ import pytest
 
 from supermodeling.dynamics import LogisticParams, LogisticSystem
 from supermodeling.engine import CouplingMatrix, SubModelEnsemble, train, update_coupling
-from supermodeling.fields import EnsembleState
 from supermodeling.groundtruth import generate_gt
 from supermodeling.theory import (
     VACUOUS,
@@ -118,7 +117,7 @@ class TestMaxFormUpdate:
 
         ens = SubModelEnsemble(
             system=LogisticSystem(), params=[None, None],
-            states=EnsembleState(list(members)), coupled_variable="b",
+            states=np.reshape(members, (-1, 1)), coupled_variable="b",
         )
         integral_form = update_coupling(cm, ens, gt_now=1.0)
         assert np.allclose(max_form.c, integral_form.c, atol=1e-15)
