@@ -11,11 +11,11 @@ configuration sits in the provably convergent regime.
 from .fields import (
     BlowUpError,
     GridSpec,
-    ScalarField,
     l2_norm,
     max_over_time,
-    state_norm,
     taxi_ensemble_distance,
+    volume_inner,
+    volume_integral,
 )
 from .dynamics import (
     DynamicalSystem,
@@ -27,7 +27,6 @@ from .dynamics import (
     logistic_tendency,
 )
 from .tumor import (
-    ModelState,
     TumorParams,
     TumorSystem,
     compute_flux,

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import experiments
 from .engine import SubModelEnsemble, TrainingAborted
-from .groundtruth import load_gt, save_gt, generate_gt
+from .groundtruth import save_gt, generate_gt
 from .tumor import write_volume_series
 
 
@@ -62,23 +62,19 @@ def cmd_generate_gt(args) -> int:
 
 def cmd_train(args) -> int:
     config = _load(args)
+    _spec, reference, system, initial = experiments.build_setup(config)
+    params_list = experiments.instantiate_submodels(reference, config)
+    ensemble = SubModelEnsemble.identical_start(system, params_list, initial)
+    cm = experiments.initial_coupling(config)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _spec, reference, system, initial = experiments.build_setup(config)
     gt_dir = args.gt if args.gt is not None else out / "gt"
     if Path(gt_dir).exists():
-        gt = load_gt(gt_dir)
+        gt = experiments.load_reference(gt_dir, config)
     else:
         gt = generate_gt(system, reference, initial, config.dt, config.steps,
                          config.keep_every)
         save_gt(gt, out / "gt")
-    params_list = experiments.instantiate_submodels(reference, config)
-    ensemble = SubModelEnsemble.identical_start(system, params_list, initial)
-    cm = experiments.CouplingMatrix.uniform(
-        config.n_submodels, config.c_init, config.k_nudge,
-        a_rate=config.a_rate, c_min=config.c_min, c_max=config.c_max,
-        exclude_self_in_nudge=config.exclude_self_in_nudge,
-    )
     try:
         trained, report = experiments.train(
             ensemble, cm, gt, config.dt, config.steps,
@@ -101,7 +97,7 @@ def cmd_simulate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _spec, reference, system, initial = experiments.build_setup(config)
     gt_dir = args.gt if args.gt is not None else out / "gt"
-    gt = load_gt(gt_dir)
+    gt = experiments.load_reference(gt_dir, config)
     coupling_path = args.coupling if args.coupling is not None else out / "trained_coupling.json"
     cm = experiments.load_coupling(coupling_path)
     params_list = experiments.instantiate_submodels(reference, config)
@@ -174,7 +170,11 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_experiment)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:  # a bad config or an archive that does not fit it
+        print(f"supermodeling {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

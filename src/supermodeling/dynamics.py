@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import BlowUpError, state_norm
+from .fields import BlowUpError, GridSpec, l2_norm
 
 
 class DynamicalSystem:
@@ -20,12 +20,14 @@ class DynamicalSystem:
 
     Subclasses implement ``tendency`` and declare which of their
     ``variables`` can be coupled to other ensemble members.  ``tendency``
-    must be deterministic and return a new array of the state's shape;
-    ``cell_volume`` weights one array entry in domain integrals.
+    must be deterministic and return a new array of the state's shape.
+    Field-valued systems name their grid as ``spec``; ``cell_volume`` weights
+    one array entry in domain norms and integrals.
     """
 
     variables: tuple[str, ...] = ("b",)
     couplable: tuple[str, ...] = ()
+    spec: GridSpec | None = None
     cell_volume: float = 1.0
 
     def tendency(self, state, params):
@@ -62,7 +64,7 @@ class DynamicalSystem:
         raise NotImplementedError
 
     def state_norm(self, state) -> float:
-        return state_norm(state)
+        return l2_norm(state, self.cell_volume)
 
 
 def explicit_step(system: DynamicalSystem, state, params, dt: float, out=None):

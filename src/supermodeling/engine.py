@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import DynamicalSystem, explicit_step
-from .fields import BlowUpError, state_norm
+from .fields import BlowUpError, l2_norm, volume_inner
 from .groundtruth import GroundTruth, gt_at
 
 
@@ -236,12 +236,10 @@ def update_coupling(
     n = ens.n
     new_c = cm.c.copy()
     for i in range(n):
-        gt_minus_bi = np.ravel(mismatch[i])
         for j in range(n):
             if i == j:
                 continue
-            inner = float(np.dot(gt_minus_bi, np.ravel(values[i] - values[j]))
-                          * ens.system.cell_volume)
+            inner = volume_inner(mismatch[i], values[i] - values[j], ens.system.cell_volume)
             new_c[i, j] = cm.a_rate * cm.c[i, j] + cm.a_rate * inner
     if not np.isfinite(new_c).all():
         raise BlowUpError("non-finite coupling coefficient update")
@@ -312,7 +310,7 @@ def train(
                 cm = update_coupling(cm, ens, gt_next)
                 output = supermodel_output(ens)
                 coupled_out = ens.system.get_variable(output, ens.coupled_variable)
-                error = state_norm(gt_next - coupled_out)
+                error = l2_norm(gt_next - coupled_out, ens.system.cell_volume)
                 volumes = tuple(ens.system.volumes(output)) if has_volumes else None
             except BlowUpError as exc:
                 report.iterations_used = epoch

@@ -31,8 +31,8 @@ from .engine import (
     simulate,
     train,
 )
-from .fields import GridSpec, l2_norm, state_norm
-from .groundtruth import generate_gt, gt_at, gt_volume_at, gt_volumes_at, save_gt
+from .fields import GridSpec, l2_norm
+from .groundtruth import GroundTruth, error_metrics, generate_gt, gt_volumes_at, load_gt, save_gt
 from .theory import export_contraction_csv, make_contraction_report
 from .tumor import (
     DIVERGING,
@@ -104,6 +104,10 @@ class ExperimentConfig:
             raise ValueError(f"placement must be one of {PLACEMENTS}")
         if self.variant == "V3" and self.n_submodels != 3:
             raise ValueError("variant V3 defines placements for exactly 3 sub-models")
+        if self.epochs < 1:
+            raise ValueError("need at least one training epoch")
+        if not self.tol > 0:
+            raise ValueError("tolerance must be positive")
 
     @property
     def grid(self) -> GridSpec:
@@ -283,13 +287,13 @@ def cfl_sweep(
     results = []
     for dt in dt_list:
         state = np.array(initial if initial is not None else gaussian_bump_state(spec, params))
-        history = [l2_norm(system.get_variable(state, "b"))]
+        history = [l2_norm(system.get_variable(state, "b"), system.cell_volume)]
         verdict = stability_monitor(history, factor)
         completed = 0
         for _n in range(steps):
             try:
                 explicit_step(system, state, params, dt, out=state)
-                history.append(l2_norm(system.get_variable(state, "b")))
+                history.append(l2_norm(system.get_variable(state, "b"), system.cell_volume))
             except BlowUpError:
                 verdict = DIVERGING
                 break
@@ -386,28 +390,44 @@ def build_setup(config: ExperimentConfig):
     return spec, reference, system, initial
 
 
+def initial_coupling(config: ExperimentConfig) -> CouplingMatrix:
+    """The uniform coupling matrix that training starts from."""
+    return CouplingMatrix.uniform(
+        config.n_submodels, config.c_init, config.k_nudge,
+        a_rate=config.a_rate, c_min=config.c_min, c_max=config.c_max,
+        exclude_self_in_nudge=config.exclude_self_in_nudge,
+    )
+
+
+def load_reference(directory, config: ExperimentConfig) -> GroundTruth:
+    """Load a reference archive, rejecting one made for another grid or dt."""
+    gt = load_gt(directory)
+    if gt.spec != config.grid or gt.step_dt != config.dt:
+        raise ValueError(
+            f"reference archive {directory} has grid {gt.spec} and dt {gt.step_dt!r}, "
+            f"but the config has grid {config.grid} and dt {config.dt!r}"
+        )
+    return gt
+
+
 def run_experiment(config: ExperimentConfig) -> Path:
     """Execute one full configuration and write all CSV artifacts.
 
     Returns the output directory.  A training blow-up is recorded in the
     manifest and the partial artifacts are kept rather than raised.
     """
+    _spec, reference, system, initial = build_setup(config)
+    n = config.n_submodels
+    # everything a bad config can fail on comes before any work or output
+    params_list = instantiate_submodels(reference, config)
+    ensemble = SubModelEnsemble.identical_start(system, params_list, initial)
+    cm_init = initial_coupling(config)
+
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    spec, reference, system, initial = build_setup(config)
-    n = config.n_submodels
-
     gt = generate_gt(system, reference, initial, config.dt, config.steps,
                      config.keep_every)
     save_gt(gt, out / "gt")
-
-    params_list = instantiate_submodels(reference, config)
-    ensemble = SubModelEnsemble.identical_start(system, params_list, initial)
-    cm_init = CouplingMatrix.uniform(
-        n, config.c_init, config.k_nudge,
-        a_rate=config.a_rate, c_min=config.c_min, c_max=config.c_max,
-        exclude_self_in_nudge=config.exclude_self_in_nudge,
-    )
 
     status = "completed"
     trained = None
@@ -428,7 +448,7 @@ def run_experiment(config: ExperimentConfig) -> Path:
         save_coupling(trained, out / "trained_coupling.json")
         after = predict(ensemble, trained, gt, config, out)
         before = predict(ensemble, cm_init, gt, config)
-        _write_before_after_csv(gt, before, after, out / "before_after.csv", config)
+        _write_before_after_csv(before, after, out / "before_after.csv", config)
 
     manifest = emit_config(config) + f"\n[run]\nstatus = {status}\n"
     (out / "manifest.ini").write_text(manifest)
@@ -439,8 +459,10 @@ def run_experiment(config: ExperimentConfig) -> Path:
 class Prediction:
     """Per step from the initial state on, what the CSVs read of a prediction."""
 
-    outputs: list  # the supermodel's (b field, VolumeTriple)
+    volumes: list  # the supermodel's VolumeTriple
     member_volumes: list  # every member's VolumeTriple
+    l2_error: np.ndarray  # the supermodel's b against the reference
+    volume_diff: np.ndarray  # reference total minus the supermodel's
 
 
 def predict(ensemble, cm, gt, config, out_dir: Path | None = None) -> Prediction:
@@ -463,10 +485,12 @@ def predict(ensemble, cm, gt, config, out_dir: Path | None = None) -> Prediction
         ens, cm, gt, config.dt, config.steps,
         nudge_in_prediction=config.nudge_in_prediction, observer=observer, record=record,
     )
-    run = Prediction(outputs=outputs, member_volumes=member_volumes)
+    l2_error, volume_diff = error_metrics(gt, [b for b, _volumes in outputs])
+    run = Prediction(volumes=[volumes for _b, volumes in outputs],
+                     member_volumes=member_volumes, l2_error=l2_error, volume_diff=volume_diff)
     if out_dir is not None:
         _write_curves_csv(gt, run, out_dir / "curves.csv", config)
-        _write_volume_diff_csv(gt, run, out_dir / "volume_diff.csv", config)
+        _write_volume_diff_csv(run, out_dir / "volume_diff.csv", config)
     return run
 
 
@@ -512,7 +536,7 @@ def _write_curves_csv(gt, run: Prediction, path, config):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for step, (_b, sm_vol) in enumerate(run.outputs):
+        for step, sm_vol in enumerate(run.volumes):
             row = [step, repr(step * config.dt)]
             row += [repr(float(v)) for v in gt_volumes_at(gt, step)]
             row += [repr(float(v)) for v in sm_vol]
@@ -521,29 +545,19 @@ def _write_curves_csv(gt, run: Prediction, path, config):
             writer.writerow(row)
 
 
-def _write_volume_diff_csv(gt, run: Prediction, path, config):
+def _write_volume_diff_csv(run: Prediction, path, config):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "t", "volume_diff"])
-        for step, (_b, volumes) in enumerate(run.outputs):
-            diff = gt_volume_at(gt, step) - volumes.total
-            writer.writerow([step, repr(step * config.dt), repr(diff)])
+        for step, diff in enumerate(run.volume_diff):
+            writer.writerow([step, repr(step * config.dt), repr(float(diff))])
 
 
-def _write_before_after_csv(gt, before: Prediction, after: Prediction, path, config):
+def _write_before_after_csv(before: Prediction, after: Prediction, path, config):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "t", "l2_before", "l2_after",
                          "volume_diff_before", "volume_diff_after"])
-        for step, ((b_before, vol_before), (b_after, vol_after)) in enumerate(
-            zip(before.outputs, after.outputs)
-        ):
-            ref = gt_at(gt, step)
-            gt_total = gt_volume_at(gt, step)
-            writer.writerow([
-                step, repr(step * config.dt),
-                repr(state_norm(ref - b_before)),
-                repr(state_norm(ref - b_after)),
-                repr(gt_total - vol_before.total),
-                repr(gt_total - vol_after.total),
-            ])
+        columns = (before.l2_error, after.l2_error, before.volume_diff, after.volume_diff)
+        for step, values in enumerate(zip(*columns)):
+            writer.writerow([step, repr(step * config.dt)] + [repr(float(v)) for v in values])

@@ -1,13 +1,12 @@
-"""Regular-grid scalar fields, norms, and ensemble distances.
+"""Regular grids, domain norms and integrals, and ensemble distances.
 
-Fields live on a uniform 3-D grid; arrays are stored C-ordered with shape
-(nz, ny, nx) so the flat layout runs x fastest.  Norms carry the cell-volume
-factor h^3, which keeps values comparable across grid refinements.
-
-ScalarField arithmetic returns new fields, but a field may be a view into an
-array that is updated in place (a ModelState's fields view its one array,
-and the ensemble engine advances its member array in place), so copy a
-field to keep it; none of this is thread-safe.
+A field is a plain float64 array of shape (nz, ny, nx) on a uniform GridSpec,
+C-ordered so the flat layout runs x fastest; a tumor state stacks its five
+fields into one (5, nz, ny, nx) array.  Arrays carry no grid, so the norm and
+the integrals below take the h^3 weight as their ``cell_volume`` argument
+(1.0, the default, gives plain sums, as the toy systems need); weighting by
+h^3 keeps values comparable across grid refinements.  A field may be a view
+into an array that the engine advances in place, so copy one to keep it.
 """
 
 from __future__ import annotations
@@ -61,88 +60,14 @@ class GridSpec:
         return (self.nx * self.h, self.ny * self.h, self.nz * self.h)
 
 
-@dataclass(frozen=True)
-class ScalarField:
-    """One scalar quantity sampled on a GridSpec.
-
-    ``data`` has shape ``spec.shape``; do not mutate it after the field has
-    been passed along, arithmetic below always allocates fresh arrays.
-    """
-
-    spec: GridSpec
-    data: np.ndarray
-
-    def __post_init__(self):
-        if self.data.shape != self.spec.shape:
-            raise ValueError(
-                f"field data shape {self.data.shape} does not match grid {self.spec.shape}"
-            )
-        if self.data.dtype != np.float64:
-            object.__setattr__(self, "data", self.data.astype(np.float64))
-
-    @classmethod
-    def zeros(cls, spec: GridSpec) -> "ScalarField":
-        return cls(spec, np.zeros(spec.shape))
-
-    @classmethod
-    def full(cls, spec: GridSpec, value: float) -> "ScalarField":
-        return cls(spec, np.full(spec.shape, float(value)))
-
-    @classmethod
-    def from_values(cls, spec: GridSpec, values) -> "ScalarField":
-        """Build from a flat array of length nx*ny*nz (x fastest)."""
-        flat = np.asarray(values, dtype=np.float64)
-        if flat.size != spec.size:
-            raise ValueError(f"expected {spec.size} values, got {flat.size}")
-        return cls(spec, flat.reshape(spec.shape).copy())
-
-    @property
-    def values(self) -> np.ndarray:
-        """Flat view of the data, x fastest."""
-        return self.data.reshape(-1)
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self.data, dtype=dtype, copy=copy)
-
-    # -- arithmetic (returns new fields) --------------------------------
-
-    def _check_compat(self, other: "ScalarField"):
-        if other.spec != self.spec:
-            raise ValueError("fields live on different grids")
-
-    def __add__(self, other: "ScalarField") -> "ScalarField":
-        self._check_compat(other)
-        return ScalarField(self.spec, self.data + other.data)
-
-    def __sub__(self, other: "ScalarField") -> "ScalarField":
-        self._check_compat(other)
-        return ScalarField(self.spec, self.data - other.data)
-
-    def __mul__(self, factor: float) -> "ScalarField":
-        return ScalarField(self.spec, self.data * float(factor))
-
-    __rmul__ = __mul__
-
-
-def l2_norm(f: ScalarField) -> float:
-    """Discrete L2 norm sqrt(sum f^2 * h^3), volume-weighted."""
-    flat = f.values
-    sumsq = float(np.dot(flat, flat))
+def l2_norm(x, cell_volume: float = 1.0) -> float:
+    """Discrete L2 norm sqrt(sum x^2 * cell_volume) of an array or a number."""
+    flat = np.ravel(np.asarray(x, dtype=np.float64))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sumsq = float(np.dot(flat, flat))
     if not np.isfinite(sumsq):
-        raise BlowUpError("non-finite values in field norm")
-    return float(np.sqrt(sumsq * f.spec.cell_volume))
-
-
-def state_norm(x) -> float:
-    """Norm of a generic state: fields get l2_norm, numbers and arrays the
-    euclidean norm (abs for a number)."""
-    if isinstance(x, ScalarField):
-        return l2_norm(x)
-    arr = np.asarray(x, dtype=np.float64)
-    sumsq = float(np.dot(arr.reshape(-1), arr.reshape(-1)))
-    if not np.isfinite(sumsq):
-        raise BlowUpError("non-finite values in state norm")
-    return float(np.sqrt(sumsq))
+        raise BlowUpError("non-finite values in norm")
+    return float(np.sqrt(sumsq * cell_volume))
 
 
 def taxi_ensemble_distance(a, b) -> float:
@@ -150,7 +75,7 @@ def taxi_ensemble_distance(a, b) -> float:
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"ensembles differ in shape: {a.shape} vs {b.shape}")
-    return sum(state_norm(diff) for diff in a - b)
+    return sum(l2_norm(diff) for diff in a - b)
 
 
 def max_over_time(d) -> float:
@@ -161,27 +86,16 @@ def max_over_time(d) -> float:
     return max(seq)
 
 
-def volume_integral(x) -> float:
-    """Integral of a state over the domain: h^3 * sum for fields.
-
-    Scalars integrate to themselves (implicit unit domain), so the same
-    metric works for toy systems.
-    """
-    if isinstance(x, ScalarField):
-        return float(x.data.sum() * x.spec.cell_volume)
-    return float(np.asarray(x, dtype=np.float64).sum())
+def volume_integral(x, cell_volume: float = 1.0) -> float:
+    """Integral over the domain: the sum of all entries times cell_volume."""
+    return float(np.asarray(x, dtype=np.float64).sum() * cell_volume)
 
 
-def volume_inner(a, b) -> float:
-    """Domain inner product of two states: h^3-weighted sum of products."""
-    if isinstance(a, ScalarField):
-        if not isinstance(b, ScalarField):
-            raise TypeError("cannot mix field and scalar states")
-        a._check_compat(b)
-        return float(np.dot(a.values, b.values) * a.spec.cell_volume)
+def volume_inner(a, b, cell_volume: float = 1.0) -> float:
+    """Domain inner product: the sum of products times cell_volume."""
     av = np.asarray(a, dtype=np.float64).reshape(-1)
     bv = np.asarray(b, dtype=np.float64).reshape(-1)
-    return float(np.dot(av, bv))
+    return float(np.dot(av, bv) * cell_volume)
 
 
 # -- binary snapshot format ------------------------------------------------
@@ -189,15 +103,16 @@ def volume_inner(a, b) -> float:
 # in x-fastest order.
 
 
-def write_field(path, f: ScalarField, t: float = 0.0):
-    spec = f.spec
+def write_field(path, data: np.ndarray, spec: GridSpec, t: float = 0.0):
+    if data.shape != spec.shape:
+        raise ValueError(f"field shape {data.shape} does not match grid {spec.shape}")
     header = f"{spec.nx} {spec.ny} {spec.nz} {spec.h!r} {float(t)!r}\n"
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        fh.write(np.ascontiguousarray(f.data, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(data, dtype="<f8").tobytes())
 
 
-def read_field(path) -> tuple[ScalarField, float]:
+def read_field(path) -> tuple[np.ndarray, GridSpec, float]:
     with open(path, "rb") as fh:
         header = fh.readline().decode("ascii").split()
         nx, ny, nz = int(header[0]), int(header[1]), int(header[2])
@@ -205,4 +120,4 @@ def read_field(path) -> tuple[ScalarField, float]:
         spec = GridSpec(nx, ny, nz, h)
         raw = fh.read(spec.size * 8)
     data = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(spec.shape)
-    return ScalarField(spec, data), t
+    return data, spec, t

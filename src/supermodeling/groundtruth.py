@@ -6,6 +6,11 @@ coupled variable only; real observations would likewise see just the tumor
 density.  Snapshots may be sparse in time, and lookups between stored steps
 are filled by linear interpolation, which is deliberately the simplest
 augmentation that cannot hallucinate structure.
+
+A snapshot is a plain float64 array (a number for the toy systems).  The
+reference records the generating system's GridSpec, or None for the toy
+systems; the archive writes it, and ``cell_volume`` supplies the h^3 weight
+of its error metrics.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import DynamicalSystem, explicit_step
-from .fields import ScalarField, read_field, state_norm, volume_integral, write_field
+from .fields import GridSpec, l2_norm, read_field, volume_integral, write_field
 from .tumor import TumorParams, VolumeTriple
 
 
@@ -31,6 +36,7 @@ class GroundTruth:
     step_dt: float
     reference_params: object
     volumes: dict[int, VolumeTriple] | None = None
+    spec: GridSpec | None = None
 
     def __post_init__(self):
         indices = sorted(self.snapshots)
@@ -46,6 +52,10 @@ class GroundTruth:
     @property
     def final_index(self) -> int:
         return self._indices[-1]
+
+    @property
+    def cell_volume(self) -> float:
+        return self.spec.cell_volume if self.spec is not None else 1.0
 
 
 def generate_gt(
@@ -83,8 +93,8 @@ def generate_gt(
         explicit_step(system, state, reference_params, dt, out=state)
         if n % keep_every == 0 or n == steps:
             record(n, state)
-    return GroundTruth(snapshots=snapshots, step_dt=dt,
-                       reference_params=reference_params, volumes=volumes)
+    return GroundTruth(snapshots=snapshots, step_dt=dt, reference_params=reference_params,
+                       volumes=volumes, spec=system.spec)
 
 
 def _bracket(indices: list[int], n: int) -> tuple[int, int, float]:
@@ -109,7 +119,7 @@ def gt_at(gt: GroundTruth, n: int):
 
 def gt_volume_at(gt: GroundTruth, n: int) -> float:
     """Total volume of the coupled variable at step n (interpolated)."""
-    return volume_integral(gt_at(gt, n))
+    return volume_integral(gt_at(gt, n), gt.cell_volume)
 
 
 def gt_volumes_at(gt: GroundTruth, n: int) -> VolumeTriple:
@@ -124,18 +134,20 @@ def gt_volumes_at(gt: GroundTruth, n: int) -> VolumeTriple:
 
 
 def error_metrics(gt: GroundTruth, trajectory, start_step: int = 0):
-    """Per-step L2 error and signed volume difference (reference minus run).
+    """Per-step L2 error and signed volume difference (reference minus run),
+    both weighted by the reference's cell volume.
 
     ``trajectory`` holds coupled-variable states at consecutive steps
     beginning at ``start_step``; the whole range must be covered by the
     ground truth.
     """
+    vol = gt.cell_volume
     l2 = np.empty(len(trajectory))
     voldiff = np.empty(len(trajectory))
     for k, state in enumerate(trajectory):
         ref = gt_at(gt, start_step + k)
-        l2[k] = state_norm(ref - state)
-        voldiff[k] = volume_integral(ref) - volume_integral(state)
+        l2[k] = l2_norm(ref - state, vol)
+        voldiff[k] = volume_integral(ref, vol) - volume_integral(state, vol)
     return l2, voldiff
 
 
@@ -144,15 +156,14 @@ def error_metrics(gt: GroundTruth, trajectory, start_step: int = 0):
 
 def save_gt(gt: GroundTruth, directory):
     """Write a ground-truth archive: manifest.json plus one field file per snapshot."""
+    spec = gt.spec
+    if spec is None:
+        raise TypeError("only field-valued ground truths can be archived")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    first = gt.snapshots[0]
-    if not isinstance(first, ScalarField):
-        raise TypeError("only field-valued ground truths can be archived")
     manifest = {
         "step_dt": gt.step_dt,
-        "grid": {"nx": first.spec.nx, "ny": first.spec.ny,
-                 "nz": first.spec.nz, "h": first.spec.h},
+        "grid": {"nx": spec.nx, "ny": spec.ny, "nz": spec.nz, "h": spec.h},
         "reference_params": _params_to_dict(gt.reference_params),
         "stored_indices": gt.stored_indices,
         "volumes": (
@@ -163,17 +174,17 @@ def save_gt(gt: GroundTruth, directory):
     with open(directory / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
     for n in gt.stored_indices:
-        write_field(directory / f"gt_{n:06d}.f64", gt.snapshots[n], t=n * gt.step_dt)
+        write_field(directory / f"gt_{n:06d}.f64", gt.snapshots[n], spec, t=n * gt.step_dt)
 
 
 def load_gt(directory) -> GroundTruth:
     directory = Path(directory)
     with open(directory / "manifest.json") as fh:
         manifest = json.load(fh)
+    spec = GridSpec(**manifest["grid"])
     snapshots = {}
     for n in manifest["stored_indices"]:
-        field, _t = read_field(directory / f"gt_{n:06d}.f64")
-        snapshots[n] = field
+        snapshots[n], _spec, _t = read_field(directory / f"gt_{n:06d}.f64")
     volumes = None
     if manifest.get("volumes") is not None:
         volumes = {int(n): VolumeTriple(*v) for n, v in manifest["volumes"].items()}
@@ -182,6 +193,7 @@ def load_gt(directory) -> GroundTruth:
         step_dt=manifest["step_dt"],
         reference_params=_params_from_dict(manifest["reference_params"]),
         volumes=volumes,
+        spec=spec,
     )
 
 

@@ -13,6 +13,11 @@ faces for first derivatives); Laplacians use mirrored ghost cells, which
 gives zero-flux walls.  Stability is the caller's job: pick dt small enough
 for the grid (see ``stability_monitor`` and the sweep in experiments).
 
+A state is one C-contiguous (5, nz, ny, nx) float64 array holding b, c, o,
+M and A in that order (see FIELD_NAMES).  Arrays carry no grid: the kernel
+takes the spacing h, and volumes take the cell volume h^3, as arguments; a
+TumorSystem supplies both from its GridSpec.
+
 The tendency kernel writes its intermediates into work arrays that a
 TumorSystem allocates once and reuses for every tendency it computes, so a
 system must not be shared between threads; no work array is ever returned.
@@ -23,13 +28,12 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from .dynamics import DynamicalSystem
-from .fields import BlowUpError, GridSpec, ScalarField
+from .fields import BlowUpError, GridSpec, volume_integral
 
 STABLE = "stable"
 DIVERGING = "diverging"
@@ -80,55 +84,6 @@ class TumorParams:
                      "gamma_oA", "chi_c", "gamma_c", "alpha_o", "gamma_o", "delta_o"):
             if getattr(self, name) < 0:
                 raise ValueError(f"rate {name} must be nonnegative")
-
-
-def _field(index: int) -> property:
-    """Field ``index`` of a ModelState, as a ScalarField view into its array."""
-    return property(lambda state: ScalarField(state.spec, state.data[index]))
-
-
-class ModelState:
-    """The five coupled fields of one sub-model at one time level.
-
-    ``data`` is one C-contiguous (5, nz, ny, nx) float64 array holding b, c,
-    o, M and A in that order, and the named fields are ScalarField views into
-    it.  The five-field constructor copies its fields into a new array;
-    ``ModelState.view`` wraps an existing array without copying.
-    """
-
-    b, c, o, M, A = (_field(k) for k in range(len(FIELD_NAMES)))
-
-    def __init__(self, b: ScalarField, c: ScalarField, o: ScalarField,
-                 M: ScalarField, A: ScalarField):
-        fields = (b, c, o, M, A)
-        if any(f.spec != b.spec for f in fields):
-            raise ValueError("all fields of a state must share one grid")
-        self.spec = b.spec
-        self.data = np.stack([f.data for f in fields])
-
-    @classmethod
-    def view(cls, spec: GridSpec, data: np.ndarray) -> "ModelState":
-        state = cls.__new__(cls)
-        state.spec, state.data = spec, data
-        return state
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self.data, dtype=dtype, copy=copy)
-
-    def field_items(self):
-        return tuple((name, getattr(self, name)) for name in FIELD_NAMES)
-
-    def is_finite(self) -> bool:
-        return bool(np.isfinite(self.data).all())
-
-
-@dataclass(frozen=True)
-class FluxField:
-    """Components of the auxiliary cell flux J."""
-
-    Jx: ScalarField
-    Jy: ScalarField
-    Jz: ScalarField
 
 
 class VolumeTriple(NamedTuple):
@@ -213,16 +168,15 @@ def _laplacian(data: np.ndarray, h: float, out: np.ndarray | None = None,
     return out
 
 
-def compute_flux(s: ModelState, p: TumorParams, out: np.ndarray | None = None,
-                 work: _Work | None = None) -> FluxField:
+def compute_flux(state: np.ndarray, p: TumorParams, h: float,
+                 out: np.ndarray | None = None, work: _Work | None = None) -> np.ndarray:
     """Auxiliary flux J = -d_b * b * (grad(normalized b) * gate + r_b * grad A).
 
     The pressure part acts only where the density sits between its normal
     and maximal levels; the gate multiplies the computed gradient pointwise.
-    ``out`` is an optional (3, nz, ny, nx) array for (Jx, Jy, Jz).
+    Returns (Jx, Jy, Jz) as one (3, nz, ny, nx) array, ``out`` if given.
     """
-    h = s.spec.h
-    b, A = s.data[0], s.data[4]
+    b, A = state[0], state[4]
     w = _Work(b.shape) if work is None else work
     out = np.empty((3,) + b.shape) if out is None else out
     potentials = w.potentials
@@ -239,7 +193,7 @@ def compute_flux(s: ModelState, p: TumorParams, out: np.ndarray | None = None,
     chemotaxis *= p.r_b
     pressure += chemotaxis
     np.multiply(coeff, pressure, out=out)
-    return FluxField(*(ScalarField(s.spec, component) for component in out))
+    return out
 
 
 def _divergence(flux: np.ndarray, h: float, out: np.ndarray | None = None,
@@ -254,19 +208,18 @@ def _divergence(flux: np.ndarray, h: float, out: np.ndarray | None = None,
 
 
 def tumor_tendency(
-    s: ModelState, p: TumorParams, oxygen_source_mask: np.ndarray | None = None,
-    work: _Work | None = None,
-) -> ModelState:
-    """Time derivative of all five fields, as a new state.
+    state: np.ndarray, p: TumorParams, h: float,
+    oxygen_source_mask: np.ndarray | None = None, work: _Work | None = None,
+) -> np.ndarray:
+    """Time derivative of all five fields of a state on spacing h, as a new array.
 
     ``oxygen_source_mask`` optionally restricts oxygen delivery to a static
     0/1 region (a crude stand-in for a vessel network); by default delivery
     acts everywhere.  ``work`` holds the grid's reusable work arrays.
     """
-    h = s.spec.h
-    b, c, o, M, A = s.data
+    b, c, o, M, A = state
     w = _Work(b.shape) if work is None else work
-    out = np.empty(s.data.shape)
+    out = np.empty(state.shape)
     db, dc, do, dM, dA = out
     t1, t2 = w.t1, w.t2
 
@@ -274,7 +227,7 @@ def tumor_tendency(
     proliferative = np.greater(o, p.o_prol, out=w.proliferative)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        compute_flux(s, p, out=w.flux, work=w)
+        compute_flux(state, p, h, out=w.flux, work=w)
         # mitosis boost 1 + P_b * tau_b A / (tau_b A + 1), kept in t1
         np.multiply(A, p.tau_b, out=t1)
         t1 /= np.add(t1, 1.0, out=t2)
@@ -292,7 +245,7 @@ def tumor_tendency(
         t2 *= proliferative
         db += t2
         # dc = chi_c lap(c) - gamma_c o c + b (1 - c) hypoxic
-        _laplacian(s.data[1:3], h, out=out[1:3], work=w)  # lap(c) and lap(o)
+        _laplacian(state[1:3], h, out=out[1:3], work=w)  # lap(c) and lap(o)
         dc *= p.chi_c
         dc -= np.multiply(np.multiply(o, p.gamma_c, out=t1), c, out=t1)
         np.multiply(b, np.subtract(1.0, c, out=t1), out=t1)
@@ -315,7 +268,7 @@ def tumor_tendency(
         dA += np.multiply(np.multiply(M, p.gamma_A, out=t1), b, out=t1)
         dA -= np.multiply(A, p.gamma_oA, out=t1)
 
-    return ModelState.view(s.spec, out)
+    return out
 
 
 def stability_monitor(history, factor: float = 10.0) -> str:
@@ -336,16 +289,16 @@ def stability_monitor(history, factor: float = 10.0) -> str:
     return STABLE
 
 
-def tumor_volumes(s: ModelState, p: TumorParams) -> VolumeTriple:
-    """Total, proliferating, and quiescent tumor volume.
+def tumor_volumes(state: np.ndarray, p: TumorParams, cell_volume: float) -> VolumeTriple:
+    """Total, proliferating, and quiescent tumor volume of a state.
 
     Proliferating cells sit where oxygen exceeds the proliferation
     threshold; quiescent volume is everything else (total minus
     proliferating), covering both hypoxic and merely oxygen-poor regions.
     """
-    vol = s.spec.cell_volume
-    total = float(s.b.data.sum() * vol)
-    proliferating = float((s.b.data * (s.o.data > p.o_prol)).sum() * vol)
+    b, o = state[0], state[2]
+    total = volume_integral(b, cell_volume)
+    proliferating = volume_integral(b * (o > p.o_prol), cell_volume)
     return VolumeTriple(total, proliferating, total - proliferating)
 
 
@@ -372,8 +325,8 @@ def gaussian_bump_state(
     bump_amplitude: float | None = None,
     core_oxygen: float | None = None,
     oxygen_ramp_radius: float = 0.42,
-) -> ModelState:
-    """Centered Gaussian tumor seed in an intact matrix.
+) -> np.ndarray:
+    """Centered Gaussian tumor seed in an intact matrix, as a state array.
 
     b is a Gaussian bump (amplitude defaults to the normal density), c and
     A start at zero, M at one.  Oxygen is uniform at o_max unless
@@ -400,19 +353,14 @@ def gaussian_bump_state(
         ramp = np.clip(np.sqrt(r2) / (oxygen_ramp_radius * extent), 0.0, 1.0)
         o = np.exp(np.log(core_oxygen) + (np.log(p.o_max) - np.log(core_oxygen)) * ramp)
 
-    return ModelState(
-        b=ScalarField(spec, b),
-        c=ScalarField.zeros(spec),
-        o=ScalarField(spec, o),
-        M=ScalarField.full(spec, 1.0),
-        A=ScalarField.zeros(spec),
-    )
+    zeros = np.zeros(spec.shape)
+    return np.stack([b, zeros, o, np.ones(spec.shape), zeros])
 
 
 class TumorSystem(DynamicalSystem):
     """Dynamical-system wrapper so the ensemble engine can step the model.
 
-    A state is the (5, nz, ny, nx) array of a ModelState.  ``metric_params``
+    A state is one (5, nz, ny, nx) array on ``spec``.  ``metric_params``
     fixes the thresholds used for volume reporting, so sub-models with
     perturbed parameters are all measured with the same yardstick (defaults
     to the reference parametrization).
@@ -436,14 +384,10 @@ class TumorSystem(DynamicalSystem):
     def tendency(self, state: np.ndarray, params: TumorParams) -> np.ndarray:
         if self._work is None:
             self._work = _Work(self.spec.shape)
-        s = ModelState.view(self.spec, state)
-        return tumor_tendency(s, params, self.oxygen_source_mask, self._work).data
-
-    def get_variable(self, state: np.ndarray, name: str) -> ScalarField:
-        return ScalarField(self.spec, super().get_variable(state, name))
+        return tumor_tendency(state, params, self.spec.h, self.oxygen_source_mask, self._work)
 
     def volumes(self, state: np.ndarray) -> VolumeTriple:
-        return tumor_volumes(ModelState.view(self.spec, state), self.metric_params)
+        return tumor_volumes(state, self.metric_params, self.cell_volume)
 
     def random_state(self, params: TumorParams, rng) -> np.ndarray:
         ranges = (params.b_M, 1.0, params.o_max, 1.0, 1.0)  # b, c, o, M, A
@@ -464,32 +408,7 @@ class TumorSystem(DynamicalSystem):
         return 0.01 * (params.b_M - params.b_m)
 
 
-# -- snapshot and series output ----------------------------------------------
-
-
-def save_state_snapshot(directory, state: ModelState, t: float = 0.0, prefix: str = "state"):
-    """Write one binary file per field (see fields.write_field for format)."""
-    from .fields import write_field
-
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    paths = {}
-    for name, f in state.field_items():
-        path = directory / f"{prefix}_{name}.f64"
-        write_field(path, f, t)
-        paths[name] = path
-    return paths
-
-
-def load_state_snapshot(directory, prefix: str = "state") -> tuple[ModelState, float]:
-    from .fields import read_field
-
-    directory = Path(directory)
-    fields = {}
-    t = 0.0
-    for name in FIELD_NAMES:
-        fields[name], t = read_field(directory / f"{prefix}_{name}.f64")
-    return ModelState(**fields), t
+# -- series output ------------------------------------------------------------
 
 
 def write_volume_series(path, rows):

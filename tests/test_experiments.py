@@ -36,13 +36,60 @@ class TestRegression:
         for row, expected in zip(before_after, BEFORE_AFTER):
             assert [float(row[c]) for c in columns] == pytest.approx(expected, rel=1e-12)
 
+        volume_diff = read_rows(tmp_path / "volume_diff.csv")
+        assert [float(r["volume_diff"]) for r in volume_diff] == pytest.approx(
+            VOLUME_DIFF, rel=1e-12)
+
+        curves = read_rows(tmp_path / "curves.csv")
+        columns = [f"{who}_{kind}" for who in ("gt", "sm")
+                   for kind in ("total", "proliferating", "quiescent")]
+        assert len(curves) == len(CURVES_GT_SM)
+        for row, expected in zip(curves, CURVES_GT_SM):
+            assert [float(row[c]) for c in columns] == pytest.approx(expected, rel=1e-12)
+
+
+GRID = ["--set", "nx=8", "--set", "ny=8", "--set", "nz=8", "--set", "steps=2"]
+
+
+class TestBadConfig:
+    @pytest.mark.parametrize("bad", [
+        {"c_min": 0.9, "c_max": 0.1}, {"a_rate": 1.5}, {"tol": 0.0},
+        {"n_submodels": 0}, {"epochs": 0},
+    ])
+    def test_rejected_before_any_work(self, tmp_path, bad):
+        with pytest.raises(ValueError):
+            experiments.run_experiment(experiments.ExperimentConfig(
+                nx=8, ny=8, nz=8, steps=2, out_dir=str(tmp_path / "run"), **bad))
+        sets = [arg for key, value in bad.items() for arg in ("--set", f"{key}={value}")]
+        assert main(["train", *GRID, *sets, "--out", str(tmp_path / "cli")]) != 0
+        for run in ("run", "cli"):
+            assert not (tmp_path / run / "gt").exists()
+
+
+@pytest.fixture(scope="module")
+def archive(tmp_path_factory):
+    out = tmp_path_factory.mktemp("reference")
+    assert main(["generate-gt", *GRID, "--out", str(out)]) == 0
+    return out / "gt"
+
 
 class TestCli:
+    @pytest.mark.parametrize("command", ["train", "simulate"])
+    @pytest.mark.parametrize("override, shown", [
+        ("nx=9", "nx=9"), ("h=0.5", "h=0.5"), ("dt=0.05", "dt 0.05"),
+    ])
+    def test_reference_must_match_config(self, tmp_path, capsys, archive, command,
+                                         override, shown):
+        argv = [command, *GRID, "--set", override, "--out", str(tmp_path), "--gt", str(archive)]
+        assert main(argv) != 0
+        err = capsys.readouterr().err
+        assert "reference archive" in err and shown in err
+        assert not (tmp_path / "training.csv").exists()
+
     def test_simulate_reproduces_experiment_prediction(self, tmp_path):
-        grid = ["--set", "nx=8", "--set", "ny=8", "--set", "nz=8", "--set", "steps=2"]
         run, sim = tmp_path / "run", tmp_path / "sim"
-        assert main(["experiment", *grid, "--out", str(run)]) == 0
-        assert main(["simulate", *grid, "--out", str(sim), "--gt", str(run / "gt"),
+        assert main(["experiment", *GRID, "--out", str(run)]) == 0
+        assert main(["simulate", *GRID, "--out", str(sim), "--gt", str(run / "gt"),
                      "--coupling", str(run / "trained_coupling.json")]) == 0
         for name in ("curves.csv", "volume_diff.csv"):
             assert (sim / name).read_bytes() == (run / name).read_bytes(), name
@@ -50,7 +97,9 @@ class TestCli:
 
 # training.csv of the run above: every step's l2_error, and the full row
 # (coefficients c_11..c_33, l2_error, total, proliferating, quiescent) that
-# ends each epoch; before_after.csv: l2 and volume differences per step.
+# ends each epoch; before_after.csv: l2 and volume differences per step;
+# volume_diff.csv of the trained prediction; curves.csv: the reference's and
+# the trained supermodel's volume triples (total, proliferating, quiescent).
 TRAINING_L2_ERROR = [
     0.0047395505875283345, 0.005260643470556468, 0.005341786312534245,
     0.0053330170725231565, 0.00535193932071059, 0.005373911754810491,
@@ -73,4 +122,24 @@ BEFORE_AFTER = [
     [0.005327295556725478, 0.005358162475225349, -0.03318219810155654, -0.03332462054976304],
     [0.005342588880528085, 0.005376083674937334, -0.03386962599501331, -0.034024423432228446],
     [0.005360735928335781, 0.005395503849348834, -0.034758475046196224, -0.03491958941638984],
+]
+VOLUME_DIFF = [
+    0.0, -0.029172405155989622, -0.03320242428623388, -0.034519362215377214,
+    -0.03332462054976304, -0.034024423432228446, -0.03491958941638984,
+]
+CURVES_GT_SM = [
+    [22.1120268198679, 8.159451198054041, 13.952575621813859,
+     22.1120268198679, 8.159451198054041, 13.952575621813859],
+    [22.19061927527893, 8.238096904614057, 13.952522370664873,
+     22.219791680434923, 8.244201181895964, 13.97559049853896],
+    [22.269211730689957, 8.316742611174071, 13.952469119515888,
+     22.30241415497619, 8.324387315778292, 13.978026839197899],
+    [22.347804186100987, 8.395388317734085, 13.952415868366902,
+     22.382323548316364, 8.404055311764203, 13.97826823655216],
+    [22.428571940051548, 8.476368536967481, 13.952203403084066,
+     22.46189656060131, 8.483657454177198, 13.978239106424112],
+    [22.509339694002104, 8.557348756200875, 13.951990937801227,
+     22.54336411743433, 8.565348487560442, 13.978015629873887],
+    [22.59010744795266, 8.638328975434272, 13.95177847251839,
+     22.62502703736905, 8.64726624604149, 13.977760791327562],
 ]

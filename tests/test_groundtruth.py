@@ -54,7 +54,7 @@ class TestGenerate:
         a = generate_gt(system, params, initial, 0.1, steps=6, keep_every=2)
         b = generate_gt(system, params, initial, 0.1, steps=6, keep_every=2)
         for n in a.stored_indices:
-            assert np.array_equal(a.snapshots[n].data, b.snapshots[n].data)
+            assert np.array_equal(a.snapshots[n], b.snapshots[n])
 
     def test_tumor_gt_volume_strictly_increasing(self):
         # the untreated model only ever grows
@@ -86,17 +86,15 @@ class TestLookup:
     def test_interpolation_is_convex_pointwise(self):
         spec = GridSpec(6, 6, 6, 1.0)
         rng = np.random.default_rng(0)
-        from supermodeling.fields import ScalarField
-
-        f0 = ScalarField(spec, rng.uniform(0, 1, spec.shape))
-        f2 = ScalarField(spec, rng.uniform(0, 1, spec.shape))
+        f0 = rng.uniform(0, 1, spec.shape)
+        f2 = rng.uniform(0, 1, spec.shape)
         gt = GroundTruth(snapshots={0: f0, 2: f2}, step_dt=0.1,
-                         reference_params=None)
+                         reference_params=None, spec=spec)
         mid = gt_at(gt, 1)
-        lo = np.minimum(f0.data, f2.data)
-        hi = np.maximum(f0.data, f2.data)
-        assert np.all(mid.data >= lo - 1e-15)
-        assert np.all(mid.data <= hi + 1e-15)
+        lo = np.minimum(f0, f2)
+        hi = np.maximum(f0, f2)
+        assert np.all(mid >= lo - 1e-15)
+        assert np.all(mid <= hi + 1e-15)
 
     def test_volume_interpolation(self):
         from supermodeling.tumor import VolumeTriple
@@ -120,13 +118,11 @@ class TestErrorMetrics:
 
     def test_constant_offset_field(self):
         spec = GridSpec(4, 4, 4, 0.25)  # unit total volume
-        from supermodeling.fields import ScalarField
-
-        base = ScalarField.full(spec, 1.0)
+        base = np.full(spec.shape, 1.0)
         gt = GroundTruth(snapshots={0: base, 1: base}, step_dt=0.1,
-                         reference_params=None)
+                         reference_params=None, spec=spec)
         delta = 0.3
-        traj = [ScalarField.full(spec, 1.0 + delta)] * 2
+        traj = [np.full(spec.shape, 1.0 + delta)] * 2
         l2, voldiff = error_metrics(gt, traj)
         assert np.allclose(voldiff, -delta)  # reference minus run
         assert np.allclose(l2, delta)  # |delta| over a unit-volume domain
@@ -153,8 +149,9 @@ class TestArchive:
         assert loaded.stored_indices == gt.stored_indices
         assert loaded.step_dt == gt.step_dt
         assert loaded.reference_params == params
+        assert loaded.spec == gt.spec == spec
         for n in gt.stored_indices:
-            assert np.array_equal(loaded.snapshots[n].data, gt.snapshots[n].data)
+            assert np.array_equal(loaded.snapshots[n], gt.snapshots[n])
             assert loaded.volumes[n] == pytest.approx(tuple(gt.volumes[n]))
 
     def test_scalar_gt_not_archivable(self, tmp_path, toy_gt):

@@ -8,7 +8,6 @@ from supermodeling.experiments import ExperimentConfig, instantiate_submodels
 from supermodeling.fields import GridSpec
 from supermodeling.tumor import (
     FIELD_NAMES,
-    ModelState,
     TumorParams,
     TumorSystem,
     gaussian_bump_state,
@@ -16,10 +15,9 @@ from supermodeling.tumor import (
 )
 
 
-def reference_tendency(s, p, oxygen_source_mask=None):
+def reference_tendency(state, p, h, oxygen_source_mask=None):
     """The tendency as np.pad / np.gradient expressions, one array per field."""
-    h = s.spec.h
-    b, c, o, M, A = (s.b.data, s.c.data, s.o.data, s.M.data, s.A.data)
+    b, c, o, M, A = state
 
     def gradient(data):
         gz, gy, gx = np.gradient(data, h)
@@ -65,7 +63,7 @@ def reference_tendency(s, p, oxygen_source_mask=None):
 def random_state(spec, rng):
     # b straddles the pressure gate [b_norm, b_M] and o both oxygen thresholds
     highs = (2.4, 1.0, 60.0, 1.0, 1.0)
-    return ModelState.view(spec, np.stack([rng.uniform(0.0, hi, spec.shape) for hi in highs]))
+    return np.stack([rng.uniform(0.0, hi, spec.shape) for hi in highs])
 
 
 @settings(max_examples=60, deadline=None)
@@ -85,25 +83,25 @@ def test_kernel_matches_numpy_formula(cells, h, seed, masked):
     first, second = random_state(spec, rng), random_state(spec, rng)
 
     system = TumorSystem(spec, oxygen_source_mask=mask)
-    got_first = system.tendency(first.data, params)
+    got_first = system.tendency(first, params)
     kept = got_first.copy()
     # the second call reuses the work arrays the first one allocated
-    got_second = system.tendency(second.data, params)
+    got_second = system.tendency(second, params)
 
     for got, state in ((got_first, first), (got_second, second)):
-        expected = reference_tendency(state, params, mask)
+        expected = reference_tendency(state, params, h, mask)
         for name, field, want in zip(FIELD_NAMES, got, expected):
             assert np.array_equal(field, want, equal_nan=True), name
     assert np.array_equal(got_first, kept)
     # without a system the kernel runs on work arrays of its own
-    assert np.array_equal(tumor_tendency(first, params, mask).data, kept)
+    assert np.array_equal(tumor_tendency(first, params, h, mask), kept)
 
 
 def test_tendency_calls_return_independent_arrays():
     spec = GridSpec(6, 5, 4, 1.0)
     params = TumorParams()
     system = TumorSystem(spec)
-    state = gaussian_bump_state(spec, params, core_oxygen=1.0).data
+    state = gaussian_bump_state(spec, params, core_oxygen=1.0)
     first = system.tendency(state, params)
     kept = first.copy()
     second = system.tendency(state * 1.5, params)

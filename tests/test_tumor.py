@@ -4,18 +4,16 @@ import numpy as np
 import pytest
 
 from supermodeling.dynamics import explicit_step
-from supermodeling.fields import BlowUpError, GridSpec, ScalarField, l2_norm
+from supermodeling.fields import BlowUpError, GridSpec, l2_norm
 from supermodeling.tumor import (
     DIVERGING,
+    FIELD_NAMES,
     STABLE,
-    ModelState,
     TumorParams,
     TumorSystem,
     _laplacian,
     compute_flux,
     gaussian_bump_state,
-    load_state_snapshot,
-    save_state_snapshot,
     stability_monitor,
     tumor_tendency,
     tumor_volumes,
@@ -23,20 +21,16 @@ from supermodeling.tumor import (
 )
 
 
+B, C, O, M, A = range(len(FIELD_NAMES))  # field indices of a state array
+
+
 def uniform_state(spec, b=0.0, c=0.0, o=60.0, M=0.0, A=0.0):
-    return ModelState(
-        b=ScalarField.full(spec, b),
-        c=ScalarField.full(spec, c),
-        o=ScalarField.full(spec, o),
-        M=ScalarField.full(spec, M),
-        A=ScalarField.full(spec, A),
-    )
+    return np.stack([np.full(spec.shape, float(v)) for v in (b, c, o, M, A)])
 
 
-def euler_step(state, params, dt):
+def euler_step(spec, state, params, dt):
     """One forward-Euler step of the full model through dynamics.explicit_step."""
-    stepped = explicit_step(TumorSystem(state.spec), state.data, params, dt)
-    return ModelState.view(state.spec, stepped)
+    return explicit_step(TumorSystem(spec), state, params, dt)
 
 
 @pytest.fixture
@@ -69,19 +63,19 @@ class TestParams:
 class TestFlux:
     def test_uniform_fields_no_flux(self, spec, params):
         s = uniform_state(spec, b=1.5, A=0.7)
-        flux = compute_flux(s, params)
-        for comp in (flux.Jx, flux.Jy, flux.Jz):
-            assert np.all(comp.data == 0.0)
+        flux = compute_flux(s, params, spec.h)
+        for comp in flux:
+            assert np.all(comp == 0.0)
 
     def test_gate_off_below_normal_density(self, spec, params):
         rng = np.random.default_rng(0)
         # spatially varying but everywhere below b_norm, uniform attractant
         b = 0.5 + 0.3 * rng.random(spec.shape)
         s = uniform_state(spec, A=0.2)
-        s.b.data[...] = b
-        flux = compute_flux(s, params)
-        for comp in (flux.Jx, flux.Jy, flux.Jz):
-            assert np.all(comp.data == 0.0)
+        s[B] = b
+        flux = compute_flux(s, params, spec.h)
+        for comp in flux:
+            assert np.all(comp == 0.0)
 
     def test_linear_profile_analytic_flux(self, params):
         # b rises linearly from b_norm to b_M across x on a unit interval:
@@ -90,69 +84,69 @@ class TestFlux:
         _zz, _yy, xx = spec.cell_centers()
         b = params.b_norm + (xx - 0.05) / 0.9 * (params.b_M - params.b_norm)
         s = uniform_state(spec)
-        s.b.data[...] = b
-        flux = compute_flux(s, params)
+        s[B] = b
+        jx, jy, jz = compute_flux(s, params, spec.h)
         expected = -params.d_b * b / 0.9
-        assert np.allclose(flux.Jx.data, expected, rtol=1e-12)
-        assert np.allclose(flux.Jy.data, 0.0)
-        assert np.allclose(flux.Jz.data, 0.0)
+        assert np.allclose(jx, expected, rtol=1e-12)
+        assert np.allclose(jy, 0.0)
+        assert np.allclose(jz, 0.0)
 
 
 class TestTendency:
     def test_proliferation_hand_value(self, spec, params):
         s = uniform_state(spec, b=1.0, o=60.0, M=1.0)
-        tend = tumor_tendency(s, params)
-        assert np.allclose(tend.b.data, 0.05, rtol=1e-14)
+        tend = tumor_tendency(s, params, spec.h)
+        assert np.allclose(tend[B], 0.05, rtol=1e-14)
 
     def test_matrix_decay_hand_value(self, spec, params):
         s = uniform_state(spec, b=1.0, o=60.0, M=1.0)
-        tend = tumor_tendency(s, params)
-        assert np.allclose(tend.M.data, -0.0625, rtol=1e-14)
+        tend = tumor_tendency(s, params, spec.h)
+        assert np.allclose(tend[M], -0.0625, rtol=1e-14)
 
     def test_oxygen_hand_value(self, spec, params):
         s = uniform_state(spec, b=1.0, o=60.0, M=1.0)
-        tend = tumor_tendency(s, params)
-        assert np.allclose(tend.o.data, -0.6, rtol=1e-14)
+        tend = tumor_tendency(s, params, spec.h)
+        assert np.allclose(tend[O], -0.6, rtol=1e-14)
 
     def test_attractant_production_hand_value(self, spec, params):
         s = uniform_state(spec, b=1.0, o=60.0, M=1.0)
-        tend = tumor_tendency(s, params)
-        assert np.allclose(tend.A.data, 0.032, rtol=1e-14)
+        tend = tumor_tendency(s, params, spec.h)
+        assert np.allclose(tend[A], 0.032, rtol=1e-14)
 
     def test_empty_tumor_structure(self, spec, params):
         s = uniform_state(spec, b=0.0, o=30.0, M=1.0, A=0.5)
-        tend = tumor_tendency(s, params)
-        assert np.all(tend.b.data == 0.0)
-        assert np.all(tend.M.data == 0.0)
+        tend = tumor_tendency(s, params, spec.h)
+        assert np.all(tend[B] == 0.0)
+        assert np.all(tend[M] == 0.0)
         # only decay acts on a uniform attractant field
-        assert np.allclose(tend.A.data, -params.gamma_oA * 0.5, rtol=1e-14)
+        assert np.allclose(tend[A], -params.gamma_oA * 0.5, rtol=1e-14)
 
     def test_hypoxic_switches(self, spec, params):
         s = uniform_state(spec, b=1.0, c=0.0, o=1.0, M=1.0)  # o below o_death
-        tend = tumor_tendency(s, params)
-        assert np.allclose(tend.b.data, -1.0 / params.T_death, rtol=1e-14)
-        assert np.allclose(tend.c.data, 1.0 * (1.0 - 0.0), rtol=1e-14)
+        tend = tumor_tendency(s, params, spec.h)
+        assert np.allclose(tend[B], -1.0 / params.T_death, rtol=1e-14)
+        assert np.allclose(tend[C], 1.0 * (1.0 - 0.0), rtol=1e-14)
 
     def test_source_mask_limits_delivery(self, spec, params):
         mask = np.zeros(spec.shape)
         mask[:, :, :4] = 1.0
         s = uniform_state(spec, o=30.0)
-        tend = tumor_tendency(s, params, oxygen_source_mask=mask)
+        tend = tumor_tendency(s, params, spec.h, oxygen_source_mask=mask)
         delivered = params.delta_o * (params.o_max - 30.0)
-        assert np.allclose(tend.o.data[:, :, :4], delivered, rtol=1e-14)
-        assert np.all(tend.o.data[:, :, 4:] == 0.0)
+        assert np.allclose(tend[O][:, :, :4], delivered, rtol=1e-14)
+        assert np.all(tend[O][:, :, 4:] == 0.0)
 
 
 class TestStep:
     def test_equilibrium_state_unchanged(self, spec, params):
         s = uniform_state(spec, b=0.0, c=0.0, o=params.o_max, M=0.0, A=0.0)
-        stepped = euler_step(s, params, 0.1)
-        for name, f in stepped.field_items():
-            assert np.array_equal(f.data, getattr(s, name).data), name
+        stepped = euler_step(spec, s, params, 0.1)
+        for name, got, want in zip(FIELD_NAMES, stepped, s):
+            assert np.array_equal(got, want), name
 
     def test_dt_must_be_positive(self, spec, params):
         with pytest.raises(ValueError):
-            euler_step(uniform_state(spec), params, 0.0)
+            euler_step(spec, uniform_state(spec), params, 0.0)
 
     def test_blowup_names_field(self, spec):
         # absurd dt makes the oxygen relaxation explode first
@@ -161,7 +155,7 @@ class TestStep:
         state = s
         with pytest.raises(BlowUpError) as err:
             for _ in range(60):
-                state = euler_step(state, params, 1e4)
+                state = euler_step(spec, state, params, 1e4)
         assert "'" in str(err.value)
 
     def test_single_step_golden(self):
@@ -169,11 +163,11 @@ class TestStep:
         spec = GridSpec(16, 16, 16, 1.0)
         params = TumorParams()
         state = gaussian_bump_state(spec, params, core_oxygen=1.0)
-        stepped = euler_step(state, params, 0.1)
-        assert stepped.is_finite()
-        assert stepped.b.data.min() >= -1e-9
-        assert stepped.b.data.max() <= params.b_M + 1e-9
-        checks = {name: float(f.data.sum()) for name, f in stepped.field_items()}
+        stepped = euler_step(spec, state, params, 0.1)
+        assert np.isfinite(stepped).all()
+        assert stepped[B].min() >= -1e-9
+        assert stepped[B].max() <= params.b_M + 1e-9
+        checks = {name: float(f.sum()) for name, f in zip(FIELD_NAMES, stepped)}
         for name, expected in GOLDEN_STEP_SUMS.items():
             assert checks[name] == pytest.approx(expected, rel=1e-12), name
 
@@ -185,12 +179,12 @@ class TestStep:
         state = gaussian_bump_state(spec, params)
         # move off the initial condition so all terms are active
         for _ in range(3):
-            state = euler_step(state, params, 0.1)
+            state = euler_step(spec, state, params, 0.1)
 
         def gap(dt):
-            one = euler_step(state, params, dt)
-            half = euler_step(euler_step(state, params, dt / 2), params, dt / 2)
-            return l2_norm(one.b - half.b)
+            one = euler_step(spec, state, params, dt)
+            half = euler_step(spec, euler_step(spec, state, params, dt / 2), params, dt / 2)
+            return l2_norm(one[B] - half[B], spec.cell_volume)
 
         ratio = gap(0.2) / gap(0.1)
         assert 3.0 < ratio < 5.0
@@ -202,12 +196,11 @@ class TestConservationAndBoundaries:
         # the death nor the proliferation indicator ever fires
         params = TumorParams(d_b=0.0, delta_o=0.0, gamma_o=0.0)
         state = gaussian_bump_state(spec, params)
-        o = ScalarField.full(spec, 5.0)  # between o_death and o_prol
-        state.o.data[...] = o.data
-        b0 = state.b.data.copy()
+        state[O] = 5.0  # between o_death and o_prol
+        b0 = state[B].copy()
         for _ in range(20):
-            state = euler_step(state, params, 0.1)
-        assert np.array_equal(state.b.data, b0)
+            state = euler_step(spec, state, params, 0.1)
+        assert np.array_equal(state[B], b0)
 
     def test_uniform_state_stays_uniform(self, spec):
         params = TumorParams(
@@ -217,9 +210,9 @@ class TestConservationAndBoundaries:
         state = uniform_state(spec, b=1.5, c=0.3, o=5.0, M=1.0, A=0.2)
         first = state
         for _ in range(10):
-            state = euler_step(state, params, 0.1)
-        for name, f in state.field_items():
-            assert np.array_equal(f.data, getattr(first, name).data), name
+            state = euler_step(spec, state, params, 0.1)
+        for name, got, want in zip(FIELD_NAMES, state, first):
+            assert np.array_equal(got, want), name
 
     def test_laplacian_exact_on_quadratic(self):
         spec = GridSpec(9, 9, 9, 0.5)
@@ -246,19 +239,19 @@ class TestStabilityMonitor:
 
 class TestVolumes:
     def test_empty_tumor(self, spec, params):
-        v = tumor_volumes(uniform_state(spec), params)
+        v = tumor_volumes(uniform_state(spec), params, spec.cell_volume)
         assert v == (0.0, 0.0, 0.0)
 
     def test_fully_oxygenated_unit_domain(self, params):
         spec = GridSpec(4, 4, 4, 0.25)  # 64 cells, unit total volume
-        v = tumor_volumes(uniform_state(spec, b=1.0, o=60.0), params)
+        v = tumor_volumes(uniform_state(spec, b=1.0, o=60.0), params, spec.cell_volume)
         assert v.total == pytest.approx(1.0)
         assert v.proliferating == pytest.approx(1.0)
         assert v.quiescent == pytest.approx(0.0, abs=1e-15)
 
     def test_hypoxic_unit_domain(self, params):
         spec = GridSpec(4, 4, 4, 0.25)
-        v = tumor_volumes(uniform_state(spec, b=1.0, o=1.0), params)
+        v = tumor_volumes(uniform_state(spec, b=1.0, o=1.0), params, spec.cell_volume)
         assert v.total == pytest.approx(1.0)
         assert v.proliferating == 0.0
         assert v.quiescent == pytest.approx(1.0)
@@ -266,9 +259,9 @@ class TestVolumes:
     def test_partition_identity(self, spec, params):
         rng = np.random.default_rng(5)
         s = uniform_state(spec)
-        s.b.data[...] = rng.uniform(0, 2, spec.shape)
-        s.o.data[...] = rng.uniform(0, 60, spec.shape)
-        v = tumor_volumes(s, params)
+        s[B] = rng.uniform(0, 2, spec.shape)
+        s[O] = rng.uniform(0, 60, spec.shape)
+        v = tumor_volumes(s, params, spec.cell_volume)
         assert v.total == pytest.approx(v.proliferating + v.quiescent, rel=1e-14)
 
 
@@ -276,20 +269,20 @@ class TestInitialCondition:
     def test_bump_centered_and_bounded(self, params):
         spec = GridSpec(16, 16, 16, 1.0)
         s = gaussian_bump_state(spec, params)
-        assert 0.0 < s.b.data.max() <= params.b_norm
-        assert np.all(s.o.data == params.o_max)
-        assert np.all(s.M.data == 1.0)
-        assert np.all(s.c.data == 0.0) and np.all(s.A.data == 0.0)
+        assert 0.0 < s[B].max() <= params.b_norm
+        assert np.all(s[O] == params.o_max)
+        assert np.all(s[M] == 1.0)
+        assert np.all(s[C] == 0.0) and np.all(s[A] == 0.0)
 
     def test_hypoxic_core_profile(self, params):
         spec = GridSpec(16, 16, 16, 1.0)
         s = gaussian_bump_state(spec, params, core_oxygen=1.0)
-        assert s.o.data.min() >= 1.0
-        assert s.o.data.max() == pytest.approx(params.o_max)
+        assert s[O].min() >= 1.0
+        assert s[O].max() == pytest.approx(params.o_max)
         # the core must actually be hypoxic and the far field fully oxygenated
-        assert s.o.data.min() < params.o_death
+        assert s[O].min() < params.o_death
         center = tuple(n // 2 for n in spec.shape)
-        assert s.o.data[center] < params.o_prol
+        assert s[O][center] < params.o_prol
 
     def test_vessel_free_mask_shape(self):
         spec = GridSpec(16, 16, 16, 1.0)
@@ -305,21 +298,10 @@ class TestDeterminism:
         a = gaussian_bump_state(spec, params, core_oxygen=1.0)
         b = gaussian_bump_state(spec, params, core_oxygen=1.0)
         for _ in range(5):
-            a = euler_step(a, params, 0.1)
-            b = euler_step(b, params, 0.1)
-        for name, f in a.field_items():
-            assert np.array_equal(f.data, getattr(b, name).data)
-
-
-class TestSnapshotIO:
-    def test_roundtrip(self, tmp_path, spec, params):
-        state = gaussian_bump_state(spec, params, core_oxygen=1.0)
-        state = euler_step(state, params, 0.1)
-        save_state_snapshot(tmp_path, state, t=0.1)
-        loaded, t = load_state_snapshot(tmp_path)
-        assert t == 0.1
-        for name, f in loaded.field_items():
-            assert np.array_equal(f.data, getattr(state, name).data)
+            a = euler_step(spec, a, params, 0.1)
+            b = euler_step(spec, b, params, 0.1)
+        for name, got, want in zip(FIELD_NAMES, a, b):
+            assert np.array_equal(got, want), name
 
 
 # Field sums after one dt=0.1 step from the reference initial condition on
