@@ -400,12 +400,28 @@ def initial_coupling(config: ExperimentConfig) -> CouplingMatrix:
 
 
 def load_reference(directory, config: ExperimentConfig) -> GroundTruth:
-    """Load a reference archive, rejecting one made for another grid or dt."""
+    """Load a reference archive, rejecting one made for another grid or dt, or
+    from another initial state.
+
+    The initial state is compared at step 0, the only state both sides know:
+    the archived b field and volume triple must equal the config's exactly.
+    A difference that shows only later, such as another oxygen source mask,
+    passes.
+    """
     gt = load_gt(directory)
     if gt.spec != config.grid or gt.step_dt != config.dt:
         raise ValueError(
             f"reference archive {directory} has grid {gt.spec} and dt {gt.step_dt!r}, "
             f"but the config has grid {config.grid} and dt {config.dt!r}"
+        )
+    _spec, _reference, system, initial = build_setup(config)
+    volumes = system.volumes(initial)
+    if not (np.array_equal(gt.snapshots[0], system.get_variable(initial, "b"))
+            and gt.volumes is not None and gt.volumes[0] == volumes):
+        archived = gt.volumes[0] if gt.volumes is not None else None
+        raise ValueError(
+            f"reference archive {directory} starts from another initial state than "
+            f"the config: step-0 volumes {archived} against {volumes}"
         )
     return gt
 
@@ -425,6 +441,13 @@ def run_experiment(config: ExperimentConfig) -> Path:
 
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    # contraction.csv's Lipschitz bound, estimated while the heap is small:
+    # after training this thread cannot reuse what the member pool's threads
+    # freed, and the estimate's arrays would raise the peak resident memory
+    lipschitz_max = max(
+        estimate_lipschitz(system, p, samples=4, seed=config.seed + 1000 + k)
+        for k, p in enumerate(params_list)
+    )
     gt = generate_gt(system, reference, initial, config.dt, config.steps,
                      config.keep_every)
     save_gt(gt, out / "gt")
@@ -442,7 +465,7 @@ def run_experiment(config: ExperimentConfig) -> Path:
 
     export_training_csv(report, out / "training.csv", n)
     _write_coupling_trajectories(report, out / "coupling.csv", n, config.steps)
-    _write_contraction_csv(report, out / "contraction.csv", config, system, params_list)
+    _write_contraction_csv(report, out / "contraction.csv", config, lipschitz_max)
 
     if trained is not None:
         save_coupling(trained, out / "trained_coupling.json")
@@ -473,17 +496,19 @@ def predict(ensemble, cm, gt, config, out_dir: Path | None = None) -> Prediction
     """
     ens = ensemble.reset()
     system = ens.system
+    averaged = system.volume_variables  # b, then o: the error reads output[0]
     member_volumes = [[system.volumes(x) for x in ens.states]]
 
     def observer(_step, current):
         member_volumes.append([system.volumes(x) for x in current.states])
 
     def record(output):
-        return system.get_variable(output, "b"), system.volumes(output)
+        return output[0].copy(), system.volumes(output, averaged)
 
     outputs = simulate(
         ens, cm, gt, config.dt, config.steps,
         nudge_in_prediction=config.nudge_in_prediction, observer=observer, record=record,
+        variables=averaged,
     )
     l2_error, volume_diff = error_metrics(gt, [b for b, _volumes in outputs])
     run = Prediction(volumes=[volumes for _b, volumes in outputs],
@@ -508,12 +533,7 @@ def _write_coupling_trajectories(report, path, n, steps_per_epoch):
             writer.writerow(row)
 
 
-def _write_contraction_csv(report, path, config, system, params_list):
-    lips = [
-        estimate_lipschitz(system, p, samples=4, seed=config.seed + 1000 + k)
-        for k, p in enumerate(params_list)
-    ]
-    l_max = max(lips) if lips else 0.0
+def _write_contraction_csv(report, path, config, l_max):
     reports = []
     for k, c_snapshot in enumerate(report.c_history):
         mask = ~np.eye(c_snapshot.shape[0], dtype=bool)

@@ -18,9 +18,12 @@ M and A in that order (see FIELD_NAMES).  Arrays carry no grid: the kernel
 takes the spacing h, and volumes take the cell volume h^3, as arguments; a
 TumorSystem supplies both from its GridSpec.
 
-The tendency kernel writes its intermediates into work arrays that a
-TumorSystem allocates once and reuses for every tendency it computes, so a
-system must not be shared between threads; no work array is ever returned.
+The tendency kernel writes its intermediates into a set of work arrays and
+never returns one.  A TumorSystem keeps a free-list of such sets: a tendency
+takes one (allocating it when the list is empty) and puts it back when it
+returns.  So a system serves concurrent tendencies from several threads, and
+it holds as many sets as tendencies have ever run at once on it: one when
+stepped from one thread, two when the engine steps members on two cores.
 """
 
 from __future__ import annotations
@@ -99,18 +102,21 @@ class VolumeTriple(NamedTuple):
 
 
 class _Work:
-    """Work arrays of the tendency kernel for one grid shape; each has one user."""
+    """Work arrays of the tendency kernel for one grid shape; each has one user.
+
+    Buffers that are free at some point serve there too: ``potentials`` holds
+    6 * field in _laplacian and a gradient in _divergence, both after the
+    flux, and ``coeff`` holds the upper density gate before it is written.
+    """
 
     def __init__(self, shape: tuple[int, int, int]):
         self.shape = shape
-        # _laplacian: up to two fields with their ghost cells, and 6 * field
+        # _laplacian: up to two fields with their ghost cells
         self.padded = np.empty((2,) + tuple(n + 2 for n in shape))
-        self.six = np.empty((2,) + shape)
-        self.div = np.empty(shape)  # _divergence
-        # compute_flux: normalized b and A, their gradients per component
+        # compute_flux: normalized b and A, and their gradients along one axis
         self.potentials = np.empty((2,) + shape)
-        self.grads = np.empty((3, 2) + shape)
-        self.coeff, self.gate, self.gate_hi = np.empty((3,) + shape)
+        self.grads = np.empty((2,) + shape)
+        self.coeff, self.gate = np.empty((2,) + shape)
         # tumor_tendency (hypoxic and proliferative are 0/1 masks)
         self.flux = np.empty((3,) + shape)
         self.t1, self.t2, self.hypoxic, self.proliferative = np.empty((4,) + shape)
@@ -163,7 +169,7 @@ def _laplacian(data: np.ndarray, h: float, out: np.ndarray | None = None,
     result += p[:, 1:-1, :-2, 1:-1]
     result += p[:, 1:-1, 1:-1, 2:]
     result += p[:, 1:-1, 1:-1, :-2]
-    result -= np.multiply(fields, 6.0, out=w.six[:len(fields)])
+    result -= np.multiply(fields, 6.0, out=w.potentials[:len(fields)])
     result /= h * h
     return out
 
@@ -184,15 +190,15 @@ def compute_flux(state: np.ndarray, p: TumorParams, h: float,
     potentials[0] /= p.b_M - p.b_norm
     potentials[1] = A
     gate = np.greater_equal(b, p.b_norm, out=w.gate)
-    gate *= np.less_equal(b, p.b_M, out=w.gate_hi)
+    gate *= np.less_equal(b, p.b_M, out=w.coeff)
     coeff = np.multiply(b, -p.d_b, out=w.coeff)
+    pressure, chemotaxis = w.grads
     for component, axis in enumerate((2, 1, 0)):  # x runs along the last axis
-        _gradient(potentials, h, axis, w.grads[component], w)
-    pressure, chemotaxis = w.grads[:, 0], w.grads[:, 1]
-    pressure *= gate
-    chemotaxis *= p.r_b
-    pressure += chemotaxis
-    np.multiply(coeff, pressure, out=out)
+        _gradient(potentials, h, axis, w.grads, w)
+        pressure *= gate
+        chemotaxis *= p.r_b
+        pressure += chemotaxis
+        np.multiply(coeff, pressure, out=out[component])
     return out
 
 
@@ -202,8 +208,8 @@ def _divergence(flux: np.ndarray, h: float, out: np.ndarray | None = None,
     w = _Work(flux.shape[1:]) if work is None else work
     out = np.empty(flux.shape[1:]) if out is None else out
     _gradient(flux[0], h, 2, out, w)
-    out += _gradient(flux[1], h, 1, w.div, w)
-    out += _gradient(flux[2], h, 0, w.div, w)
+    out += _gradient(flux[1], h, 1, w.potentials[0], w)
+    out += _gradient(flux[2], h, 0, w.potentials[0], w)
     return out
 
 
@@ -289,14 +295,14 @@ def stability_monitor(history, factor: float = 10.0) -> str:
     return STABLE
 
 
-def tumor_volumes(state: np.ndarray, p: TumorParams, cell_volume: float) -> VolumeTriple:
-    """Total, proliferating, and quiescent tumor volume of a state.
+def tumor_volumes(b: np.ndarray, o: np.ndarray, p: TumorParams,
+                  cell_volume: float) -> VolumeTriple:
+    """Total, proliferating, and quiescent tumor volume from density b and oxygen o.
 
     Proliferating cells sit where oxygen exceeds the proliferation
     threshold; quiescent volume is everything else (total minus
     proliferating), covering both hypoxic and merely oxygen-poor regions.
     """
-    b, o = state[0], state[2]
     total = volume_integral(b, cell_volume)
     proliferating = volume_integral(b * (o > p.o_prol), cell_volume)
     return VolumeTriple(total, proliferating, total - proliferating)
@@ -368,6 +374,7 @@ class TumorSystem(DynamicalSystem):
 
     variables = FIELD_NAMES
     couplable = ("b",)
+    volume_variables = ("b", "o")  # the fields ``volumes`` reads, b first
 
     def __init__(
         self,
@@ -379,15 +386,24 @@ class TumorSystem(DynamicalSystem):
         self.cell_volume = spec.cell_volume
         self.oxygen_source_mask = oxygen_source_mask
         self.metric_params = metric_params if metric_params is not None else TumorParams()
-        self._work = None  # the kernel's work arrays, allocated by the first tendency
+        self._idle_work: list[_Work] = []  # work sets no tendency is using
 
     def tendency(self, state: np.ndarray, params: TumorParams) -> np.ndarray:
-        if self._work is None:
-            self._work = _Work(self.spec.shape)
-        return tumor_tendency(state, params, self.spec.h, self.oxygen_source_mask, self._work)
+        # list.pop and list.append are atomic, so each set has one user at a time
+        try:
+            work = self._idle_work.pop()
+        except IndexError:
+            work = _Work(self.spec.shape)
+        try:
+            return tumor_tendency(state, params, self.spec.h, self.oxygen_source_mask, work)
+        finally:
+            self._idle_work.append(work)
 
-    def volumes(self, state: np.ndarray) -> VolumeTriple:
-        return tumor_volumes(state, self.metric_params, self.cell_volume)
+    def volumes(self, state: np.ndarray, variables=FIELD_NAMES) -> VolumeTriple:
+        """Volume triple of a state, or of a stack of the fields named by
+        ``variables`` (b and o among them)."""
+        b, o = (state[variables.index(name)] for name in self.volume_variables)
+        return tumor_volumes(b, o, self.metric_params, self.cell_volume)
 
     def random_state(self, params: TumorParams, rng) -> np.ndarray:
         ranges = (params.b_M, 1.0, params.o_max, 1.0, 1.0)  # b, c, o, M, A

@@ -182,6 +182,37 @@ class TestSupermodelOutput:
         ens = toy_ensemble([value, value, value])
         assert supermodel_output(ens) == value
 
+    @pytest.mark.parametrize("n_submodels", [1, 2, 4])
+    def test_named_variables_equal_full_average(self, n_submodels):
+        # b and o averaged alone carry the bits of the five-field average
+        config = ExperimentConfig(nx=5, ny=4, nz=3, n_submodels=n_submodels)
+        _spec, reference, system, _initial = build_setup(config)
+        rng = np.random.default_rng(n_submodels)
+        states = np.stack([system.random_state(reference, rng) for _ in range(n_submodels)])
+        ens = SubModelEnsemble(system=system, params=[reference] * n_submodels,
+                               states=states, coupled_variable="b")
+        full = supermodel_output(ens)
+        assert full.shape == states.shape[1:]
+        assert np.array_equal(supermodel_output(ens, ("b", "o")), full[[0, 2]])
+        assert np.array_equal(supermodel_output(ens, ("o",)), full[[2]])
+        assert system.volumes(supermodel_output(ens, ("o", "b")), ("o", "b")) == \
+            system.volumes(full)
+
+
+class TestReset:
+    def test_rewrites_states_in_place(self):
+        ens = toy_ensemble([0.5, 0.5])
+        states = ens.states
+        coupled_step(ens, CouplingMatrix.uniform(2, 0.5, k_nudge=0.0), None, 0.1)
+        assert ens.reset() is ens
+        assert ens.states is states and np.all(states == 0.5)
+
+    def test_keeps_the_callers_initial_state(self):
+        initial = np.array([0.25])
+        ens = SubModelEnsemble.identical_start(LogisticSystem(), [LogisticParams(1.0, 2.0)] * 3,
+                                               initial)
+        assert ens.initial_state is initial
+
 
 class TestTrain:
     def make_toy_gt(self, r=1.0, cap=2.0, b0=0.5, dt=0.1, steps=12):

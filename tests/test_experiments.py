@@ -86,6 +86,17 @@ class TestCli:
         assert "reference archive" in err and shown in err
         assert not (tmp_path / "training.csv").exists()
 
+    @pytest.mark.parametrize("command", ["train", "simulate"])
+    def test_reference_must_start_from_config_initial_state(self, tmp_path, capsys, archive,
+                                                           command):
+        argv = [command, *GRID, "--set", "bump_width=0.3", "--set", "core_oxygen=0",
+                "--out", str(tmp_path), "--gt", str(archive)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "reference archive" in err and "another initial state" in err
+        assert not (tmp_path / "training.csv").exists()
+        assert not (tmp_path / "curves.csv").exists()
+
     def test_simulate_reproduces_experiment_prediction(self, tmp_path):
         run, sim = tmp_path / "run", tmp_path / "sim"
         assert main(["experiment", *GRID, "--out", str(run)]) == 0

@@ -239,19 +239,22 @@ class TestStabilityMonitor:
 
 class TestVolumes:
     def test_empty_tumor(self, spec, params):
-        v = tumor_volumes(uniform_state(spec), params, spec.cell_volume)
+        s = uniform_state(spec)
+        v = tumor_volumes(s[B], s[O], params, spec.cell_volume)
         assert v == (0.0, 0.0, 0.0)
 
     def test_fully_oxygenated_unit_domain(self, params):
         spec = GridSpec(4, 4, 4, 0.25)  # 64 cells, unit total volume
-        v = tumor_volumes(uniform_state(spec, b=1.0, o=60.0), params, spec.cell_volume)
+        s = uniform_state(spec, b=1.0, o=60.0)
+        v = tumor_volumes(s[B], s[O], params, spec.cell_volume)
         assert v.total == pytest.approx(1.0)
         assert v.proliferating == pytest.approx(1.0)
         assert v.quiescent == pytest.approx(0.0, abs=1e-15)
 
     def test_hypoxic_unit_domain(self, params):
         spec = GridSpec(4, 4, 4, 0.25)
-        v = tumor_volumes(uniform_state(spec, b=1.0, o=1.0), params, spec.cell_volume)
+        s = uniform_state(spec, b=1.0, o=1.0)
+        v = tumor_volumes(s[B], s[O], params, spec.cell_volume)
         assert v.total == pytest.approx(1.0)
         assert v.proliferating == 0.0
         assert v.quiescent == pytest.approx(1.0)
@@ -261,7 +264,7 @@ class TestVolumes:
         s = uniform_state(spec)
         s[B] = rng.uniform(0, 2, spec.shape)
         s[O] = rng.uniform(0, 60, spec.shape)
-        v = tumor_volumes(s, params, spec.cell_volume)
+        v = tumor_volumes(s[B], s[O], params, spec.cell_volume)
         assert v.total == pytest.approx(v.proliferating + v.quiescent, rel=1e-14)
 
 
