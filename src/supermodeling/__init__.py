@@ -61,7 +61,6 @@ from .theory import (
 from .experiments import (
     ExperimentConfig,
     cfl_sweep,
-    count_sign_changes,
     instantiate_submodels,
     run_experiment,
 )

@@ -12,6 +12,18 @@ update).  The nudging sum runs over all j by default, so it acts on the
 ensemble mean; set ``exclude_self_in_nudge`` for the variant that skips
 j = i.  All other state variables advance by the free model step alone.
 
+Both sums are linear in the members' values, so with the values as an
+(N, cells) matrix B every member's correction is one product, mix @ B + g*GT:
+mix is C/N with diagonal -rowsum(C)/N, minus K/N everywhere (the diagonal
+gets K/N back under ``exclude_self_in_nudge``), and g is K, or K(N-1)/N
+without self.  The correction is skipped when mix is zero, so an ensemble
+with no coupling and no nudging steps exactly like free models.  The
+coefficient update reads <GT - B_i, B_i - B_j> for every pair from one
+product of the mismatches with the members' deviations from their mean (see
+``mismatch_inner``).  The products sum in another order than the formulas
+above, so results agree with a pair-by-pair evaluation to round-off, not
+bit for bit.
+
 Training runs epochs of M coupled steps from a shared initial condition.
 Within a step the order is: advance and apply the coupling corrections (one
 coupled step, using the reference at the pre-step index), then fetch the
@@ -20,18 +32,16 @@ clamped into [c_min, c_max] after every correction.  Epochs stop early once
 the largest coefficient change between consecutive epochs drops below the
 tolerance.
 
-The per-member work runs on a pool of threads, one per usable CPU, created
-on first use: in a coupled step every member's correction (from pre-step
-values), then every member's free step followed by adding its own
-correction; in a coefficient update every row of the new matrix.  NumPy
+Each member's free step, followed by adding its row of the correction, runs
+on a pool of threads, one per usable CPU, created on first use.  NumPy
 releases the interpreter lock inside its loops, so members overlap on
 separate cores.  Each member is computed by the same operations in the same
 order either way, so results are bit-identical to a sequential run.  The work
 stays on the calling thread when only one CPU is usable or when a member's
 field has fewer than ``PARALLEL_MIN_CELLS`` cells, where handing it over costs
-more than the second core saves.  Above that size each kind of member work is
-timed both ways and runs the faster one, since the gain also depends on how
-the host schedules the threads.
+more than the second core saves.  Above that size the member steps are timed
+both ways and run the faster one, since the gain also depends on how the host
+schedules the threads.
 """
 
 from __future__ import annotations
@@ -46,7 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import DynamicalSystem, explicit_step
-from .fields import BlowUpError, l2_norm, volume_inner
+from .fields import BlowUpError, l2_norm
 from .groundtruth import GroundTruth, gt_at
 
 
@@ -198,12 +208,12 @@ PARALLEL_MIN_CELLS = 28 ** 3
 # Above the floor the gain still depends on the host: every NumPy call hands
 # the interpreter lock to the other thread, and how fast that thread wakes up
 # varies.  On the same 2-vCPU host, a 32^3 N=8 step ran 1.5x faster on two
-# threads, and an hour later 0.7-0.9x as fast.  So each kind of member work is
-# timed both ways, runs the faster way, and times the slower way again once
-# in every _RETIME_EVERY calls.
+# threads, and an hour later 0.7-0.9x as fast.  So the member steps of each
+# ensemble size are timed both ways, run the faster way, and time the slower
+# way again once in every _RETIME_EVERY calls.
 _RETIME_EVERY = 16
-# (task code, members, cells) -> [calls, inline s, pooled s]; updated without
-# a lock, since a lost update only changes which way a later call runs
+# (members, cells) -> [calls, inline s, pooled s]; updated without a lock,
+# since a lost update only changes which way a later call runs
 _timings = {}
 
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -257,7 +267,7 @@ def _for_each_member(task, values: np.ndarray) -> None:
     n = len(values)
     timing = None
     if _WORKERS > 1 and n > 1 and values[0].size >= PARALLEL_MIN_CELLS:
-        timing = _timings.setdefault((task.__code__, n, values[0].size), [0, 0.0, 0.0])
+        timing = _timings.setdefault((n, values[0].size), [0, 0.0, 0.0])
     pooled = timing is not None and _pooled_next(timing)
     start = time.perf_counter()
     if pooled:
@@ -292,62 +302,55 @@ def coupled_step(
     if cm.n != ens.n:
         raise ValueError(f"coupling is {cm.n}x{cm.n} but ensemble has {ens.n} members")
     values = ens.coupled_values()
-    # the corrections only read pre-step values, so they are all formed first
-    nudge_all = _nudge_sum(values, gt_now) if cm.k_nudge != 0.0 else None
-    corrections = [None] * ens.n
-
-    def correct(i):
-        corrections[i] = _correction(values, cm, gt_now, nudge_all, i)
+    # the corrections only read pre-step values, so they are formed first
+    corrections = _corrections(values, cm, gt_now)
 
     def advance(i):
         if dt > 0:
             explicit_step(ens.system, ens.states[i], ens.params[i], dt, out=ens.states[i])
-        if corrections[i] is not None:
+        if corrections is not None:
             values[i] += corrections[i]
 
-    _for_each_member(correct, values)
     _for_each_member(advance, values)
     # explicit_step checked the stepped states; only the corrections are new
-    if any(c is not None for c in corrections) and not np.isfinite(values).all():
+    if corrections is not None and not np.isfinite(values).all():
         raise BlowUpError(
             f"non-finite value in variable '{ens.coupled_variable}' during coupled step"
         )
     return ens
 
 
-def _nudge_sum(values: np.ndarray, gt_now) -> np.ndarray:
-    """sum_j (GT - B_j), summed over j in order."""
-    gt_now = np.asarray(gt_now)
-    total = gt_now - values[0]
-    for value in values[1:]:
-        total += gt_now - value
-    return total
-
-
-def _correction(values: np.ndarray, cm: CouplingMatrix, gt_now, nudge_all, i: int):
-    """(1/N) sum_j C_ij (B_j - B_i) + (K/N) sum_j (GT - B_j) for member i, summed
-    in that order, or None when there is nothing to add."""
+def _corrections(values: np.ndarray, cm: CouplingMatrix, gt_now):
+    """Every member's coupling and nudging correction, mix @ B + g*GT, or None
+    when the mixing matrix is zero (no coupling and no nudging)."""
     n = len(values)
-    correction = None
-    for j in range(n):
-        if cm.c[i, j] != 0.0:
-            term = values[j] - values[i]
-            term *= cm.c[i, j] / n
-            if correction is None:
-                correction = term
-            else:
-                correction += term
-    if nudge_all is not None:
-        if cm.exclude_self_in_nudge:
-            term = nudge_all - (np.asarray(gt_now) - values[i])
-            term *= cm.k_nudge / n
-        else:
-            term = nudge_all * (cm.k_nudge / n)
-        if correction is None:
-            correction = term
-        else:
-            correction += term
-    return correction
+    nudge = cm.k_nudge / n
+    mix = cm.c / n - nudge
+    np.fill_diagonal(mix, -cm.c.sum(axis=1) / n - (0.0 if cm.exclude_self_in_nudge else nudge))
+    if not mix.any():
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        corrections = (mix @ values.reshape(n, -1)).reshape(values.shape)
+        if cm.k_nudge != 0.0:
+            gain = cm.k_nudge * (n - 1) / n if cm.exclude_self_in_nudge else cm.k_nudge
+            corrections += gain * np.asarray(gt_now)
+    return corrections
+
+
+def mismatch_inner(values, gt_now, cell_volume: float = 1.0) -> np.ndarray:
+    """The N-by-N matrix of <GT - B_i, B_i - B_j> * cell_volume over the
+    members' values B (zero on the diagonal).
+
+    Every entry comes from one product P = (GT - B) @ (B - mean)^T as
+    P_ii - P_ij.  Centering on the member mean keeps the difference accurate
+    when members nearly agree; uncentered, each P_ij would be of the size of
+    |GT - B_i| |B_j| and the difference would cancel to noise.
+    """
+    flat = np.asarray(values, dtype=np.float64).reshape(len(values), -1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mismatch = np.asarray(gt_now).reshape(-1) - flat
+        products = mismatch @ (flat - flat.mean(axis=0)).T
+        return (np.diagonal(products)[:, None] - products) * cell_volume
 
 
 def update_coupling(
@@ -356,21 +359,12 @@ def update_coupling(
     """Correct every off-diagonal coefficient from the current mismatch.
 
     C_ij <- clamp(A*C_ij + A * <GT - B_i, B_i - B_j>), the inner product
-    being the domain integral of the product of the two mismatch fields.
+    being the domain integral of the product of the two mismatch fields
+    (see ``mismatch_inner``).
     """
-    values = ens.coupled_values()
-    gt_now = np.asarray(gt_now)
-    n = ens.n
-    new_c = cm.c.copy()
-
-    def correct_row(i):
-        mismatch = gt_now - values[i]
-        for j in range(n):
-            if i != j:
-                inner = volume_inner(mismatch, values[i] - values[j], ens.system.cell_volume)
-                new_c[i, j] = cm.a_rate * cm.c[i, j] + cm.a_rate * inner
-
-    _for_each_member(correct_row, values)
+    inner = mismatch_inner(ens.coupled_values(), gt_now, ens.system.cell_volume)
+    with np.errstate(over="ignore", invalid="ignore"):
+        new_c = cm.a_rate * cm.c + cm.a_rate * inner
     if not np.isfinite(new_c).all():
         raise BlowUpError("non-finite coupling coefficient update")
     np.clip(new_c, cm.c_min, cm.c_max, out=new_c)

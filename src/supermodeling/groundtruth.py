@@ -117,11 +117,6 @@ def gt_at(gt: GroundTruth, n: int):
     return gt.snapshots[lo] * (1.0 - w) + gt.snapshots[hi] * w
 
 
-def gt_volume_at(gt: GroundTruth, n: int) -> float:
-    """Total volume of the coupled variable at step n (interpolated)."""
-    return volume_integral(gt_at(gt, n), gt.cell_volume)
-
-
 def gt_volumes_at(gt: GroundTruth, n: int) -> VolumeTriple:
     """Recorded volume triple at step n, linearly interpolated when absent."""
     if gt.volumes is None:

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import CouplingMatrix, TrainingReport, update_coupling
-from .fields import max_over_time, taxi_ensemble_distance, volume_inner
+from .engine import CouplingMatrix, TrainingReport, mismatch_inner
+from .fields import max_over_time, taxi_ensemble_distance
 
 VACUOUS = "vacuous"
 
@@ -123,17 +123,9 @@ def cij_update_max_form(
         raise ValueError("trajectory lengths differ")
     if not member_trajectories:
         raise ValueError("need at least one time step")
-    n = cm.n
-    new_c = cm.c.copy()
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            best = -np.inf
-            for members, ref in zip(member_trajectories, gt_trajectory):
-                inner = volume_inner(ref - members[i], members[i] - members[j])
-                best = max(best, inner)
-            new_c[i, j] = cm.a_rate * cm.c[i, j] + cm.a_rate * best
+    best = np.max([mismatch_inner(members, ref)
+                   for members, ref in zip(member_trajectories, gt_trajectory)], axis=0)
+    new_c = cm.a_rate * cm.c + cm.a_rate * best
     np.clip(new_c, cm.c_min, cm.c_max, out=new_c)
     np.fill_diagonal(new_c, 0.0)
     return dataclasses.replace(cm, c=new_c)

@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import DynamicalSystem
-from .fields import BlowUpError, GridSpec, volume_integral
+from .fields import GridSpec, volume_integral
 
 STABLE = "stable"
 DIVERGING = "diverging"
@@ -411,13 +411,6 @@ class TumorSystem(DynamicalSystem):
 
     def noise_like(self, state: np.ndarray, rng) -> np.ndarray:
         return rng.standard_normal(state.shape)
-
-    def state_norm(self, state: np.ndarray) -> float:
-        """Volume-weighted L2 norm over all five fields, summed field by field."""
-        sumsq = sum(float(np.dot(field, field)) for field in state.reshape(len(state), -1))
-        if not np.isfinite(sumsq):
-            raise BlowUpError("non-finite values in state norm")
-        return math.sqrt(sumsq * self.cell_volume)
 
     def lipschitz_scale(self, params: TumorParams) -> float:
         # 1e-2 of the coupled variable's range

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supermodeling.dynamics import LinearSystem, LogisticParams, LogisticSystem, explicit_step
 from supermodeling.engine import (
@@ -16,7 +18,9 @@ from supermodeling.engine import (
     update_coupling,
 )
 from supermodeling.experiments import ExperimentConfig, build_setup, instantiate_submodels
+from supermodeling.fields import GridSpec, volume_inner
 from supermodeling.groundtruth import GroundTruth, generate_gt, gt_at
+from supermodeling.tumor import TumorSystem
 
 
 def toy_ensemble(states, r_values=None, cap=2.0):
@@ -168,6 +172,84 @@ class TestUpdateCoupling:
             cm = update_coupling(cm, ens, gt_now=float(rng.uniform(0, 2)))
             off = cm.offdiag_values()
             assert np.all(off >= cm.c_min) and np.all(off <= cm.c_max)
+
+
+def field_ensemble(states, h=1.0):
+    """Tumor-model ensemble on a grid that fits ``states`` (N, 5, nz, ny, nx)."""
+    nz, ny, nx = states.shape[2:]
+    system = TumorSystem(GridSpec(nx, ny, nz, h))
+    return SubModelEnsemble(system=system, params=[None] * len(states), states=states,
+                            coupled_variable="b")
+
+
+def raw_coupling(c, k_nudge=0.0, a_rate=1.0, exclude_self=False):
+    """Coefficients whose update is never clamped."""
+    return CouplingMatrix(c=c, k_nudge=k_nudge, a_rate=a_rate, c_min=-np.inf, c_max=np.inf,
+                          exclude_self_in_nudge=exclude_self)
+
+
+def assert_rel_close(got, want, rel):
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+class TestCouplingAlgebra:
+    """The matrix products of coupled_step and update_coupling against the
+    formulas evaluated member by member and pair by pair."""
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_update_exact_for_near_synchronized_members(self, n):
+        # members agree to 1e-12 of the field: every <GT - B_i, B_i - B_j> is
+        # ~1e-12 of the size of <GT - B_i, B_j>, so an uncentered Gram product
+        # loses all but about four digits of it
+        rng = np.random.default_rng(n)
+        base = rng.uniform(0.5, 1.5, size=(8, 8, 8))
+        states = np.zeros((n, 5) + base.shape)
+        states[:, 0] = base * (1.0 + 1e-12 * rng.standard_normal((n,) + base.shape))
+        gt = 1.1 * base
+        ens = field_ensemble(states, h=0.5)
+        updated = update_coupling(raw_coupling(np.zeros((n, n))), ens, gt)
+        b = states[:, 0]
+        expected = np.array([[volume_inner(gt - b[i], b[i] - b[j], 0.125) for j in range(n)]
+                             for i in range(n)])
+        np.testing.assert_allclose(updated.c, expected, rtol=1e-10, atol=0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.tuples(*[st.integers(3, 6)] * 3),
+        n=st.integers(1, 6),
+        k_nudge=st.floats(0.0, 2.0),
+        a_rate=st.floats(0.01, 1.0),
+        exclude_self=st.booleans(),
+        h=st.sampled_from([0.5, 1.0, 1.5]),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_products_equal_pair_loops(self, shape, n, k_nudge, a_rate, exclude_self, h, seed):
+        rng = np.random.default_rng(seed)
+        states = rng.uniform(0.0, 2.0, size=(n, 5) + shape)
+        gt = rng.uniform(0.0, 2.0, size=shape)
+        c = rng.uniform(0.0, 1.0, size=(n, n))
+        np.fill_diagonal(c, 0.0)
+        cm = raw_coupling(c, k_nudge, a_rate, exclude_self)
+        b = states[:, 0].copy()
+
+        ens = coupled_step(field_ensemble(states.copy(), h), cm, gt, 0.0)
+        expected_b = []
+        for i in range(n):
+            coupling = sum(c[i, j] * (b[j] - b[i]) for j in range(n)) / n
+            nudged = [j for j in range(n) if not (exclude_self and j == i)]
+            nudge = k_nudge * sum((gt - b[j] for j in nudged), np.zeros(shape)) / n
+            expected_b.append(b[i] + coupling + nudge)
+        assert_rel_close(ens.states[:, 0], np.array(expected_b), 1e-12)
+        assert np.array_equal(ens.states[:, 1:], states[:, 1:])
+
+        updated = update_coupling(cm, field_ensemble(states, h), gt)
+        expected_c = np.zeros((n, n))
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    inner = np.sum((gt - b[i]) * (b[i] - b[j])) * h ** 3
+                    expected_c[i, j] = a_rate * c[i, j] + a_rate * inner
+        assert_rel_close(updated.c, expected_c, 1e-12)
 
 
 class TestSupermodelOutput:

@@ -1,4 +1,5 @@
 import csv
+import re
 
 import pytest
 
@@ -54,16 +55,37 @@ GRID = ["--set", "nx=8", "--set", "ny=8", "--set", "nz=8", "--set", "steps=2"]
 class TestBadConfig:
     @pytest.mark.parametrize("bad", [
         {"c_min": 0.9, "c_max": 0.1}, {"a_rate": 1.5}, {"tol": 0.0},
-        {"n_submodels": 0}, {"epochs": 0},
+        {"n_submodels": 0}, {"epochs": 0}, {"dt": 0.0}, {"dt": -0.1},
+        {"steps": 0}, {"keep_every": 0},
     ])
     def test_rejected_before_any_work(self, tmp_path, bad):
         with pytest.raises(ValueError):
             experiments.run_experiment(experiments.ExperimentConfig(
-                nx=8, ny=8, nz=8, steps=2, out_dir=str(tmp_path / "run"), **bad))
+                **{"nx": 8, "ny": 8, "nz": 8, "steps": 2, **bad},
+                out_dir=str(tmp_path / "run")))
         sets = [arg for key, value in bad.items() for arg in ("--set", f"{key}={value}")]
         assert main(["train", *GRID, *sets, "--out", str(tmp_path / "cli")]) != 0
         for run in ("run", "cli"):
-            assert not (tmp_path / run / "gt").exists()
+            assert not (tmp_path / run).exists()
+
+    def test_unknown_override_key_exits_with_message(self, tmp_path, capsys):
+        assert main(["train", *GRID, "--set", "nxx=8", "--out", str(tmp_path / "cli")]) == 2
+        assert "unknown config key 'nxx'" in capsys.readouterr().err
+        assert not (tmp_path / "cli").exists()
+
+    @pytest.mark.parametrize("text, shown", [
+        ("[ensemble]\nn_submodel = 8\n", "unknown config key 'n_submodel' in section [ensemble]"),
+        ("[grid]\nsteps = 8\n", "unknown config key 'steps' in section [grid]"),
+        ("[ensembles]\nn_submodels = 8\n", "unknown config section [ensembles]"),
+    ])
+    def test_unknown_config_file_key_exits_with_message(self, tmp_path, capsys, text, shown):
+        path = tmp_path / "config.ini"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(shown)):
+            experiments.load_config(path)
+        assert main(["train", "--config", str(path), *GRID, "--out", str(tmp_path / "cli")]) == 2
+        assert shown in capsys.readouterr().err
+        assert not (tmp_path / "cli").exists()
 
 
 @pytest.fixture(scope="module")

@@ -83,6 +83,22 @@ def test_threaded_steps_equal_inline(monkeypatch, n_submodels, k_nudge, exclude_
         assert np.array_equal(c, c_inline)
 
 
+def test_one_dispatch_per_coupled_step_and_none_per_update(monkeypatch):
+    ens, cm, gt_now = make_ensemble(3)
+    dispatched = []
+    for_each_member = engine._for_each_member
+
+    def spy(task, values):
+        dispatched.append(task)
+        for_each_member(task, values)
+
+    monkeypatch.setattr(engine, "_for_each_member", spy)
+    coupled_step(ens, cm, gt_now, 0.1)
+    assert len(dispatched) == 1
+    update_coupling(cm, ens, gt_now)
+    assert len(dispatched) == 1
+
+
 def test_timed_choice_explores_then_keeps_the_faster_way():
     assert [engine._pooled_next([k, 0.0, 0.0]) for k in range(4)] == [False, True] * 2
     later = range(4, 4 + 3 * engine._RETIME_EVERY)

@@ -171,7 +171,10 @@ class TestEmpiricalContraction:
         assert empirical_contraction_ratio(rep1, rep2) < 1.0
 
     def test_overshooting_nudge_is_not_contracting(self):
-        rep1, rep2 = paired_toy_runs(2.0, 0.15, 0.25, epochs=20)
+        # K = 1.5 with a_rate = 1: the paired distance grows from 0.083 to
+        # 0.088 in epochs 3-5, far above round-off (with K = 2 and a_rate =
+        # 0.95 the runs contract to round-off, where the ratio is noise)
+        rep1, rep2 = paired_toy_runs(1.5, 0.15, 0.25, epochs=20, a_rate=1.0)
         assert empirical_contraction_ratio(rep1, rep2) >= 1.0
 
     def test_insufficient_epochs_rejected(self):
