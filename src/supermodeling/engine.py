@@ -14,15 +14,18 @@ j = i.  All other state variables advance by the free model step alone.
 
 Both sums are linear in the members' values, so with the values as an
 (N, cells) matrix B every member's correction is one product, mix @ B + g*GT:
-mix is C/N with diagonal -rowsum(C)/N, minus K/N everywhere (the diagonal
-gets K/N back under ``exclude_self_in_nudge``), and g is K, or K(N-1)/N
-without self.  The correction is skipped when mix is zero, so an ensemble
-with no coupling and no nudging steps exactly like free models.  The
-coefficient update reads <GT - B_i, B_i - B_j> for every pair from one
-product of the mismatches with the members' deviations from their mean (see
-``mismatch_inner``).  The products sum in another order than the formulas
+mix is (C - K)/N off the diagonal and -(rowsum(C) + K)/N on it (-rowsum(C)/N
+under ``exclude_self_in_nudge``), and g is K, or K(N-1)/N without self.  The
+correction is skipped when mix is zero, so an ensemble with no coupling and
+no nudging steps exactly like free models.  The coefficient update reads
+<GT - B_i, B_i - B_j> for every pair from one product of the mismatches with
+the members' deviations from their mean (see ``mismatch_inner``).  The products sum in another order than the formulas
 above, so results agree with a pair-by-pair evaluation to round-off, not
-bit for bit.
+bit for bit.  For the same reason the fixed points hold only to round-off:
+the rows of mix sum to -g in exact arithmetic, not in floating point, so
+identical members, or members equal to the reference they are nudged to,
+drift by round-off instead of staying put: at most 7e-16 of the field's
+largest value after 100 steps, measured on 6^3 fields with 2 to 8 members.
 
 Training runs epochs of M coupled steps from a shared initial condition.
 Within a step the order is: advance and apply the coupling corrections (one
@@ -199,10 +202,12 @@ class TrainingReport:
 
 
 # A member's work goes to the pool only when its field has at least this many
-# cells.  A coupled step plus a coefficient update on two threads against one,
-# N=3 and N=8, on a 2-CPU host: 0.49-0.60x at 16^3, 0.89-0.93x at 24^3,
-# 0.97-1.44x at 28^3, 1.32-1.52x at 32^3 and 1.36-1.49x at 64^3.  So the
-# default 16^3 grid stays on the calling thread.
+# cells.  A coupled step (its one dispatch pooled or inline) plus the inline
+# coefficient update, two threads against one, N=3 and N=8, median of six
+# steps in each of five rounds on a 2-vCPU host: 0.56-0.64x at 16^3,
+# 1.01-1.24x at 24^3, 1.15-1.48x at 28^3 and 1.18-1.59x at 32^3.  So the
+# default 16^3 grid stays on the calling thread, and 24^3, where N=3 only
+# breaks even, does too.
 PARALLEL_MIN_CELLS = 28 ** 3
 
 # Above the floor the gain still depends on the host: every NumPy call hands
@@ -324,9 +329,9 @@ def _corrections(values: np.ndarray, cm: CouplingMatrix, gt_now):
     """Every member's coupling and nudging correction, mix @ B + g*GT, or None
     when the mixing matrix is zero (no coupling and no nudging)."""
     n = len(values)
-    nudge = cm.k_nudge / n
-    mix = cm.c / n - nudge
-    np.fill_diagonal(mix, -cm.c.sum(axis=1) / n - (0.0 if cm.exclude_self_in_nudge else nudge))
+    mix = (cm.c - cm.k_nudge) / n
+    self_nudge = 0.0 if cm.exclude_self_in_nudge else cm.k_nudge
+    np.fill_diagonal(mix, -(cm.c.sum(axis=1) + self_nudge) / n)
     if not mix.any():
         return None
     with np.errstate(over="ignore", invalid="ignore"):

@@ -163,6 +163,8 @@ def parse_config(text: str) -> ExperimentConfig:
     layout = dict(_CONFIG_LAYOUT)
     values = {}
     for section in parser.sections():
+        if section == "run":
+            continue  # a run's status, which run_experiment adds to its manifest
         if section not in layout:
             raise ValueError(f"unknown config section [{section}]")
         for name in parser.options(section):

@@ -213,6 +213,24 @@ class TestCouplingAlgebra:
                              for i in range(n)])
         np.testing.assert_allclose(updated.c, expected, rtol=1e-10, atol=0.0)
 
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    @pytest.mark.parametrize("k_nudge, exclude_self", [(0.0, False), (0.9, False), (0.9, True)])
+    def test_fixed_points_hold_to_round_off(self, n, k_nudge, exclude_self):
+        # identical members stay together, and with nudging stay at the
+        # reference they equal, only to round-off: the rows of the mixing
+        # matrix sum to -g (or 0) in exact arithmetic, not in floating point
+        rng = np.random.default_rng(n)
+        x = rng.uniform(0.0, 2.0, size=(6, 6, 6))
+        states = np.zeros((n, 5) + x.shape)
+        states[:, 0] = x
+        c = rng.uniform(0.1, 0.9, size=(n, n))
+        np.fill_diagonal(c, 0.0)
+        cm = raw_coupling(c, k_nudge, exclude_self=exclude_self)
+        ens = field_ensemble(states)
+        for _ in range(100):
+            coupled_step(ens, cm, x if k_nudge else None, 0.0)
+        assert_rel_close(ens.states[:, 0], np.broadcast_to(x, (n,) + x.shape), 1e-14)
+
     @settings(max_examples=60, deadline=None)
     @given(
         shape=st.tuples(*[st.integers(3, 6)] * 3),

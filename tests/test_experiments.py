@@ -88,6 +88,18 @@ class TestBadConfig:
         assert not (tmp_path / "cli").exists()
 
 
+def test_manifest_reloads_as_the_runs_config(tmp_path):
+    config = experiments.ExperimentConfig(nx=8, ny=8, nz=8, steps=2, epochs=1, seed=3,
+                                          k_nudge=0.7, out_dir=str(tmp_path / "run"))
+    manifest = experiments.run_experiment(config) / "manifest.ini"
+    assert "[run]" in manifest.read_text()
+    assert experiments.load_config(manifest) == config
+    rerun = tmp_path / "rerun"
+    assert main(["experiment", "--config", str(manifest), "--out", str(rerun)]) == 0
+    for name in ("training.csv", "before_after.csv"):
+        assert (rerun / name).read_bytes() == (tmp_path / "run" / name).read_bytes(), name
+
+
 @pytest.fixture(scope="module")
 def archive(tmp_path_factory):
     out = tmp_path_factory.mktemp("reference")
