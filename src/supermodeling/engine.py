@@ -36,24 +36,30 @@ the largest coefficient change between consecutive epochs drops below the
 tolerance.
 
 Each member's free step, followed by adding its row of the correction, runs
-on a pool of threads, one per usable CPU, created on first use.  NumPy
-releases the interpreter lock inside its loops, so members overlap on
-separate cores.  Each member is computed by the same operations in the same
-order either way, so results are bit-identical to a sequential run.  The work
-stays on the calling thread when only one CPU is usable or when a member's
-field has fewer than ``PARALLEL_MIN_CELLS`` cells, where handing it over costs
-more than the second core saves.  Above that size the member steps are timed
-both ways and run the faster one, since the gain also depends on how the host
-schedules the threads.
+in one of min(N, usable CPUs) processes: the caller and workers forked from
+it on the first coupled step, which live as long as the ensemble.  Member i
+runs in process i mod that count.  The states sit in shared memory and the
+caller writes the corrections to a shared buffer, so a coupled step hands
+off once per worker: a command down a pipe and a reply back.  Each member is
+computed by the same operations in the same order either way, so results
+are bit-identical to a sequential run.  The caller steps every member itself
+when only one CPU is usable, when a member's field has fewer than
+``PARALLEL_MIN_CELLS`` cells (where the handoff costs more than the second
+core saves), and in any process that did not fork the workers.  Workers
+step with the system and parameter sets as they were when they were forked.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
+import math
+import mmap
 import os
-import threading
-import time
+import pickle
+import struct
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,7 +122,10 @@ class SubModelEnsemble:
     ``states`` is one C-contiguous float64 array of shape (N, ...) whose
     entry i is member i's state array (one value for the toy systems, five
     fields for the tumor model).  Coupled steps and ``reset`` rewrite it in
-    place.  ``initial_state`` is kept as given, not copied, so the caller
+    place.  When worker processes may step the members (several members
+    and CPUs, and at least ``PARALLEL_MIN_CELLS`` cells per field), it is a
+    copy in an anonymous shared mapping, which processes forked later share
+    too.  ``initial_state`` is kept as given, not copied, so the caller
     must leave it unchanged while the ensemble is in use.
     """
 
@@ -125,17 +134,26 @@ class SubModelEnsemble:
     states: np.ndarray
     coupled_variable: str
     initial_state: np.ndarray | None = None
+    _workers: _MemberWorkers | None = field(default=None, init=False, repr=False,
+                                            compare=False)
 
     def __post_init__(self):
-        self.states = np.ascontiguousarray(self.states, dtype=np.float64)
+        states = np.asarray(self.states, dtype=np.float64)
         if self.initial_state is not None:
             self.initial_state = np.atleast_1d(np.asarray(self.initial_state, dtype=np.float64))
-        if len(self.params) != len(self.states):
+        if len(self.params) != len(states):
             raise ValueError("one parameter set per member is required")
         if self.coupled_variable not in self.system.couplable:
             raise ValueError(
                 f"{self.coupled_variable!r} is not couplable in {type(self.system).__name__}"
             )
+        coupled = self.system.variables.index(self.coupled_variable)
+        if (_CPUS > 1 and len(states) > 1
+                and np.size(states[0, coupled]) >= PARALLEL_MIN_CELLS):
+            self.states = _shared_zeros(states.shape)
+            self.states[...] = states
+        else:
+            self.states = np.require(states, requirements="CW")
 
     @property
     def n(self) -> int:
@@ -145,7 +163,8 @@ class SubModelEnsemble:
     def identical_start(cls, system, params_list, initial_state, coupled_variable=None):
         """All members start from one shared initial condition."""
         x0 = np.atleast_1d(np.asarray(initial_state, dtype=np.float64))
-        states = np.stack([x0] * len(params_list))
+        # a view: the ensemble's own array is the only full copy made
+        states = np.broadcast_to(x0, (len(params_list),) + x0.shape)
         return cls(system=system, params=list(params_list), states=states,
                    coupled_variable=coupled_variable or system.couplable[0], initial_state=x0)
 
@@ -201,96 +220,188 @@ class TrainingReport:
     trajectory_history: list | None = None
 
 
-# A member's work goes to the pool only when its field has at least this many
-# cells.  A coupled step (its one dispatch pooled or inline) plus the inline
-# coefficient update, two threads against one, N=3 and N=8, median of six
-# steps in each of five rounds on a 2-vCPU host: 0.56-0.64x at 16^3,
-# 1.01-1.24x at 24^3, 1.15-1.48x at 28^3 and 1.18-1.59x at 32^3.  So the
-# default 16^3 grid stays on the calling thread, and 24^3, where N=3 only
-# breaks even, does too.
+# Worker processes step an ensemble only when a member's field has at least
+# this many cells.  A coupled step plus the coefficient update, workers
+# against inline, in alternating rounds of six to eight steps on a 2-vCPU
+# host, median speedup over the rounds for N=3 / N=8 (ranges over two or
+# three sets): 1.23-1.32 / 1.00-1.69 at 16^3, 1.26-1.35 / 1.53-1.68 at 20^3,
+# 1.28-1.29 / 1.30-1.64 at 24^3, 1.23-1.40 / 1.28-1.62 at 28^3 and 1.09 /
+# 1.32 at 32^3.  But each handoff waits for the other CPU to wake, and in
+# the host's slow spells that wait dominates small grids: with the floor at
+# 16^3, paired 40 s grid16-default runs (N=3) had shorter epochs in 7 of 10
+# pairs, yet 36-50% longer ones in 2, i.e. 1.0-1.5 ms more per coupled step
+# than inline.  One member step saves that much only from about 28^3 on.
 PARALLEL_MIN_CELLS = 28 ** 3
 
-# Above the floor the gain still depends on the host: every NumPy call hands
-# the interpreter lock to the other thread, and how fast that thread wakes up
-# varies.  On the same 2-vCPU host, a 32^3 N=8 step ran 1.5x faster on two
-# threads, and an hour later 0.7-0.9x as fast.  So the member steps of each
-# ensemble size are timed both ways, run the faster way, and time the slower
-# way again once in every _RETIME_EVERY calls.
-_RETIME_EVERY = 16
-# (members, cells) -> [calls, inline s, pooled s]; updated without a lock,
-# since a lost update only changes which way a later call runs
-_timings = {}
-
-_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-_pool = None  # the member pool, created on first use
-_pool_lock = threading.Lock()
+_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+         else os.cpu_count() or 1)
+_COMMAND = struct.Struct("=d?")  # dt, and whether a correction is added
+_REPLY = struct.Struct("=I")  # length of the pickled failure that follows, 0 if none
 
 
-def _member_pool():
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            # imported here: concurrent.futures would add 7 ms to every start-up
-            from concurrent.futures import ThreadPoolExecutor
-
-            _pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="supermodeling-member")
-        return _pool
+def _shared_zeros(shape) -> np.ndarray:
+    """A float64 array of zeros in an anonymous shared mapping, which every
+    process forked afterwards reads and writes in place."""
+    nbytes = 8 * math.prod(shape)
+    return np.ndarray(shape, np.float64, buffer=mmap.mmap(-1, max(nbytes, 1)))
 
 
-def _forget_pool():
-    # a forked child inherits the pool object but none of its threads
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
+def _advance_members(ens: SubModelEnsemble, members, dt: float, corrections):
+    """Step the listed members in place, each followed by adding its row of
+    ``corrections`` (None: no correction).  Returns (member, exception) for
+    the first member that fails, or None."""
+    values = ens.coupled_values()
+    for i in members:
+        try:
+            if dt > 0:
+                explicit_step(ens.system, ens.states[i], ens.params[i], dt, out=ens.states[i])
+            if corrections is not None:
+                values[i] += corrections[i]
+        except Exception as exc:
+            return i, exc
+    return None
 
 
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
+class _MemberWorkers:
+    """Processes forked from the caller that step an ensemble's members with it.
 
-
-def _pooled_next(timing: list) -> bool:
-    """Whether the next call of one kind of member work goes to the pool.
-
-    The first four calls alternate, inline first, so each way is timed
-    twice; later calls take the faster way but every _RETIME_EVERY-th.
+    Member i is stepped by process i mod ``size``, where process 0 is the
+    caller.  The workers step their members in the ensemble's shared states
+    array and read the corrections from a shared buffer, so a coupled step
+    costs one command byte-string and one reply per worker.  Workers exit on
+    end-of-file on their command pipe, that is when this object closes or
+    the caller dies; closing also kills and reaps them.
     """
-    calls, inline_s, pooled_s = timing
-    if calls < 4:
-        return calls % 2 == 1
-    faster = pooled_s < inline_s
-    return not faster if calls % _RETIME_EVERY == 0 else faster
+
+    def __init__(self, ens: SubModelEnsemble):
+        n = ens.n
+        self.size = min(n, _CPUS)
+        self.owner = os.getpid()
+        self.corrections = _shared_zeros(ens.coupled_values().shape)
+        self.pids, self.commands, self.replies = [], [], []
+        self._finalizer = weakref.finalize(
+            ens, _stop_workers, self.owner, self.pids, self.commands, self.replies)
+        try:
+            for k in range(1, self.size):
+                command_in, command_out = os.pipe()
+                reply_in, reply_out = os.pipe()
+                pid = os.fork()
+                if pid == 0:
+                    code = 1
+                    try:
+                        code = _serve(ens, range(k, n, self.size), self.corrections,
+                                      command_in, reply_out)
+                    finally:
+                        os._exit(code)
+                os.close(command_in)
+                os.close(reply_out)
+                self.pids.append(pid)
+                self.commands.append(command_out)
+                self.replies.append(reply_in)
+        except BaseException:
+            self.close()  # a failed fork leaves no earlier worker running
+            raise
+
+    @property
+    def closed(self) -> bool:
+        return not self._finalizer.alive
+
+    def close(self) -> None:
+        self._finalizer()
+
+    def step(self, ens: SubModelEnsemble, dt: float, corrections):
+        """Advance every member as ``_advance_members`` does; returns the
+        failure of the lowest member index, or None."""
+        command = _COMMAND.pack(dt, corrections is not None)
+        try:
+            for k, fd in enumerate(self.commands):
+                try:
+                    os.write(fd, command)
+                except BrokenPipeError:
+                    raise self._died(k) from None
+            failures = [_advance_members(ens, range(0, ens.n, self.size), dt, corrections)]
+            failures += [self._reply(k) for k in range(len(self.replies))]
+        except BaseException:
+            self.close()  # replies may be pending: these workers are out of step
+            raise
+        return min(filter(None, failures), key=lambda failure: failure[0], default=None)
+
+    def _reply(self, k: int):
+        fd = self.replies[k]
+        header = _read(fd, _REPLY.size)
+        if len(header) == _REPLY.size:
+            (length,) = _REPLY.unpack(header)
+            body = _read(fd, length)
+            if len(body) == length:
+                return pickle.loads(body) if length else None
+        raise self._died(k)
+
+    def _died(self, k: int) -> RuntimeError:
+        return RuntimeError(f"member worker process {self.pids[k]} exited during a coupled step")
 
 
-def _for_each_member(task, values: np.ndarray) -> None:
-    """Call ``task(i)`` for every member i, on the member pool when it pays.
+def _read(fd: int, size: int) -> bytes:
+    """Up to ``size`` bytes from ``fd``; fewer only at end-of-file."""
+    data = b""
+    while len(data) < size:
+        chunk = os.read(fd, size - len(data))
+        if not chunk:
+            break
+        data += chunk
+    return data
 
-    ``values`` holds the members' coupled variable, whose field size decides
-    whether the pool is considered at all.  Every task finishes before an
-    exception is raised, and the one raised is that of the lowest member
-    index, as the sequential loop would raise it.
-    """
-    n = len(values)
-    timing = None
-    if _WORKERS > 1 and n > 1 and values[0].size >= PARALLEL_MIN_CELLS:
-        timing = _timings.setdefault((n, values[0].size), [0, 0.0, 0.0])
-    pooled = timing is not None and _pooled_next(timing)
-    start = time.perf_counter()
-    if pooled:
-        pool = _member_pool()
-        futures = [pool.submit(task, i) for i in range(n)]
-        errors = [future.exception() for future in futures]  # waits for every task
-        for error in errors:
-            if error is not None:
-                raise error
-    else:
-        for i in range(n):
-            task(i)
-    if timing is not None:
-        elapsed = time.perf_counter() - start
-        # a running mean that halves the weight of older calls
-        way = 2 if pooled else 1
-        timing[way] = elapsed if timing[0] < 2 else 0.5 * (timing[way] + elapsed)
-        timing[0] += 1
+
+def _serve(ens, members, corrections, commands: int, replies: int) -> int:
+    """A worker's loop: one step of ``members`` per command until end-of-file."""
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller handles interrupts
+    # hold no descriptor but these two: a pipe's write end held here (this
+    # worker's command pipe's or a sibling's) would hide its end-of-file, and
+    # an inherited stdout would keep a reader of the caller's output waiting
+    null = os.open(os.devnull, os.O_RDWR)
+    for fd in (0, 1, 2):
+        os.dup2(null, fd)
+    low = 3
+    for fd in sorted((commands, replies)):
+        os.closerange(low, fd)
+        low = fd + 1
+    os.closerange(low, os.sysconf("SC_OPEN_MAX"))
+    while True:
+        command = _read(commands, _COMMAND.size)
+        if len(command) < _COMMAND.size:
+            return 0
+        dt, corrected = _COMMAND.unpack(command)
+        failure = _advance_members(ens, members, dt, corrections if corrected else None)
+        reply = b"" if failure is None else pickle.dumps(failure)
+        os.write(replies, _REPLY.pack(len(reply)) + reply)
+
+
+def _stop_workers(owner: int, pids: list, commands: list, replies: list) -> None:
+    for fd in commands + replies:
+        os.close(fd)
+    if os.getpid() == owner:  # a forked child only drops its copies of the pipes
+        import signal
+
+        for pid in pids:
+            with contextlib.suppress(ChildProcessError, ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _member_workers(ens: SubModelEnsemble):
+    """The ensemble's worker processes, forked on first use, or None when
+    the caller steps every member itself: the states are not in shared
+    memory, or this process did not fork the workers (a forked child)."""
+    workers = ens._workers
+    if workers is not None and workers.owner != os.getpid():
+        workers.close()
+        return None
+    if not isinstance(ens.states.base, mmap.mmap):
+        return None
+    if workers is None or workers.closed:  # not forked yet, or a worker died
+        workers = ens._workers = _MemberWorkers(ens)
+    return workers
 
 
 def coupled_step(
@@ -307,16 +418,16 @@ def coupled_step(
     if cm.n != ens.n:
         raise ValueError(f"coupling is {cm.n}x{cm.n} but ensemble has {ens.n} members")
     values = ens.coupled_values()
+    workers = _member_workers(ens)
     # the corrections only read pre-step values, so they are formed first
-    corrections = _corrections(values, cm, gt_now)
-
-    def advance(i):
-        if dt > 0:
-            explicit_step(ens.system, ens.states[i], ens.params[i], dt, out=ens.states[i])
-        if corrections is not None:
-            values[i] += corrections[i]
-
-    _for_each_member(advance, values)
+    corrections = _corrections(values, cm, gt_now,
+                               out=None if workers is None else workers.corrections)
+    if workers is None:
+        failure = _advance_members(ens, range(ens.n), dt, corrections)
+    else:
+        failure = workers.step(ens, dt, corrections)
+    if failure is not None:
+        raise failure[1]
     # explicit_step checked the stepped states; only the corrections are new
     if corrections is not None and not np.isfinite(values).all():
         raise BlowUpError(
@@ -325,9 +436,10 @@ def coupled_step(
     return ens
 
 
-def _corrections(values: np.ndarray, cm: CouplingMatrix, gt_now):
+def _corrections(values: np.ndarray, cm: CouplingMatrix, gt_now, out=None):
     """Every member's coupling and nudging correction, mix @ B + g*GT, or None
-    when the mixing matrix is zero (no coupling and no nudging)."""
+    when the mixing matrix is zero (no coupling and no nudging).  Written to
+    ``out``, an array shaped like ``values``, when one is given."""
     n = len(values)
     mix = (cm.c - cm.k_nudge) / n
     self_nudge = 0.0 if cm.exclude_self_in_nudge else cm.k_nudge
@@ -335,7 +447,8 @@ def _corrections(values: np.ndarray, cm: CouplingMatrix, gt_now):
     if not mix.any():
         return None
     with np.errstate(over="ignore", invalid="ignore"):
-        corrections = (mix @ values.reshape(n, -1)).reshape(values.shape)
+        flat = None if out is None else out.reshape(n, -1)
+        corrections = np.matmul(mix, values.reshape(n, -1), out=flat).reshape(values.shape)
         if cm.k_nudge != 0.0:
             gain = cm.k_nudge * (n - 1) / n if cm.exclude_self_in_nudge else cm.k_nudge
             corrections += gain * np.asarray(gt_now)

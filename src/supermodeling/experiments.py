@@ -117,6 +117,13 @@ class ExperimentConfig:
             raise ValueError("need at least one training epoch")
         if not self.tol > 0:
             raise ValueError("tolerance must be positive")
+        if not self.k_nudge >= 0:
+            raise ValueError("k_nudge must be nonnegative")
+        if not self.bump_width > 0:
+            raise ValueError("bump_width must be positive")
+        if self.core_oxygen > 0 and not self.oxygen_ramp_radius > 0:
+            raise ValueError("oxygen_ramp_radius must be positive when core_oxygen "
+                             "enables the hypoxic core")
 
     @property
     def grid(self) -> GridSpec:
@@ -446,9 +453,9 @@ def run_experiment(config: ExperimentConfig) -> Path:
 
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    # contraction.csv's Lipschitz bound, estimated while the heap is small:
-    # after training this thread cannot reuse what the member pool's threads
-    # freed, and the estimate's arrays would raise the peak resident memory
+    # contraction.csv's Lipschitz bound, estimated before the reference and
+    # training take memory: estimated after training instead, it raised the
+    # peak resident memory of a 64^3 run (N=3) from 169 to 182 MB
     lipschitz_max = max(
         estimate_lipschitz(system, p, samples=4, seed=config.seed + 1000 + k)
         for k, p in enumerate(params_list)

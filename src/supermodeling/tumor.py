@@ -23,7 +23,8 @@ never returns one.  A TumorSystem keeps a free-list of such sets: a tendency
 takes one (allocating it when the list is empty) and puts it back when it
 returns.  So a system serves concurrent tendencies from several threads, and
 it holds as many sets as tendencies have ever run at once on it: one when
-stepped from one thread, two when the engine steps members on two cores.
+stepped from one thread.  The engine's worker processes each hold their own
+copy of the system, so each process keeps one set.
 """
 
 from __future__ import annotations

@@ -56,7 +56,8 @@ class TestBadConfig:
     @pytest.mark.parametrize("bad", [
         {"c_min": 0.9, "c_max": 0.1}, {"a_rate": 1.5}, {"tol": 0.0},
         {"n_submodels": 0}, {"epochs": 0}, {"dt": 0.0}, {"dt": -0.1},
-        {"steps": 0}, {"keep_every": 0},
+        {"steps": 0}, {"keep_every": 0}, {"k_nudge": -1.0}, {"bump_width": 0.0},
+        {"oxygen_ramp_radius": 0.0},
     ])
     def test_rejected_before_any_work(self, tmp_path, bad):
         with pytest.raises(ValueError):

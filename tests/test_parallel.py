@@ -1,9 +1,14 @@
-"""Members stepped on the engine's thread pool against the same steps inline.
+"""Members stepped by the engine's worker processes against the same steps inline.
 
-The pool only takes grids of at least ``engine.PARALLEL_MIN_CELLS`` cells per
-field; these tests lower that floor so that 8^3 ensembles go through it.
+Workers only step grids of at least ``engine.PARALLEL_MIN_CELLS`` cells per
+field; these tests lower that floor, and claim two usable CPUs, before they
+build an ensemble, so that 8^3 ensembles go to a worker.  "Threaded" in a
+test name means stepped off the calling thread, which is now done in a
+forked worker process.
 """
 
+import contextlib
+import gc
 import os
 import signal
 import sys
@@ -24,14 +29,13 @@ from supermodeling.experiments import (
 from supermodeling.fields import BlowUpError, GridSpec
 from supermodeling.tumor import FIELD_NAMES, TumorParams, TumorSystem
 
-POOL_THREAD = "supermodeling-member"
+pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="workers need os.fork")
 
 
-def force_pool(patch):
-    """Send every member's work to the pool, even with one usable CPU."""
+def force_workers(patch):
+    """Let worker processes step every ensemble built afterwards."""
     patch.setattr(engine, "PARALLEL_MIN_CELLS", 0)
-    patch.setattr(engine, "_WORKERS", max(engine._WORKERS, 2))
-    patch.setattr(engine, "_pooled_next", lambda timing: True)
+    patch.setattr(engine, "_CPUS", max(engine._CPUS, 2))
 
 
 def make_ensemble(n_submodels, k_nudge=0.9, exclude_self=False):
@@ -43,17 +47,17 @@ def make_ensemble(n_submodels, k_nudge=0.9, exclude_self=False):
     return ens, initial_coupling(config), initial[0] * 1.01
 
 
-def record_threads(system):
-    """Names of the threads that run the system's tendencies, as they run."""
-    names = []
+def count_tendencies(system):
+    """A list that gets one entry per tendency this process runs on the system."""
+    calls = []
     tendency = system.tendency
 
     def spy(state, params):
-        names.append(threading.current_thread().name)
+        calls.append(None)
         return tendency(state, params)
 
     system.tendency = spy
-    return names
+    return calls
 
 
 def run_steps(ens, cm, gt_now, steps=4):
@@ -67,59 +71,77 @@ def run_steps(ens, cm, gt_now, steps=4):
     return trace
 
 
+def assert_same_trace(trace, expected):
+    assert len(trace) == len(expected)
+    for (states, c), (states_expected, c_expected) in zip(trace, expected):
+        assert np.array_equal(states, states_expected)
+        assert np.array_equal(c, c_expected)
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the block once ``seconds`` have passed."""
+    def expire(_signum, _frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def alive(pid):
+    """Whether the child ``pid`` has not been reaped yet and has not exited."""
+    try:
+        return os.waitpid(pid, os.WNOHANG) == (0, 0)
+    except ChildProcessError:
+        return False
+
+
+def exited(pid):
+    """Whether a process that is not this one's child has exited."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rpartition(")")[2].split()[0] in ("Z", "X")
+    except FileNotFoundError:
+        return True
+
+
 @pytest.mark.parametrize("n_submodels", [3, 4])
 @pytest.mark.parametrize("k_nudge, exclude_self", [(0.9, False), (0.9, True), (0.0, False)],
                          ids=["nudged", "nudged-exclude-self", "free"])
 def test_threaded_steps_equal_inline(monkeypatch, n_submodels, k_nudge, exclude_self):
     ens, cm, gt_now = make_ensemble(n_submodels, k_nudge, exclude_self)
     inline = run_steps(ens, cm, gt_now)
-    threads = record_threads(ens.system)
-    with monkeypatch.context() as patch:
-        force_pool(patch)
-        threaded = run_steps(ens, cm, gt_now)
-    assert threads and all(name.startswith(POOL_THREAD) for name in threads)
-    for (states, c), (states_inline, c_inline) in zip(threaded, inline):
-        assert np.array_equal(states, states_inline)
-        assert np.array_equal(c, c_inline)
+    force_workers(monkeypatch)
+    ens, cm, gt_now = make_ensemble(n_submodels, k_nudge, exclude_self)
+    here = count_tendencies(ens.system)
+    stepped = run_steps(ens, cm, gt_now)
+    workers = ens._workers
+    assert workers.pids and all(alive(pid) for pid in workers.pids)
+    # the calling process ran only its own share of the members
+    assert len(here) == len(stepped) * len(range(0, n_submodels, workers.size))
+    assert_same_trace(stepped, inline)
 
 
 def test_one_dispatch_per_coupled_step_and_none_per_update(monkeypatch):
+    force_workers(monkeypatch)
     ens, cm, gt_now = make_ensemble(3)
     dispatched = []
-    for_each_member = engine._for_each_member
+    step = engine._MemberWorkers.step
 
-    def spy(task, values):
-        dispatched.append(task)
-        for_each_member(task, values)
+    def spy(workers, *args):
+        dispatched.append(args)
+        return step(workers, *args)
 
-    monkeypatch.setattr(engine, "_for_each_member", spy)
+    monkeypatch.setattr(engine._MemberWorkers, "step", spy)
     coupled_step(ens, cm, gt_now, 0.1)
     assert len(dispatched) == 1
     update_coupling(cm, ens, gt_now)
     assert len(dispatched) == 1
-
-
-def test_timed_choice_explores_then_keeps_the_faster_way():
-    assert [engine._pooled_next([k, 0.0, 0.0]) for k in range(4)] == [False, True] * 2
-    later = range(4, 4 + 3 * engine._RETIME_EVERY)
-    retimed = [k % engine._RETIME_EVERY == 0 for k in later]
-    assert [engine._pooled_next([k, 1.0, 2.0]) for k in later] == retimed
-    assert [engine._pooled_next([k, 2.0, 1.0]) for k in later] == [not r for r in retimed]
-
-
-def test_switching_ways_mid_run_keeps_the_bits(monkeypatch):
-    # both ways run within one trajectory once the floor admits the pool
-    ens, cm, gt_now = make_ensemble(3)
-    inline = run_steps(ens, cm, gt_now, steps=2 * engine._RETIME_EVERY)
-    threads = record_threads(ens.system)
-    monkeypatch.setattr(engine, "PARALLEL_MIN_CELLS", 0)
-    monkeypatch.setattr(engine, "_WORKERS", max(engine._WORKERS, 2))
-    monkeypatch.setattr(engine, "_timings", {})
-    mixed = run_steps(ens, cm, gt_now, steps=2 * engine._RETIME_EVERY)
-    assert {name.startswith(POOL_THREAD) for name in threads} == {True, False}
-    for (states, c), (states_inline, c_inline) in zip(mixed, inline):
-        assert np.array_equal(states, states_inline)
-        assert np.array_equal(c, c_inline)
 
 
 def test_concurrent_tendencies_equal_sequential():
@@ -166,6 +188,7 @@ def blowup_message(ens, cm, gt_now, broken):
     return str(err.value)
 
 
+# member 1 is a worker's, so the first case fails in two processes
 @pytest.mark.parametrize("broken", [{1: "M", 2: "A"}, {0: "A", 2: "M"}])
 def test_threaded_blowup_raises_inline_message(monkeypatch, broken):
     ens, cm, gt_now = make_ensemble(3)
@@ -174,34 +197,94 @@ def test_threaded_blowup_raises_inline_message(monkeypatch, broken):
     # the two members fail on different variables, so the message names the member
     assert inline == blowup_message(ens, cm, gt_now, {first: first_field})
     assert inline != blowup_message(ens, cm, gt_now, {last: last_field})
-    with monkeypatch.context() as patch:
-        force_pool(patch)
-        threaded = blowup_message(ens, cm, gt_now, broken)
-        # every task has finished: nothing writes to the ensemble afterwards
-        after = ens.states.copy()
-        time.sleep(0.05)
-        assert np.array_equal(ens.states, after, equal_nan=True)
-    assert threaded == inline
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_forked_child_steps_without_the_parents_threads(monkeypatch):
+    force_workers(monkeypatch)
     ens, cm, gt_now = make_ensemble(3)
-    force_pool(monkeypatch)
-    coupled_step(ens, cm, gt_now, 0.1)  # the pool and its threads now exist
+    assert blowup_message(ens, cm, gt_now, broken) == inline
+    # every member has finished: nothing writes to the ensemble afterwards
+    after = ens.states.copy()
+    time.sleep(0.05)
+    assert np.array_equal(ens.states, after, equal_nan=True)
+    # and the worker is still in step with the caller
+    expected = run_steps(make_ensemble(3)[0], cm, gt_now)
+    assert_same_trace(run_steps(ens, cm, gt_now), expected)
+
+
+def test_killed_worker_makes_the_next_step_raise(monkeypatch):
+    force_workers(monkeypatch)
+    ens, cm, gt_now = make_ensemble(3)
+    coupled_step(ens, cm, gt_now, 0.1)
+    pid = ens._workers.pids[0]
+    os.kill(pid, signal.SIGKILL)
+    with deadline(10), pytest.raises(RuntimeError, match=f"worker process {pid} exited"):
+        coupled_step(ens, cm, gt_now, 0.1)
+    assert not alive(pid)
+    # the next step forks a new worker
+    expected = run_steps(make_ensemble(3)[0], cm, gt_now)
+    with deadline(30):
+        assert_same_trace(run_steps(ens, cm, gt_now), expected)
+    assert pid not in ens._workers.pids
+
+
+def test_forked_child_steps_inline_and_leaves_the_parents_worker_working(monkeypatch):
+    inline = run_steps(*make_ensemble(3))
+    force_workers(monkeypatch)
+    ens, cm, gt_now = make_ensemble(3)
+    coupled_step(ens, cm, gt_now, 0.1)  # the worker now exists
     pid = os.fork()
     if pid == 0:
         code = 1
         try:
-            coupled_step(ens, cm, gt_now, 0.1)
-            code = 0
+            calls = count_tendencies(ens.system)
+            coupled_step(ens, cm, gt_now, 0.1)  # in the memory the parent shares
+            code = 0 if len(calls) == ens.n else 2
         finally:
             os._exit(code)
-    deadline = time.monotonic() + 30
-    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
-        time.sleep(0.02)
-    if done[0] == 0:
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-        pytest.fail("the forked child never finished its coupled step")
-    assert os.waitstatus_to_exitcode(done[1]) == 0
+    with deadline(30):
+        _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert all(alive(worker) for worker in ens._workers.pids)
+    with deadline(30):
+        assert_same_trace(run_steps(ens, cm, gt_now), inline)
+
+
+def test_collecting_one_ensemble_reaps_only_its_worker(monkeypatch):
+    inline = run_steps(*make_ensemble(3))
+    force_workers(monkeypatch)
+    first, cm, gt_now = make_ensemble(3)
+    second = make_ensemble(3)[0]
+    coupled_step(first, cm, gt_now, 0.1)
+    coupled_step(second, cm, gt_now, 0.1)
+    first_pids, second_pids = list(first._workers.pids), list(second._workers.pids)
+    del first
+    gc.collect()
+    assert not any(alive(pid) for pid in first_pids)
+    assert all(alive(pid) for pid in second_pids)
+    with deadline(30):
+        assert_same_trace(run_steps(second, cm, gt_now), inline)
+    assert second._workers.pids == second_pids
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads /proc")
+def test_worker_exits_when_its_caller_dies(monkeypatch):
+    force_workers(monkeypatch)
+    read_end, write_end = os.pipe()
+    caller = os.fork()
+    if caller == 0:
+        try:
+            ens, cm, gt_now = make_ensemble(3)
+            coupled_step(ens, cm, gt_now, 0.1)
+            os.write(write_end, str(ens._workers.pids[0]).encode())
+            time.sleep(60)
+        finally:
+            os._exit(1)
+    os.close(write_end)
+    try:
+        with deadline(30):
+            worker = int(os.read(read_end, 32))
+    finally:
+        os.close(read_end)
+        os.kill(caller, signal.SIGKILL)
+        os.waitpid(caller, 0)
+    with deadline(10):
+        while not exited(worker):
+            time.sleep(0.01)
