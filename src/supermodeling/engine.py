@@ -40,13 +40,17 @@ in one of min(N, usable CPUs) processes: the caller and workers forked from
 it on the first coupled step, which live as long as the ensemble.  Member i
 runs in process i mod that count.  The states sit in shared memory and the
 caller writes the corrections to a shared buffer, so a coupled step hands
-off once per worker: a command down a pipe and a reply back.  Each member is
-computed by the same operations in the same order either way, so results
-are bit-identical to a sequential run.  The caller steps every member itself
-when only one CPU is usable, when a member's field has fewer than
-``PARALLEL_MIN_CELLS`` cells (where the handoff costs more than the second
-core saves), and in any process that did not fork the workers.  Workers
-step with the system and parameter sets as they were when they were forked.
+off once per worker: a command down a pipe and a reply back.  A process
+waiting on its pipe polls it for up to ``_POLL_S`` before it blocks, so
+within an epoch a worker takes its next command without waiting to be woken,
+while an idle one sleeps.  Each member is computed by the same operations in
+the same order either way, so results are bit-identical to a sequential run.
+The caller steps every member itself when only one CPU is usable and when a
+member's field has fewer than ``PARALLEL_MIN_CELLS`` cells (where the
+handoff costs more than the second core saves).  A process forked from the
+caller, other than a worker, gets a private copy of the states at the fork
+and steps every member itself.  Workers step with the system and parameter
+sets as they were when they were forked.
 """
 
 from __future__ import annotations
@@ -58,7 +62,9 @@ import math
 import mmap
 import os
 import pickle
+import select
 import struct
+import time
 import weakref
 from dataclasses import dataclass, field
 
@@ -124,9 +130,10 @@ class SubModelEnsemble:
     fields for the tumor model).  Coupled steps and ``reset`` rewrite it in
     place.  When worker processes may step the members (several members
     and CPUs, and at least ``PARALLEL_MIN_CELLS`` cells per field), it is a
-    copy in an anonymous shared mapping, which processes forked later share
-    too.  ``initial_state`` is kept as given, not copied, so the caller
-    must leave it unchanged while the ensemble is in use.
+    copy in an anonymous shared mapping, which only the engine's workers
+    share: any other process forked later gets a private copy at the fork.
+    ``initial_state`` is kept as given, not copied, so the caller must leave
+    it unchanged while the ensemble is in use.
     """
 
     system: DynamicalSystem
@@ -136,6 +143,7 @@ class SubModelEnsemble:
     initial_state: np.ndarray | None = None
     _workers: _MemberWorkers | None = field(default=None, init=False, repr=False,
                                             compare=False)
+    _work: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         states = np.asarray(self.states, dtype=np.float64)
@@ -152,6 +160,7 @@ class SubModelEnsemble:
                 and np.size(states[0, coupled]) >= PARALLEL_MIN_CELLS):
             self.states = _shared_zeros(states.shape)
             self.states[...] = states
+            _shared_ensembles[id(self)] = self
         else:
             self.states = np.require(states, requirements="CW")
 
@@ -178,6 +187,14 @@ class SubModelEnsemble:
     def coupled_values(self) -> np.ndarray:
         """View of every member's coupled variable, shape (N, ...)."""
         return self.states[:, self.system.variables.index(self.coupled_variable)]
+
+    def _buffer(self, name: str, shape: tuple) -> np.ndarray:
+        """A float64 work array kept for the next call with the same name and
+        shape, holding whatever that call left in it."""
+        buffer = self._work.get(name)
+        if buffer is None or buffer.shape != shape:
+            buffer = self._work[name] = np.empty(shape)
+        return buffer
 
 
 class TrainingAborted(RuntimeError):
@@ -221,22 +238,62 @@ class TrainingReport:
 
 
 # Worker processes step an ensemble only when a member's field has at least
-# this many cells.  A coupled step plus the coefficient update, workers
-# against inline, in alternating rounds of six to eight steps on a 2-vCPU
-# host, median speedup over the rounds for N=3 / N=8 (ranges over two or
-# three sets): 1.23-1.32 / 1.00-1.69 at 16^3, 1.26-1.35 / 1.53-1.68 at 20^3,
-# 1.28-1.29 / 1.30-1.64 at 24^3, 1.23-1.40 / 1.28-1.62 at 28^3 and 1.09 /
-# 1.32 at 32^3.  But each handoff waits for the other CPU to wake, and in
-# the host's slow spells that wait dominates small grids: with the floor at
-# 16^3, paired 40 s grid16-default runs (N=3) had shorter epochs in 7 of 10
-# pairs, yet 36-50% longer ones in 2, i.e. 1.0-1.5 ms more per coupled step
-# than inline.  One member step saves that much only from about 28^3 on.
-PARALLEL_MIN_CELLS = 28 ** 3
+# this many cells.  One training step (coupled step, coefficient update,
+# average of b and o, error), workers against inline, in 16 alternating
+# rounds of 40 steps per grid, on a 2-vCPU host with one BLAS thread: the
+# median speedup over the rounds in each of two sets, and in brackets the
+# lower quartiles,
+#
+#     grid    N=3                      N=8
+#     8^3     1.13 1.05 (1.04 0.81)    1.44 1.45 (1.32 1.06)
+#     12^3    1.16 1.14 (1.13 1.00)    1.41 1.45 (1.27 1.31)
+#     16^3    1.26 1.24 (1.25 1.17)    1.44 1.42 (1.30 1.33)
+#     20^3    1.31 1.31 (1.28 1.16)    1.55 1.51 (1.31 1.35)
+#     24^3    1.31 1.28 (1.23 1.12)    1.50 1.52 (1.43 1.32)
+#     28^3    1.36 1.31 (1.28 1.17)    1.34 1.29 (1.25 1.11)
+#
+# 16^3 is the smallest grid whose lower quartiles all exceed 1.  Below it a
+# step saves only 0.1-0.3 ms, and the rounds the workers lost there took up
+# to 1.9 times as long as inline.
+PARALLEL_MIN_CELLS = 16 ** 3
 
 _CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
          else os.cpu_count() or 1)
 _COMMAND = struct.Struct("=d?")  # dt, and whether a correction is added
 _REPLY = struct.Struct("=I")  # length of the pickled failure that follows, 0 if none
+
+# How long a process waiting on a worker pipe polls it before it blocks (see
+# ``_read``).  Within an epoch a worker waits for its next command while the
+# caller steps its last member and runs its serial phase (corrections,
+# coefficient update, average, error): 0.7 + 0.2-0.4 ms at 16^3 (N=3) on a
+# 2-vCPU host, so 2 ms covers it.  There, a pipe round trip with the caller
+# busy 0.2 ms between handoffs took p50 37-40 us, p90 135-175 us and p99
+# 2.2-3.0 ms to a blocking worker, and 17 us, 22-33 us and 0.3-2.3 ms to a
+# polling one.
+_POLL_S = 0.002
+
+# Ensembles whose states sit in a shared mapping, by id.  A process forked
+# from the one that made them gets private copies at once, except for the
+# engine's own workers, which are forked while ``_forking_workers`` is set.
+_shared_ensembles = weakref.WeakValueDictionary()
+_forking_workers = False
+
+
+def _detach_after_fork() -> None:
+    """In a forked child: give every shared ensemble a private copy of its
+    states and close its copies of the worker pipes, so that the child steps
+    inline and never writes the members of the process it was forked from."""
+    if _forking_workers:
+        return
+    for ens in list(_shared_ensembles.values()):
+        ens.states = np.array(ens.states)
+        if ens._workers is not None:
+            ens._workers.close()
+    _shared_ensembles.clear()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_detach_after_fork)
 
 
 def _shared_zeros(shape) -> np.ndarray:
@@ -281,11 +338,16 @@ class _MemberWorkers:
         self.pids, self.commands, self.replies = [], [], []
         self._finalizer = weakref.finalize(
             ens, _stop_workers, self.owner, self.pids, self.commands, self.replies)
+        global _forking_workers
         try:
             for k in range(1, self.size):
                 command_in, command_out = os.pipe()
                 reply_in, reply_out = os.pipe()
-                pid = os.fork()
+                _forking_workers = True
+                try:
+                    pid = os.fork()
+                finally:
+                    _forking_workers = False
                 if pid == 0:
                     code = 1
                     try:
@@ -295,6 +357,7 @@ class _MemberWorkers:
                         os._exit(code)
                 os.close(command_in)
                 os.close(reply_out)
+                os.set_blocking(reply_in, False)
                 self.pids.append(pid)
                 self.commands.append(command_out)
                 self.replies.append(reply_in)
@@ -341,10 +404,22 @@ class _MemberWorkers:
 
 
 def _read(fd: int, size: int) -> bytes:
-    """Up to ``size`` bytes from ``fd``; fewer only at end-of-file."""
+    """Up to ``size`` bytes from the non-blocking pipe ``fd``; fewer only at
+    end-of-file.  Waits by polling for up to ``_POLL_S``, so a reply or
+    command that comes soon is taken without a wake-up, then blocks until
+    the pipe is readable."""
     data = b""
+    deadline = time.monotonic() + _POLL_S
     while len(data) < size:
-        chunk = os.read(fd, size - len(data))
+        try:
+            chunk = os.read(fd, size - len(data))
+        except BlockingIOError:
+            os.sched_yield()  # a thread waiting for this CPU runs first
+            if time.monotonic() >= deadline:
+                poller = select.poll()  # select.select fails on descriptors >= 1024
+                poller.register(fd, select.POLLIN)
+                poller.poll()
+            continue
         if not chunk:
             break
         data += chunk
@@ -367,6 +442,7 @@ def _serve(ens, members, corrections, commands: int, replies: int) -> int:
         os.closerange(low, fd)
         low = fd + 1
     os.closerange(low, os.sysconf("SC_OPEN_MAX"))
+    os.set_blocking(commands, False)
     while True:
         command = _read(commands, _COMMAND.size)
         if len(command) < _COMMAND.size:
@@ -391,14 +467,11 @@ def _stop_workers(owner: int, pids: list, commands: list, replies: list) -> None
 
 def _member_workers(ens: SubModelEnsemble):
     """The ensemble's worker processes, forked on first use, or None when
-    the caller steps every member itself: the states are not in shared
-    memory, or this process did not fork the workers (a forked child)."""
-    workers = ens._workers
-    if workers is not None and workers.owner != os.getpid():
-        workers.close()
-        return None
+    the caller steps every member itself because the states are not in
+    shared memory (as in a forked child, see ``_detach_after_fork``)."""
     if not isinstance(ens.states.base, mmap.mmap):
         return None
+    workers = ens._workers
     if workers is None or workers.closed:  # not forked yet, or a worker died
         workers = ens._workers = _MemberWorkers(ens)
     return workers
@@ -455,19 +528,26 @@ def _corrections(values: np.ndarray, cm: CouplingMatrix, gt_now, out=None):
     return corrections
 
 
-def mismatch_inner(values, gt_now, cell_volume: float = 1.0) -> np.ndarray:
+def mismatch_inner(values, gt_now, cell_volume: float = 1.0, work=None) -> np.ndarray:
     """The N-by-N matrix of <GT - B_i, B_i - B_j> * cell_volume over the
     members' values B (zero on the diagonal).
 
     Every entry comes from one product P = (GT - B) @ (B - mean)^T as
     P_ii - P_ij.  Centering on the member mean keeps the difference accurate
     when members nearly agree; uncentered, each P_ij would be of the size of
-    |GT - B_i| |B_j| and the difference would cancel to noise.
+    |GT - B_i| |B_j| and the difference would cancel to noise.  GT - B,
+    B - mean and the mean are computed in ``work``, a float64 array of shape
+    (2N + 1, cells), when one is given; it is overwritten.
     """
     flat = np.asarray(values, dtype=np.float64).reshape(len(values), -1)
+    n = len(flat)
+    if work is None:
+        work = np.empty((2 * n + 1, flat.shape[1]))
+    mismatch, deviation, mean = work[:n], work[n:2 * n], work[2 * n]
     with np.errstate(over="ignore", invalid="ignore"):
-        mismatch = np.asarray(gt_now).reshape(-1) - flat
-        products = mismatch @ (flat - flat.mean(axis=0)).T
+        np.subtract(np.asarray(gt_now).reshape(-1), flat, out=mismatch)
+        np.subtract(flat, flat.mean(axis=0, out=mean), out=deviation)
+        products = mismatch @ deviation.T
         return (np.diagonal(products)[:, None] - products) * cell_volume
 
 
@@ -480,7 +560,9 @@ def update_coupling(
     being the domain integral of the product of the two mismatch fields
     (see ``mismatch_inner``).
     """
-    inner = mismatch_inner(ens.coupled_values(), gt_now, ens.system.cell_volume)
+    values = ens.coupled_values()
+    work = ens._buffer("mismatch", (2 * ens.n + 1, values[0].size))
+    inner = mismatch_inner(values, gt_now, ens.system.cell_volume, work)
     with np.errstate(over="ignore", invalid="ignore"):
         new_c = cm.a_rate * cm.c + cm.a_rate * inner
     if not np.isfinite(new_c).all():
@@ -500,6 +582,7 @@ def supermodel_output(ens: SubModelEnsemble, variables=None) -> np.ndarray:
     names = ens.system.variables if variables is None else variables
     states = ens.states
     out = np.empty((len(names),) + states.shape[2:])
+    deviation = ens._buffer("deviation", states.shape[2:])
     for slot, name in enumerate(names):
         members = states[:, ens.system.variables.index(name), ...]
         acc = out[slot, ...]
@@ -509,7 +592,7 @@ def supermodel_output(ens: SubModelEnsemble, variables=None) -> np.ndarray:
             continue
         np.subtract(members[1, ...], base, out=acc)
         for m in members[2:]:
-            acc += m - base
+            acc += np.subtract(m, base, out=deviation)
         acc *= 1.0 / len(members)
         acc += base
     return out
@@ -556,43 +639,48 @@ def train(
         averaged += tuple(v for v in ens.system.volume_variables if v not in averaged)
     prev_c = cm.c.copy()
 
-    for epoch in range(max_epochs):
-        ens.reset()
-        errors: list[float] = []
-        trajectory = [ens.coupled_values().copy()] if record_trajectories else None
-        gt_now = gt_at(gt, 0)
-        for step in range(steps_per_epoch):
-            gt_next = gt_at(gt, step + 1)
-            try:
-                coupled_step(ens, cm, gt_now, dt)
-                cm = update_coupling(cm, ens, gt_next)
-                output = supermodel_output(ens, averaged)
-                error = l2_norm(gt_next - output[0], ens.system.cell_volume)
-                volumes = tuple(ens.system.volumes(output, averaged)) if has_volumes else None
-            except BlowUpError as exc:
-                report.iterations_used = epoch
-                raise TrainingAborted(epoch, step, report, str(exc)) from exc
-            gt_now = gt_next
+    try:
+        for epoch in range(max_epochs):
+            ens.reset()
+            errors: list[float] = []
+            trajectory = [ens.coupled_values().copy()] if record_trajectories else None
+            gt_now = gt_at(gt, 0)
+            for step in range(steps_per_epoch):
+                gt_next = gt_at(gt, step + 1)
+                try:
+                    coupled_step(ens, cm, gt_now, dt)
+                    cm = update_coupling(cm, ens, gt_next)
+                    output = supermodel_output(ens, averaged)
+                    error = l2_norm(gt_next - output[0], ens.system.cell_volume)
+                    volumes = tuple(ens.system.volumes(output, averaged)) if has_volumes else None
+                except BlowUpError as exc:
+                    report.iterations_used = epoch
+                    raise TrainingAborted(epoch, step, report, str(exc)) from exc
+                gt_now = gt_next
+                if record_trajectories:
+                    trajectory.append(ens.coupled_values().copy())
+                errors.append(error)
+                report.step_records.append(StepRecord(
+                    epoch=epoch,
+                    step=step + 1,
+                    c_flat=cm.c.copy().reshape(-1),
+                    error=error,
+                    volumes=volumes,
+                ))
+            report.error_history.append(errors)
+            report.c_history.append(cm.c.copy())
             if record_trajectories:
-                trajectory.append(ens.coupled_values().copy())
-            errors.append(error)
-            report.step_records.append(StepRecord(
-                epoch=epoch,
-                step=step + 1,
-                c_flat=cm.c.copy().reshape(-1),
-                error=error,
-                volumes=volumes,
-            ))
-        report.error_history.append(errors)
-        report.c_history.append(cm.c.copy())
-        if record_trajectories:
-            report.trajectory_history.append(trajectory)
-        report.iterations_used = epoch + 1
-        delta = float(np.max(np.abs(cm.c - prev_c)))
-        if epoch + 1 >= min_epochs and delta < tol:
-            report.converged = True
-            break
-        prev_c = cm.c.copy()
+                report.trajectory_history.append(trajectory)
+            report.iterations_used = epoch + 1
+            delta = float(np.max(np.abs(cm.c - prev_c)))
+            if epoch + 1 >= min_epochs and delta < tol:
+                report.converged = True
+                break
+            prev_c = cm.c.copy()
+    finally:
+        # the update's work array is 2N + 1 fields: kept into the prediction,
+        # it raised a 64^3 run's (N=3) peak resident memory from 173 to 184 MB
+        ens._work.pop("mismatch", None)
     return cm, report
 
 

@@ -1,8 +1,13 @@
 import csv
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import supermodeling
 from supermodeling import experiments
 from supermodeling.cli import main
 
@@ -189,3 +194,13 @@ CURVES_GT_SM = [
     [22.59010744795266, 8.638328975434272, 13.95177847251839,
      22.62502703736905, 8.64726624604149, 13.977760791327562],
 ]
+
+
+def test_import_loads_no_process_pool_module():
+    # importing multiprocessing alone adds 20-30 ms to every run's set-up
+    src = Path(supermodeling.__file__).resolve().parent.parent
+    code = ("import sys, supermodeling; "
+            "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(src)}, timeout=60, check=True)
+    assert result.stdout.strip() == "[]"

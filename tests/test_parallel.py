@@ -1,8 +1,8 @@
 """Members stepped by the engine's worker processes against the same steps inline.
 
 Workers only step grids of at least ``engine.PARALLEL_MIN_CELLS`` cells per
-field; these tests lower that floor, and claim two usable CPUs, before they
-build an ensemble, so that 8^3 ensembles go to a worker.  "Threaded" in a
+field; most of these tests lower that floor, and claim two usable CPUs,
+before they build an ensemble, so that 8^3 ensembles go to a worker.  "Threaded" in a
 test name means stepped off the calling thread, which is now done in a
 forked worker process.
 """
@@ -225,23 +225,73 @@ def test_killed_worker_makes_the_next_step_raise(monkeypatch):
     assert pid not in ens._workers.pids
 
 
+def cpu_seconds(pid):
+    """User plus system CPU seconds of a process, as /proc counts them (in
+    clock ticks)."""
+    with open(f"/proc/{pid}/stat") as fh:
+        fields = fh.read().rpartition(")")[2].split()
+    return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads /proc")
+def test_idle_worker_stops_polling(monkeypatch):
+    force_workers(monkeypatch)
+    ens, cm, gt_now = make_ensemble(3)
+    coupled_step(ens, cm, gt_now, 0.1)
+    pid = ens._workers.pids[0]
+    wait = max(20 * engine._POLL_S, 0.5)
+    used = cpu_seconds(pid)
+    time.sleep(wait)
+    used = cpu_seconds(pid) - used
+    # one budget of polling after the reply, plus the clock tick that
+    # /proc counts in; a worker that kept polling would use about ``wait``
+    assert used < 5 * engine._POLL_S + 2 / os.sysconf("SC_CLK_TCK")
+    assert alive(pid)
+
+
+@pytest.mark.skipif(engine._CPUS < 2, reason="needs two usable CPUs")
+def test_default_grid_steps_on_a_worker_and_8_cubed_inline(monkeypatch):
+    config = ExperimentConfig()
+    assert (config.nx, config.ny, config.nz, config.n_submodels) == (16, 16, 16, 3)
+    _spec, reference, system, initial = build_setup(config)
+    params = instantiate_submodels(reference, config)
+    cm, gt_now = initial_coupling(config), initial[0] * 1.01
+    ens = SubModelEnsemble.identical_start(system, params, initial)
+    assert ens._workers is None
+    coupled_step(ens, cm, gt_now, config.dt)
+    assert len(ens._workers.pids) == min(config.n_submodels, engine._CPUS) - 1
+    stepped = run_steps(ens, cm, gt_now)
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "_CPUS", 1)
+        inline = SubModelEnsemble.identical_start(system, params, initial)
+    expected = run_steps(inline, cm, gt_now)
+    assert inline._workers is None
+    assert_same_trace(stepped, expected)
+    small, cm, gt_now = make_ensemble(3)
+    coupled_step(small, cm, gt_now, 0.1)
+    assert small.states[0, 0].size == 8 ** 3 and small._workers is None
+
+
 def test_forked_child_steps_inline_and_leaves_the_parents_worker_working(monkeypatch):
     inline = run_steps(*make_ensemble(3))
     force_workers(monkeypatch)
     ens, cm, gt_now = make_ensemble(3)
     coupled_step(ens, cm, gt_now, 0.1)  # the worker now exists
+    before = ens.states.copy()
     pid = os.fork()
     if pid == 0:
         code = 1
         try:
             calls = count_tendencies(ens.system)
-            coupled_step(ens, cm, gt_now, 0.1)  # in the memory the parent shares
+            ens.reset()
+            coupled_step(ens, cm, gt_now, 0.1)  # in the child's own copy of the states
             code = 0 if len(calls) == ens.n else 2
         finally:
             os._exit(code)
     with deadline(30):
         _, status = os.waitpid(pid, 0)
     assert os.waitstatus_to_exitcode(status) == 0
+    assert np.array_equal(ens.states, before)
     assert all(alive(worker) for worker in ens._workers.pids)
     with deadline(30):
         assert_same_trace(run_steps(ens, cm, gt_now), inline)
