@@ -67,12 +67,14 @@ class DynamicalSystem:
         return l2_norm(state, self.cell_volume)
 
 
-def explicit_step(system: DynamicalSystem, state, params, dt: float, out=None):
+def explicit_step(system: DynamicalSystem, state, params, dt: float, out=None, tendency=None):
     """Forward Euler: state + dt * tendency, into a new array or number, or
-    into ``out`` (which may be ``state`` itself: it then advances in place)."""
+    into ``out`` (which may be ``state`` itself: it then advances in place).
+    ``tendency``, when given, is the system's tendency at ``state`` computed
+    beforehand; it is used in place of computing it again, and overwritten."""
     if not dt > 0:
         raise ValueError("dt must be positive")
-    tend = system.tendency(state, params)
+    tend = system.tendency(state, params) if tendency is None else tendency
     with np.errstate(over="ignore", invalid="ignore"):
         tend *= dt
         new = np.add(state, tend, out=out)

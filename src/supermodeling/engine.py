@@ -36,15 +36,29 @@ the largest coefficient change between consecutive epochs drops below the
 tolerance.
 
 Each member's free step, followed by adding its row of the correction, runs
-in one of min(N, usable CPUs) processes: the caller and workers forked from
-it on the first coupled step, which live as long as the ensemble.  Member i
-runs in process i mod that count.  The states sit in shared memory and the
-caller writes the corrections to a shared buffer, so a coupled step hands
-off once per worker: a command down a pipe and a reply back.  A process
-waiting on its pipe polls it for up to ``_POLL_S`` before it blocks, so
-within an epoch a worker takes its next command without waiting to be woken,
-while an idle one sleeps.  Each member is computed by the same operations in
-the same order either way, so results are bit-identical to a sequential run.
+in one of P = min(N, usable CPUs) processes: the caller and workers forked
+from it on the first coupled step, which live as long as the ensemble.
+Member i runs in process (i + 1) mod P, where process 0 is the caller, so the
+caller, which also has the serial work of every step, steps the smaller
+share: floor(N/P) members.  The states sit in shared memory and the caller
+writes the corrections to a shared buffer, so a coupled step hands off once
+per worker: a command down a pipe and a reply back.  A process waiting on
+its pipe polls it for up to ``_POLL_S`` before it blocks, so within an epoch
+a worker takes its next command without waiting to be woken, while an idle
+one sleeps.
+
+The loops of ``train`` and ``simulate`` promise, on every step but the last
+and when dt > 0, that the next call is a coupled step of the same ensemble
+and that nothing writes the states before it.  Given that promise, a worker
+computes its members' next tendencies right after its reply, while the
+caller runs its serial phase (coefficient update, average, error), and the
+promised step applies them instead of computing them.  A tendency reads only
+its member's state, which nothing writes in between, so it has the same bits
+either way; one that raises is reported by the step it belongs to.  Every
+other step (the first of a loop, a public ``coupled_step`` call, a step after
+a failure) computes its tendencies afresh, so a loop that ends early leaves
+nothing stale behind.  Each member is computed by the same operations in the
+same order either way, so results are bit-identical to a sequential run.
 The caller steps every member itself when only one CPU is usable and when a
 member's field has fewer than ``PARALLEL_MIN_CELLS`` cells (where the
 handoff costs more than the second core saves).  A process forked from the
@@ -259,17 +273,20 @@ PARALLEL_MIN_CELLS = 16 ** 3
 
 _CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
          else os.cpu_count() or 1)
-_COMMAND = struct.Struct("=d?")  # dt, and whether a correction is added
+# dt; whether a correction is added; whether the step applies the tendencies
+# its worker computed ahead; whether the worker computes the next ones ahead
+_COMMAND = struct.Struct("=d???")
 _REPLY = struct.Struct("=I")  # length of the pickled failure that follows, 0 if none
 
 # How long a process waiting on a worker pipe polls it before it blocks (see
-# ``_read``).  Within an epoch a worker waits for its next command while the
-# caller steps its last member and runs its serial phase (corrections,
-# coefficient update, average, error): 0.7 + 0.2-0.4 ms at 16^3 (N=3) on a
-# 2-vCPU host, so 2 ms covers it.  There, a pipe round trip with the caller
-# busy 0.2 ms between handoffs took p50 37-40 us, p90 135-175 us and p99
-# 2.2-3.0 ms to a blocking worker, and 17 us, 22-33 us and 0.3-2.3 ms to a
-# polling one.
+# ``_read``).  Within an epoch a worker spends the caller's serial phase
+# (corrections, coefficient update, average, error) computing its members'
+# next tendencies, and waits for the next command only for what is left of
+# it; on a step that promised nothing it waits for all of it, and for the
+# caller's own member: 0.7 + 0.2-0.4 ms at 16^3 (N=3) on a 2-vCPU host, so
+# 2 ms covers it.  There, a pipe round trip with the caller busy 0.2 ms
+# between handoffs took p50 37-40 us, p90 135-175 us and p99 2.2-3.0 ms to a
+# blocking worker, and 17 us, 22-33 us and 0.3-2.3 ms to a polling one.
 _POLL_S = 0.002
 
 # Ensembles whose states sit in a shared mapping, by id.  A process forked
@@ -303,15 +320,20 @@ def _shared_zeros(shape) -> np.ndarray:
     return np.ndarray(shape, np.float64, buffer=mmap.mmap(-1, max(nbytes, 1)))
 
 
-def _advance_members(ens: SubModelEnsemble, members, dt: float, corrections):
+def _advance_members(ens: SubModelEnsemble, members, dt: float, corrections, ahead=None):
     """Step the listed members in place, each followed by adding its row of
-    ``corrections`` (None: no correction).  Returns (member, exception) for
-    the first member that fails, or None."""
+    ``corrections`` (None: no correction).  ``ahead`` maps members to their
+    tendencies from ``_look_ahead``, which the steps use (and overwrite).
+    Returns (member, exception) for the first member that fails, or None."""
     values = ens.coupled_values()
     for i in members:
         try:
             if dt > 0:
-                explicit_step(ens.system, ens.states[i], ens.params[i], dt, out=ens.states[i])
+                tendency = None if ahead is None else ahead.get(i)
+                if isinstance(tendency, Exception):
+                    raise tendency
+                explicit_step(ens.system, ens.states[i], ens.params[i], dt,
+                              out=ens.states[i], tendency=tendency)
             if corrections is not None:
                 values[i] += corrections[i]
         except Exception as exc:
@@ -319,13 +341,27 @@ def _advance_members(ens: SubModelEnsemble, members, dt: float, corrections):
     return None
 
 
+def _look_ahead(ens: SubModelEnsemble, members) -> dict:
+    """The listed members' tendencies at their current states, by member, up
+    to the first that raises, which maps to its exception instead."""
+    ahead = {}
+    for i in members:
+        try:
+            ahead[i] = ens.system.tendency(ens.states[i], ens.params[i])
+        except Exception as exc:
+            ahead[i] = exc
+            break
+    return ahead
+
+
 class _MemberWorkers:
     """Processes forked from the caller that step an ensemble's members with it.
 
-    Member i is stepped by process i mod ``size``, where process 0 is the
-    caller.  The workers step their members in the ensemble's shared states
-    array and read the corrections from a shared buffer, so a coupled step
-    costs one command byte-string and one reply per worker.  Workers exit on
+    Member i is stepped by process (i + 1) mod ``size``, where process 0 is
+    the caller, so the caller steps no more members than any worker.  The
+    workers step their members in the ensemble's shared states array and
+    read the corrections from a shared buffer, so a coupled step costs one
+    command byte-string and one reply per worker.  Workers exit on
     end-of-file on their command pipe, that is when this object closes or
     the caller dies; closing also kills and reaps them.
     """
@@ -351,7 +387,7 @@ class _MemberWorkers:
                 if pid == 0:
                     code = 1
                     try:
-                        code = _serve(ens, range(k, n, self.size), self.corrections,
+                        code = _serve(ens, range(k - 1, n, self.size), self.corrections,
                                       command_in, reply_out)
                     finally:
                         os._exit(code)
@@ -372,17 +408,20 @@ class _MemberWorkers:
     def close(self) -> None:
         self._finalizer()
 
-    def step(self, ens: SubModelEnsemble, dt: float, corrections):
+    def step(self, ens: SubModelEnsemble, dt: float, corrections, reuse_ahead: bool,
+             look_ahead: bool):
         """Advance every member as ``_advance_members`` does; returns the
-        failure of the lowest member index, or None."""
-        command = _COMMAND.pack(dt, corrections is not None)
+        failure of the lowest member index, or None.  The flags are those of
+        ``coupled_step``."""
+        command = _COMMAND.pack(dt, corrections is not None, reuse_ahead, look_ahead)
         try:
             for k, fd in enumerate(self.commands):
                 try:
                     os.write(fd, command)
                 except BrokenPipeError:
                     raise self._died(k) from None
-            failures = [_advance_members(ens, range(0, ens.n, self.size), dt, corrections)]
+            failures = [_advance_members(ens, range(self.size - 1, ens.n, self.size), dt,
+                                         corrections)]
             failures += [self._reply(k) for k in range(len(self.replies))]
         except BaseException:
             self.close()  # replies may be pending: these workers are out of step
@@ -427,7 +466,9 @@ def _read(fd: int, size: int) -> bytes:
 
 
 def _serve(ens, members, corrections, commands: int, replies: int) -> int:
-    """A worker's loop: one step of ``members`` per command until end-of-file."""
+    """A worker's loop: one step of ``members`` per command until end-of-file,
+    each followed, when the command asks for it, by the members' next
+    tendencies, which only the next command may apply."""
     import signal
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller handles interrupts
@@ -443,14 +484,17 @@ def _serve(ens, members, corrections, commands: int, replies: int) -> int:
         low = fd + 1
     os.closerange(low, os.sysconf("SC_OPEN_MAX"))
     os.set_blocking(commands, False)
+    ahead = None
     while True:
         command = _read(commands, _COMMAND.size)
         if len(command) < _COMMAND.size:
             return 0
-        dt, corrected = _COMMAND.unpack(command)
-        failure = _advance_members(ens, members, dt, corrections if corrected else None)
+        dt, corrected, reuse_ahead, look_ahead = _COMMAND.unpack(command)
+        failure = _advance_members(ens, members, dt, corrections if corrected else None,
+                                   ahead if reuse_ahead else None)
         reply = b"" if failure is None else pickle.dumps(failure)
         os.write(replies, _REPLY.pack(len(reply)) + reply)
+        ahead = _look_ahead(ens, members) if look_ahead and failure is None else None
 
 
 def _stop_workers(owner: int, pids: list, commands: list, replies: list) -> None:
@@ -478,13 +522,21 @@ def _member_workers(ens: SubModelEnsemble):
 
 
 def coupled_step(
-    ens: SubModelEnsemble, cm: CouplingMatrix, gt_now, dt: float
+    ens: SubModelEnsemble, cm: CouplingMatrix, gt_now, dt: float, *,
+    reuse_ahead: bool = False, look_ahead: bool = False,
 ) -> SubModelEnsemble:
     """Advance every member one step, in place, with synchronization and nudging.
 
     ``dt`` may be zero, which freezes the model dynamics but still applies
     the coupling and nudging corrections (the training escape hatch for
     ensembles that drift apart).  Returns ``ens``.
+
+    The flags are for loops of steps, such as ``train``'s.  ``look_ahead``
+    promises that the next call is a coupled step of this ensemble with
+    ``reuse_ahead`` set, and that nothing writes the states before it: the
+    worker processes, if any, then compute their members' next tendencies
+    while the caller goes on, and that next step applies them.  A step
+    without ``reuse_ahead`` computes every tendency afresh.
     """
     if dt < 0:
         raise ValueError("dt must be nonnegative")
@@ -498,7 +550,7 @@ def coupled_step(
     if workers is None:
         failure = _advance_members(ens, range(ens.n), dt, corrections)
     else:
-        failure = workers.step(ens, dt, corrections)
+        failure = workers.step(ens, dt, corrections, reuse_ahead, look_ahead)
     if failure is not None:
         raise failure[1]
     # explicit_step checked the stepped states; only the corrections are new
@@ -648,7 +700,10 @@ def train(
             for step in range(steps_per_epoch):
                 gt_next = gt_at(gt, step + 1)
                 try:
-                    coupled_step(ens, cm, gt_now, dt)
+                    # nothing below writes the states, so the next step may
+                    # use tendencies computed meanwhile
+                    coupled_step(ens, cm, gt_now, dt, reuse_ahead=step > 0,
+                                 look_ahead=dt > 0 and step + 1 < steps_per_epoch)
                     cm = update_coupling(cm, ens, gt_next)
                     output = supermodel_output(ens, averaged)
                     error = l2_norm(gt_next - output[0], ens.system.cell_volume)
@@ -705,7 +760,9 @@ def simulate(
     every averaged output, or the output itself.  The output averages the
     named ``variables``, or every variable (see ``supermodel_output``).
     ``observer(step, ens)`` is called after every step for callers that want
-    per-member data.
+    per-member data.  ``observer`` and ``record`` must not write the states:
+    each step but the last lets the workers compute the next step's
+    tendencies from them (see ``coupled_step``).
     """
     if not nudge_in_prediction:
         cm = dataclasses.replace(cm.copy(), k_nudge=0.0)
@@ -722,7 +779,8 @@ def simulate(
     outputs = [record(supermodel_output(ens, variables))]
     for step in range(steps):
         gt_now = gt_at(gt, step) if cm.k_nudge != 0.0 else None
-        coupled_step(ens, cm, gt_now, dt)
+        coupled_step(ens, cm, gt_now, dt, reuse_ahead=step > 0,
+                     look_ahead=dt > 0 and step + 1 < steps)
         outputs.append(record(supermodel_output(ens, variables)))
         if observer is not None:
             observer(step + 1, ens)

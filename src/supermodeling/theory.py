@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import CouplingMatrix, TrainingReport, mismatch_inner
-from .fields import max_over_time, taxi_ensemble_distance
+from .fields import l2_norm, max_over_time, taxi_ensemble_distance
 
 VACUOUS = "vacuous"
 
@@ -170,19 +170,24 @@ def contraction_ratios(run1: TrainingReport, run2: TrainingReport) -> list[float
 
 
 def empirical_contraction_ratio(run1: TrainingReport, run2: TrainingReport) -> float:
-    """Largest successive-distance ratio after the first epoch pair.
+    """Largest successive-distance ratio after the first epoch pair, among
+    the ratios whose earlier distance is above round-off.
 
     The first pair carries the initialization transient and is skipped.
-    A value below 1 means the paired runs kept approaching each other
-    (empirically contracting); 0 means the runs were identical throughout.
+    Round-off is 1e3 * eps times the largest member-summed state norm along
+    either run: runs that agree to round-off differ in the last bits, so
+    ratios of their distances say nothing about contraction.  A value below
+    1 means the paired runs kept approaching each other (empirically
+    contracting); 0 means they agreed to round-off from the second epoch on.
     """
-    ratios = contraction_ratios(run1, run2)
-    if len(ratios) < 2:
+    d = iterate_distances(run1, run2)
+    if len(d) < 3:
         raise ValueError("need at least three recorded epochs to measure contraction")
-    tail = ratios[1:]
-    if all(r == 0.0 for r in tail):
-        return 0.0
-    return max(tail)
+    scale = max(sum(l2_norm(member) for member in members)
+                for run in (run1, run2) for trajectory in run.trajectory_history
+                for members in trajectory)
+    floor = 1e3 * np.finfo(np.float64).eps * scale
+    return max((b / a for a, b in zip(d[1:], d[2:]) if a > floor), default=0.0)
 
 
 def export_contraction_csv(reports: list[ContractionReport], path):

@@ -19,7 +19,16 @@ import numpy as np
 import pytest
 
 from supermodeling import engine
-from supermodeling.engine import SubModelEnsemble, coupled_step, update_coupling
+from supermodeling.dynamics import DynamicalSystem
+from supermodeling.engine import (
+    CouplingMatrix,
+    SubModelEnsemble,
+    TrainingAborted,
+    coupled_step,
+    simulate,
+    train,
+    update_coupling,
+)
 from supermodeling.experiments import (
     ExperimentConfig,
     build_setup,
@@ -27,6 +36,7 @@ from supermodeling.experiments import (
     instantiate_submodels,
 )
 from supermodeling.fields import BlowUpError, GridSpec
+from supermodeling.groundtruth import generate_gt
 from supermodeling.tumor import FIELD_NAMES, TumorParams, TumorSystem
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="workers need os.fork")
@@ -45,6 +55,52 @@ def make_ensemble(n_submodels, k_nudge=0.9, exclude_self=False):
     params = instantiate_submodels(reference, config)
     ens = SubModelEnsemble.identical_start(system, params, initial)
     return ens, initial_coupling(config), initial[0] * 1.01
+
+
+STEPS = 4  # steps per training epoch and per prediction
+
+
+def make_training(n_submodels):
+    """An 8^3 ensemble, its initial coupling and a reference of ``STEPS`` steps."""
+    config = ExperimentConfig(nx=8, ny=8, nz=8, n_submodels=n_submodels, variant="V2")
+    _spec, reference, system, initial = build_setup(config)
+    params = instantiate_submodels(reference, config)
+    gt = generate_gt(system, reference, initial, config.dt, STEPS)
+    return SubModelEnsemble.identical_start(system, params, initial), initial_coupling(config), gt
+
+
+def run_loops(ens, cm, gt):
+    """Two epochs of training, then a nudged and a free prediction with the
+    trained coefficients: every array they give, to compare bit for bit."""
+    cm, report = train(ens, cm, gt, 0.1, STEPS, max_epochs=2, tol=1e-300, min_epochs=2,
+                       record_trajectories=True)
+    arrays = [cm.c, ens.states.copy(), np.array(report.error_history), *report.c_history,
+              *map(np.array, report.trajectory_history),
+              np.array([record.volumes for record in report.step_records])]
+    for nudged in (True, False):
+        arrays += simulate(ens.reset(), cm, gt, 0.1, STEPS, nudge_in_prediction=nudged)
+        arrays.append(ens.states.copy())
+    return arrays
+
+
+def assert_same_arrays(arrays, expected):
+    assert len(arrays) == len(expected)
+    for got, want in zip(arrays, expected):
+        assert np.array_equal(got, want)
+
+
+def count_member_tendencies(ens):
+    """A shared array that counts the tendencies every process runs for each
+    member; call it before the workers are forked."""
+    counts = engine._shared_zeros((ens.n,))
+    tendency, base, size = ens.system.tendency, ens.states.ctypes.data, ens.states[0].nbytes
+
+    def spy(state, params):
+        counts[(state.ctypes.data - base) // size] += 1
+        return tendency(state, params)
+
+    ens.system.tendency = spy
+    return counts
 
 
 def count_tendencies(system):
@@ -122,8 +178,8 @@ def test_threaded_steps_equal_inline(monkeypatch, n_submodels, k_nudge, exclude_
     stepped = run_steps(ens, cm, gt_now)
     workers = ens._workers
     assert workers.pids and all(alive(pid) for pid in workers.pids)
-    # the calling process ran only its own share of the members
-    assert len(here) == len(stepped) * len(range(0, n_submodels, workers.size))
+    # the calling process ran only its own share of the members, the smaller one
+    assert len(here) == len(stepped) * (n_submodels // workers.size)
     assert_same_trace(stepped, inline)
 
 
@@ -188,7 +244,8 @@ def blowup_message(ens, cm, gt_now, broken):
     return str(err.value)
 
 
-# member 1 is a worker's, so the first case fails in two processes
+# with two processes member 1 is the caller's and members 0 and 2 the worker's,
+# so the first case fails in two processes and the second in one
 @pytest.mark.parametrize("broken", [{1: "M", 2: "A"}, {0: "A", 2: "M"}])
 def test_threaded_blowup_raises_inline_message(monkeypatch, broken):
     ens, cm, gt_now = make_ensemble(3)
@@ -233,20 +290,129 @@ def cpu_seconds(pid):
     return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
 
 
+def idle_cpu_seconds(pid):
+    """CPU seconds ``pid`` uses over the next ``max(20 * _POLL_S, 0.5)``
+    seconds, and the most an idle worker may use over them: one budget of
+    polling after its reply, plus the clock tick that /proc counts in.  A
+    worker that kept polling would use about the whole wait."""
+    wait = max(20 * engine._POLL_S, 0.5)
+    used = cpu_seconds(pid)
+    time.sleep(wait)
+    return cpu_seconds(pid) - used, 5 * engine._POLL_S + 2 / os.sysconf("SC_CLK_TCK")
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads /proc")
 def test_idle_worker_stops_polling(monkeypatch):
     force_workers(monkeypatch)
     ens, cm, gt_now = make_ensemble(3)
     coupled_step(ens, cm, gt_now, 0.1)
     pid = ens._workers.pids[0]
-    wait = max(20 * engine._POLL_S, 0.5)
-    used = cpu_seconds(pid)
-    time.sleep(wait)
-    used = cpu_seconds(pid) - used
-    # one budget of polling after the reply, plus the clock tick that
-    # /proc counts in; a worker that kept polling would use about ``wait``
-    assert used < 5 * engine._POLL_S + 2 / os.sysconf("SC_CLK_TCK")
+    used, budget = idle_cpu_seconds(pid)
+    assert used < budget
     assert alive(pid)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads /proc")
+def test_worker_goes_idle_after_training_and_prediction(monkeypatch):
+    force_workers(monkeypatch)
+    ens, cm, gt = make_training(3)
+    # the last step of a loop promises no next step, so nothing is computed ahead
+    cm, _report = train(ens, cm, gt, 0.1, STEPS, max_epochs=2, tol=1e-300)
+    pid = ens._workers.pids[0]
+    used, budget = idle_cpu_seconds(pid)
+    assert used < budget
+    simulate(ens.reset(), cm, gt, 0.1, STEPS)
+    used, budget = idle_cpu_seconds(pid)
+    assert used < budget
+    assert alive(pid)
+
+
+@pytest.mark.parametrize("n_submodels", [2, 3, 5])
+def test_look_ahead_keeps_the_bits(monkeypatch, n_submodels):
+    expected = run_loops(*make_training(n_submodels))
+    force_workers(monkeypatch)
+    ens, cm, gt = make_training(n_submodels)
+    here = count_tendencies(ens.system)
+    counts = count_member_tendencies(ens)
+    assert_same_arrays(run_loops(ens, cm, gt), expected)
+    steps = 4 * STEPS
+    # the caller stepped the smaller share of the members, and no tendency
+    # was computed twice or left unused
+    assert len(here) == steps * (n_submodels // ens._workers.size)
+    assert np.array_equal(counts, np.full(n_submodels, steps))
+
+
+def test_aborted_training_leaves_no_stale_tendency(monkeypatch):
+    expected = run_loops(*make_training(3))
+    force_workers(monkeypatch)
+    ens, cm, gt = make_training(3)
+    counts = count_member_tendencies(ens)
+    update = engine.update_coupling
+    updates = []
+
+    def update_or_fail(cm, ens, gt_now):
+        updates.append(None)
+        if len(updates) == 3:
+            raise BlowUpError("coefficient update failed on purpose")
+        return update(cm, ens, gt_now)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "update_coupling", update_or_fail)
+        with pytest.raises(TrainingAborted, match="epoch 0, step 2"):
+            train(ens, cm, gt, 0.1, STEPS, max_epochs=2, tol=1e-300)
+    # the third step promised a fourth, so the worker computed its members'
+    # tendencies for it, which no later step may apply
+    size = ens._workers.size
+    callers = set(range(size - 1, ens.n, size))
+    with deadline(10):
+        while any(counts[i] != 4 for i in set(range(ens.n)) - callers):
+            time.sleep(0.001)
+    assert all(counts[i] == 3 for i in callers)
+    with deadline(30):
+        assert_same_arrays(run_loops(ens, cm, gt), expected)
+
+
+class Ramp(DynamicalSystem):
+    """b grows at rate 1.  A member's parameters are (index, limit): its
+    tendency raises once b reaches the limit."""
+
+    couplable = ("b",)
+
+    def tendency(self, state, params):
+        member, limit = params
+        if state[0] >= limit:
+            raise BlowUpError(f"member {member} reached {state[0]}")
+        return np.ones(state.shape)
+
+
+# with two processes members 0 and 2 are the worker's, whose tendencies at
+# b = 2 are computed ahead, during the second step
+@pytest.mark.parametrize("limits", [{0: 2}, {1: 2, 2: 2}, {0: 3, 2: 2}])
+def test_failing_look_ahead_raises_at_its_own_step(monkeypatch, limits):
+    cm = CouplingMatrix.uniform(3, 0.0, k_nudge=0.0)
+
+    def ramps():
+        params = [(i, limits.get(i, np.inf)) for i in range(3)]
+        return SubModelEnsemble.identical_start(Ramp(), params, 0.0)
+
+    def failure(ens):
+        """The steps a free run saw before it failed, and its error."""
+        seen = []
+        with deadline(30), pytest.raises(BlowUpError) as err:
+            simulate(ens, cm, None, 1.0, 6, nudge_in_prediction=False,
+                     observer=lambda step, _ens: seen.append(step))
+        return seen, str(err.value)
+
+    inline = failure(ramps())
+    assert inline[0] == [1, 2]
+    force_workers(monkeypatch)
+    ens = ramps()
+    assert failure(ens) == inline
+    # the worker is still in step with the caller
+    with deadline(30):
+        simulate(ens.reset(), cm, None, 1.0, 2, nudge_in_prediction=False)
+    assert np.array_equal(ens.states, np.full((3, 1), 2.0))
+    assert all(alive(pid) for pid in ens._workers.pids)
 
 
 @pytest.mark.skipif(engine._CPUS < 2, reason="needs two usable CPUs")

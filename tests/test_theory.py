@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from supermodeling.dynamics import LogisticParams, LogisticSystem
-from supermodeling.engine import CouplingMatrix, SubModelEnsemble, train, update_coupling
+from supermodeling.engine import (
+    CouplingMatrix,
+    SubModelEnsemble,
+    TrainingReport,
+    train,
+    update_coupling,
+)
 from supermodeling.groundtruth import generate_gt
 from supermodeling.theory import (
     VACUOUS,
@@ -170,9 +176,31 @@ class TestEmpiricalContraction:
         assert all(r < 1.0 for r in ratios[1:])
         assert empirical_contraction_ratio(rep1, rep2) < 1.0
 
-    def test_overshooting_nudge_is_not_contracting(self):
+    def test_ratios_below_the_round_off_floor_are_dropped(self):
+        # one member at 1 in both runs and one at 0 against the given
+        # distance: the state norm is 1, so the floor is 1e3 * eps
+        def pair(distances):
+            reports = [TrainingReport(initial_c=np.zeros((2, 2)),
+                                      c_history=[np.zeros((2, 2))] * len(distances),
+                                      trajectory_history=[]) for _ in range(2)]
+            for d in distances:
+                reports[0].trajectory_history.append([np.array([1.0, 0.0])])
+                reports[1].trajectory_history.append([np.array([1.0, d])])
+            return reports
+
+        # the only ratio >= 1, 4, comes from a distance of 1e-15
+        rep1, rep2 = pair([1.0, 0.5, 0.25, 1e-15, 4e-15])
+        assert iterate_distances(rep1, rep2) == [1.0, 0.5, 0.25, 1e-15, 4e-15]
+        assert empirical_contraction_ratio(rep1, rep2) == 0.5
+        # the same ratio from a distance above the floor counts
+        rep1, rep2 = pair([1.0, 0.5, 0.25, 1e-12, 4e-12])
+        assert empirical_contraction_ratio(rep1, rep2) == 4.0
+
+    def test_overshooting_nudge_contracts_above_round_off(self):
+        # K = 2 converges to round-off within a few epochs; its ratios >= 1
+        # come from distances of about 1e-15 only
         rep1, rep2 = paired_toy_runs(2.0, 0.15, 0.25, epochs=20)
-        assert empirical_contraction_ratio(rep1, rep2) >= 1.0
+        assert empirical_contraction_ratio(rep1, rep2) < 1.0
 
     def test_unit_learning_rate_is_not_contracting(self):
         # with a_rate = 1 the coefficient updates are not damped: the paired
