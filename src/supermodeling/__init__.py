@@ -6,7 +6,22 @@ toward reference data.  The trained ensemble average tracks the reference
 better than any single member.  A 3-D tumor progression model serves as the
 reference dynamical system, and contraction diagnostics report whether a
 configuration sits in the provably convergent regime.
+
+Importing the package sets ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
+``MKL_NUM_THREADS`` to 1 where the environment does not set them, before
+anything in it imports NumPy.  The norms and coupling products go through
+BLAS, whose sums may take another order with another thread count, so one
+thread makes a run's CSVs the same bits on every host and in every engine
+process.  A BLAS thread would also compete with the member workers for the
+second CPU.  A host program that imported NumPy before this package keeps
+its own thread pool, and processes started after the import inherit the
+settings.
 """
+
+import os as _os
+
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    _os.environ.setdefault(_name, "1")
 
 from .fields import (
     BlowUpError,

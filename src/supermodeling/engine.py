@@ -37,7 +37,7 @@ tolerance.
 
 Each member's free step, followed by adding its row of the correction, runs
 in one of P = min(N, usable CPUs) processes: the caller and workers forked
-from it on the first coupled step, which live as long as the ensemble.
+from it on first use, which live as long as the ensemble.
 Member i runs in process (i + 1) mod P, where process 0 is the caller, so the
 caller, which also has the serial work of every step, steps the smaller
 share: floor(N/P) members.  The states sit in shared memory and the caller
@@ -46,6 +46,15 @@ per worker: a command down a pipe and a reply back.  A process waiting on
 its pipe polls it for up to ``_POLL_S`` before it blocks, so within an epoch
 a worker takes its next command without waiting to be woken, while an idle
 one sleeps.
+
+The same processes evaluate per-member work other than steps:
+``map_members`` runs a module-level ``fn(system, params_i, i, *args)`` for
+every member i on process (i + 1) mod P, the call going down the command
+pipe and the pickled results coming back with the reply.  Its first use
+forks the workers like a first coupled step would: ``run_experiment`` maps
+the members' Lipschitz estimates before training, so the workers exist
+before its first epoch.  A map fails as a loop over the members would, with
+the exception of the lowest failing member index.
 
 The loops of ``train`` and ``simulate`` promise, on every step but the last
 and when dt > 0, that the next call is a coupled step of the same ensemble
@@ -57,14 +66,15 @@ its member's state, which nothing writes in between, so it has the same bits
 either way; one that raises is reported by the step it belongs to.  Every
 other step (the first of a loop, a public ``coupled_step`` call, a step after
 a failure) computes its tendencies afresh, so a loop that ends early leaves
-nothing stale behind.  Each member is computed by the same operations in the
-same order either way, so results are bit-identical to a sequential run.
-The caller steps every member itself when only one CPU is usable and when a
-member's field has fewer than ``PARALLEL_MIN_CELLS`` cells (where the
-handoff costs more than the second core saves).  A process forked from the
-caller, other than a worker, gets a private copy of the states at the fork
-and steps every member itself.  Workers step with the system and parameter
-sets as they were when they were forked.
+nothing stale behind, and a map drops the tendencies computed ahead.  Each
+member is computed by the same operations in the same order either way, so
+results are bit-identical to a sequential run.
+The caller steps and maps every member itself, in member order, when only
+one CPU is usable and when a member's field has fewer than
+``PARALLEL_MIN_CELLS`` cells (where the handoff costs more than the second
+core saves).  A process forked from the caller, other than a worker, gets a
+private copy of the states at the fork and does the same.  Workers step
+with the system and parameter sets as they were when they were forked.
 """
 
 from __future__ import annotations
@@ -274,9 +284,12 @@ PARALLEL_MIN_CELLS = 16 ** 3
 _CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
          else os.cpu_count() or 1)
 # dt; whether a correction is added; whether the step applies the tendencies
-# its worker computed ahead; whether the worker computes the next ones ahead
-_COMMAND = struct.Struct("=d???")
-_REPLY = struct.Struct("=I")  # length of the pickled failure that follows, 0 if none
+# its worker computed ahead; whether the worker computes the next ones ahead;
+# the length of the pickled map call that follows, 0 for a coupled step
+_COMMAND = struct.Struct("=d???I")
+# the length of the pickled reply that follows: a step's failure (0 if none)
+# or a map's results and failure
+_REPLY = struct.Struct("=I")
 
 # How long a process waiting on a worker pipe polls it before it blocks (see
 # ``_read``).  Within an epoch a worker spends the caller's serial phase
@@ -354,6 +367,25 @@ def _look_ahead(ens: SubModelEnsemble, members) -> dict:
     return ahead
 
 
+def _map_members(ens: SubModelEnsemble, members, fn, args):
+    """``fn(system, params_i, i, *args)`` for the listed members, by member, up
+    to the first that raises; returns the results and (member, exception) for
+    that one, or None."""
+    results = {}
+    for i in members:
+        try:
+            results[i] = fn(ens.system, ens.params[i], i, *args)
+        except Exception as exc:
+            return results, (i, exc)
+    return results, None
+
+
+def _first_failure(failures):
+    """The failure of the lowest member index among (member, exception) pairs
+    and Nones, or None."""
+    return min(filter(None, failures), key=lambda failure: failure[0], default=None)
+
+
 class _MemberWorkers:
     """Processes forked from the caller that step an ensemble's members with it.
 
@@ -361,14 +393,16 @@ class _MemberWorkers:
     the caller, so the caller steps no more members than any worker.  The
     workers step their members in the ensemble's shared states array and
     read the corrections from a shared buffer, so a coupled step costs one
-    command byte-string and one reply per worker.  Workers exit on
-    end-of-file on their command pipe, that is when this object closes or
-    the caller dies; closing also kills and reaps them.
+    command byte-string and one reply per worker.  A map costs one command
+    with the pickled call and one reply with the pickled results.  Workers
+    exit on end-of-file on their command pipe, that is when this object
+    closes or the caller dies; closing also kills and reaps them.
     """
 
     def __init__(self, ens: SubModelEnsemble):
         n = ens.n
         self.size = min(n, _CPUS)
+        self.members = range(self.size - 1, n, self.size)  # the caller's
         self.owner = os.getpid()
         self.corrections = _shared_zeros(ens.coupled_values().shape)
         self.pids, self.commands, self.replies = [], [], []
@@ -413,20 +447,42 @@ class _MemberWorkers:
         """Advance every member as ``_advance_members`` does; returns the
         failure of the lowest member index, or None.  The flags are those of
         ``coupled_step``."""
-        command = _COMMAND.pack(dt, corrections is not None, reuse_ahead, look_ahead)
+        command = _COMMAND.pack(dt, corrections is not None, reuse_ahead, look_ahead, 0)
         try:
-            for k, fd in enumerate(self.commands):
-                try:
-                    os.write(fd, command)
-                except BrokenPipeError:
-                    raise self._died(k) from None
-            failures = [_advance_members(ens, range(self.size - 1, ens.n, self.size), dt,
-                                         corrections)]
+            self._send(command)
+            failures = [_advance_members(ens, self.members, dt, corrections)]
             failures += [self._reply(k) for k in range(len(self.replies))]
         except BaseException:
             self.close()  # replies may be pending: these workers are out of step
             raise
-        return min(filter(None, failures), key=lambda failure: failure[0], default=None)
+        return _first_failure(failures)
+
+    def map(self, ens: SubModelEnsemble, fn, args: tuple, meanwhile):
+        """Every member's ``fn(system, params_i, i, *args)`` by member, and
+        ``meanwhile()``, which the caller runs after its own members unless
+        one of them failed; the failure of the lowest member index replaces
+        the results (see ``map_members``)."""
+        call = pickle.dumps((fn, args))  # a call that cannot be pickled sends nothing
+        try:
+            self._send(_COMMAND.pack(0.0, False, False, False, len(call)) + call)
+            results, failure = _map_members(ens, self.members, fn, args)
+            failures = [failure]
+            extra = meanwhile() if failure is None and meanwhile is not None else None
+            for k in range(len(self.replies)):
+                worker_results, failure = self._reply(k)
+                results.update(worker_results)
+                failures.append(failure)
+        except BaseException:
+            self.close()  # replies may be pending: these workers are out of step
+            raise
+        return results, _first_failure(failures), extra
+
+    def _send(self, command: bytes) -> None:
+        for k, fd in enumerate(self.commands):
+            try:
+                _write(fd, command)
+            except BrokenPipeError:
+                raise self._died(k) from None
 
     def _reply(self, k: int):
         fd = self.replies[k]
@@ -439,7 +495,7 @@ class _MemberWorkers:
         raise self._died(k)
 
     def _died(self, k: int) -> RuntimeError:
-        return RuntimeError(f"member worker process {self.pids[k]} exited during a coupled step")
+        return RuntimeError(f"member worker process {self.pids[k]} exited before its reply")
 
 
 def _read(fd: int, size: int) -> bytes:
@@ -465,10 +521,18 @@ def _read(fd: int, size: int) -> bytes:
     return data
 
 
+def _write(fd: int, data: bytes) -> None:
+    """All of ``data`` to the blocking pipe ``fd``."""
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
 def _serve(ens, members, corrections, commands: int, replies: int) -> int:
-    """A worker's loop: one step of ``members`` per command until end-of-file,
-    each followed, when the command asks for it, by the members' next
-    tendencies, which only the next command may apply."""
+    """A worker's loop: one step or map of ``members`` per command until
+    end-of-file.  A step is followed, when the command asks for it, by the
+    members' next tendencies, which only the next command may apply: a map
+    drops them."""
     import signal
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller handles interrupts
@@ -489,12 +553,21 @@ def _serve(ens, members, corrections, commands: int, replies: int) -> int:
         command = _read(commands, _COMMAND.size)
         if len(command) < _COMMAND.size:
             return 0
-        dt, corrected, reuse_ahead, look_ahead = _COMMAND.unpack(command)
-        failure = _advance_members(ens, members, dt, corrections if corrected else None,
-                                   ahead if reuse_ahead else None)
-        reply = b"" if failure is None else pickle.dumps(failure)
-        os.write(replies, _REPLY.pack(len(reply)) + reply)
-        ahead = _look_ahead(ens, members) if look_ahead and failure is None else None
+        dt, corrected, reuse_ahead, look_ahead, call_size = _COMMAND.unpack(command)
+        if call_size:
+            call = _read(commands, call_size)
+            if len(call) < call_size:
+                return 0
+            fn, args = pickle.loads(call)
+            reply = pickle.dumps(_map_members(ens, members, fn, args))
+            look_ahead = False
+        else:
+            failure = _advance_members(ens, members, dt, corrections if corrected else None,
+                                       ahead if reuse_ahead else None)
+            reply = b"" if failure is None else pickle.dumps(failure)
+            look_ahead = look_ahead and failure is None
+        _write(replies, _REPLY.pack(len(reply)) + reply)
+        ahead = _look_ahead(ens, members) if look_ahead else None
 
 
 def _stop_workers(owner: int, pids: list, commands: list, replies: list) -> None:
@@ -521,6 +594,32 @@ def _member_workers(ens: SubModelEnsemble):
     return workers
 
 
+def map_members(ens: SubModelEnsemble, fn, *args, meanwhile=None):
+    """Every member's ``fn(ens.system, ens.params[i], i, *args)`` as a list in
+    member order, each evaluated by the process that steps member i, and
+    what ``meanwhile()`` returns (None without it).
+
+    ``fn`` must be a module-level function, and ``args`` and the results
+    picklable.  The caller evaluates its own members first, then runs
+    ``meanwhile`` while the workers finish theirs, then collects their
+    results.  If members fail, the exception of the lowest member index is
+    raised, as a loop over the members would raise it; ``meanwhile`` does
+    not run when one of the caller's members failed.  Without workers (see
+    ``_member_workers``) the caller evaluates every member in order, then
+    runs ``meanwhile``.  A map drops the tendencies a coupled step promised
+    to the next one.
+    """
+    workers = _member_workers(ens)
+    if workers is None:
+        results, failure = _map_members(ens, range(ens.n), fn, args)
+        extra = meanwhile() if failure is None and meanwhile is not None else None
+    else:
+        results, failure, extra = workers.map(ens, fn, args, meanwhile)
+    if failure is not None:
+        raise failure[1]
+    return [results[i] for i in range(ens.n)], extra
+
+
 def coupled_step(
     ens: SubModelEnsemble, cm: CouplingMatrix, gt_now, dt: float, *,
     reuse_ahead: bool = False, look_ahead: bool = False,
@@ -545,8 +644,8 @@ def coupled_step(
     values = ens.coupled_values()
     workers = _member_workers(ens)
     # the corrections only read pre-step values, so they are formed first
-    corrections = _corrections(values, cm, gt_now,
-                               out=None if workers is None else workers.corrections)
+    corrections = _corrections(ens, cm, gt_now,
+                               None if workers is None else workers.corrections)
     if workers is None:
         failure = _advance_members(ens, range(ens.n), dt, corrections)
     else:
@@ -561,23 +660,27 @@ def coupled_step(
     return ens
 
 
-def _corrections(values: np.ndarray, cm: CouplingMatrix, gt_now, out=None):
+def _corrections(ens: SubModelEnsemble, cm: CouplingMatrix, gt_now, out=None):
     """Every member's coupling and nudging correction, mix @ B + g*GT, or None
     when the mixing matrix is zero (no coupling and no nudging).  Written to
-    ``out``, an array shaped like ``values``, when one is given."""
+    ``out``, an array shaped like the coupled values, when one is given, and
+    otherwise to a work array of the ensemble's."""
+    values = ens.coupled_values()
     n = len(values)
     mix = (cm.c - cm.k_nudge) / n
     self_nudge = 0.0 if cm.exclude_self_in_nudge else cm.k_nudge
     np.fill_diagonal(mix, -(cm.c.sum(axis=1) + self_nudge) / n)
     if not mix.any():
         return None
+    if out is None:
+        out = ens._buffer("corrections", values.shape)
     with np.errstate(over="ignore", invalid="ignore"):
-        flat = None if out is None else out.reshape(n, -1)
-        corrections = np.matmul(mix, values.reshape(n, -1), out=flat).reshape(values.shape)
+        np.matmul(mix, values.reshape(n, -1), out=out.reshape(n, -1))
         if cm.k_nudge != 0.0:
             gain = cm.k_nudge * (n - 1) / n if cm.exclude_self_in_nudge else cm.k_nudge
-            corrections += gain * np.asarray(gt_now)
-    return corrections
+            gt_now = np.asarray(gt_now)
+            out += np.multiply(gain, gt_now, out=ens._buffer("nudge", gt_now.shape))
+    return out
 
 
 def mismatch_inner(values, gt_now, cell_volume: float = 1.0, work=None) -> np.ndarray:
@@ -734,8 +837,11 @@ def train(
             prev_c = cm.c.copy()
     finally:
         # the update's work array is 2N + 1 fields: kept into the prediction,
-        # it raised a 64^3 run's (N=3) peak resident memory from 173 to 184 MB
+        # it raised a 64^3 run's (N=3) peak resident memory from 173 to 184 MB.
+        # The nudge's one field, kept into a free forecast that never reads
+        # it, raised a 32^3 run's (N=8) from 67.6 to 67.9 MB.
         ens._work.pop("mismatch", None)
+        ens._work.pop("nudge", None)
     return cm, report
 
 

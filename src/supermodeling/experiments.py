@@ -8,7 +8,9 @@ manifest.  Identical config + seed reproduces every CSV byte for byte at one
 BLAS thread count.  The norms and the engine's coupling products go through
 BLAS, which may sum in another order with another number of threads: one
 and two OpenBLAS threads gave CSVs up to 1.2e-15 apart (relative) at 32^3
-with 8 members, and contraction.csv 4e-16 apart at the default 16^3.
+with 8 members, and contraction.csv 4e-16 apart at the default 16^3.  The
+package defaults to one BLAS thread (see ``supermodeling``), as the
+benchmark runs it, so the CSVs of a CLI run equal the benchmark's.
 
 Desk-scale defaults: a 16^3 unit-spacing grid with a hypoxic-core oxygen
 profile and a vessel-free central region, so the oxygen thresholds that the
@@ -32,6 +34,7 @@ from .engine import (
     SubModelEnsemble,
     TrainingAborted,
     export_training_csv,
+    map_members,
     simulate,
     train,
 )
@@ -453,15 +456,19 @@ def run_experiment(config: ExperimentConfig) -> Path:
 
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    # contraction.csv's Lipschitz bound, estimated before the reference and
-    # training take memory: estimated after training instead, it raised the
-    # peak resident memory of a 64^3 run (N=3) from 169 to 182 MB
-    lipschitz_max = max(
-        estimate_lipschitz(system, p, samples=4, seed=config.seed + 1000 + k)
-        for k, p in enumerate(params_list)
-    )
-    gt = generate_gt(system, reference, initial, config.dt, config.steps,
-                     config.keep_every)
+    # contraction.csv's Lipschitz bound: each member's estimate runs in the
+    # process that steps the member, with its own seed, so the bound has the
+    # same bits whichever process computes it.  The caller generates the
+    # reference after its own share, while the workers finish theirs.
+    # Estimated after training instead, it raised the peak resident memory
+    # of a 64^3 run (N=3) from 169 to 182 MB; with the reference generated
+    # before the caller's share, whose temporaries then lived beside its
+    # snapshots, from 170 to 176 MB.
+    estimates, gt = map_members(
+        ensemble, _lipschitz_estimate, config.seed,
+        meanwhile=lambda: generate_gt(system, reference, initial, config.dt, config.steps,
+                                      config.keep_every))
+    lipschitz_max = max(estimates)
     save_gt(gt, out / "gt")
 
     status = "completed"
@@ -488,6 +495,11 @@ def run_experiment(config: ExperimentConfig) -> Path:
     manifest = emit_config(config) + f"\n[run]\nstatus = {status}\n"
     (out / "manifest.ini").write_text(manifest)
     return out
+
+
+def _lipschitz_estimate(system, params, member: int, seed: int) -> float:
+    """One member's Lipschitz estimate for contraction.csv, with its own seed."""
+    return estimate_lipschitz(system, params, samples=4, seed=seed + 1000 + member)
 
 
 @dataclass

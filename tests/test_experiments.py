@@ -204,3 +204,35 @@ def test_import_loads_no_process_pool_module():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": str(src)}, timeout=60, check=True)
     assert result.stdout.strip() == "[]"
+
+
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_csvs_do_not_depend_on_the_blas_settings(tmp_path):
+    # with one BLAS thread per CPU, contraction.csv's Lipschitz norms came out
+    # 4e-16 (relative) apart from a run with one BLAS thread
+    src = Path(supermodeling.__file__).resolve().parent.parent
+    unset = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+    envs = {"unset": unset, "one": {**unset, **dict.fromkeys(BLAS_THREADS, "1")}}
+    for name, env in envs.items():
+        subprocess.run([sys.executable, "-m", "supermodeling.cli", "experiment",
+                        "--set", "epochs=1", "--set", "steps=5", "--out", str(tmp_path / name)],
+                       env={**env, "PYTHONPATH": str(src)}, capture_output=True, timeout=120,
+                       check=True)
+    names = sorted(path.name for path in (tmp_path / "one").glob("*.csv"))
+    assert "contraction.csv" in names
+    assert names == sorted(path.name for path in (tmp_path / "unset").glob("*.csv"))
+    for name in names:
+        assert (tmp_path / "unset" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+
+def test_import_sets_one_blas_thread_unless_the_environment_sets_it():
+    src = Path(supermodeling.__file__).resolve().parent.parent
+    code = "import os, supermodeling; print([os.environ[k] for k in %r])" % (BLAS_THREADS,)
+    unset = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+    for preset, expected in (({}, ["1", "1", "1"]), ({"OMP_NUM_THREADS": "2"}, ["1", "2", "1"])):
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                env={**unset, **preset, "PYTHONPATH": str(src)}, timeout=60,
+                                check=True)
+        assert result.stdout.strip() == str(expected)
