@@ -60,8 +60,16 @@ def cmd_generate_gt(args) -> int:
     return 0
 
 
+def _require(path: Path, what: str) -> None:
+    """Reject an input file or directory that does not exist, naming it."""
+    if not path.exists():
+        raise ValueError(f"{what} {path} does not exist")
+
+
 def cmd_train(args) -> int:
     config = _load(args)
+    if args.gt is not None:  # only the default archive is generated when missing
+        _require(args.gt, "reference archive")
     _spec, reference, system, initial = experiments.build_setup(config)
     params_list = experiments.instantiate_submodels(reference, config)
     ensemble = SubModelEnsemble.identical_start(system, params_list, initial)
@@ -94,11 +102,13 @@ def cmd_train(args) -> int:
 def cmd_simulate(args) -> int:
     config = _load(args)
     out = Path(config.out_dir)
+    gt_dir = args.gt if args.gt is not None else out / "gt"
+    _require(gt_dir, "reference archive")
     out.mkdir(parents=True, exist_ok=True)
     _spec, reference, system, initial = experiments.build_setup(config)
-    gt_dir = args.gt if args.gt is not None else out / "gt"
     gt = experiments.load_reference(gt_dir, config)
     coupling_path = args.coupling if args.coupling is not None else out / "trained_coupling.json"
+    _require(coupling_path, "trained coupling")
     cm = experiments.load_coupling(coupling_path)
     params_list = experiments.instantiate_submodels(reference, config)
     ensemble = SubModelEnsemble.identical_start(system, params_list, initial)

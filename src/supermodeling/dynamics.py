@@ -19,8 +19,12 @@ class DynamicalSystem:
     """Behavior contract for a steppable model.
 
     Subclasses implement ``tendency`` and declare which of their
-    ``variables`` can be coupled to other ensemble members.  ``tendency``
-    must be deterministic and return a new array of the state's shape.
+    ``variables`` can be coupled to other ensemble members.
+    ``tendency(state, params, out=None)`` must be deterministic.  It writes
+    the tendency into ``out``, a C-contiguous float64 array of the state's
+    shape, and returns ``out``; without one it returns a new array that
+    shares no memory with the state or an earlier result, or a number for a
+    number.  Either way the bits are the same.
     Field-valued systems name their grid as ``spec``; ``cell_volume`` weights
     one array entry in domain norms and integrals.
     """
@@ -30,7 +34,7 @@ class DynamicalSystem:
     spec: GridSpec | None = None
     cell_volume: float = 1.0
 
-    def tendency(self, state, params):
+    def tendency(self, state, params, out=None):
         raise NotImplementedError
 
     def get_variable(self, state, name):
@@ -104,6 +108,7 @@ def estimate_lipschitz(
         raise ValueError("scale must be positive")
     rng = np.random.default_rng(seed)
     best = 0.0
+    tendencies = None  # S(B) and S(D), allocated on the first sample
     for _ in range(samples):
         for _attempt in range(100):
             base = system.random_state(params, rng)
@@ -114,11 +119,15 @@ def estimate_lipschitz(
         else:
             raise RuntimeError("could not draw a non-degenerate state pair")
         separation = float(rng.uniform(0.1, 1.0)) * scale
-        other = base + direction * (separation / dnorm)
-        diff = system.state_norm(
-            system.tendency(base, params) - system.tendency(other, params)
-        )
-        best = max(best, diff / separation)
+        # D = B + direction * (separation / dnorm), in the direction's array
+        direction *= separation / dnorm
+        direction += base
+        if tendencies is None:
+            tendencies = np.empty((2,) + np.shape(base))
+        # [k, ...] is a view even of a number's (2,) array, which [k] is not
+        diff = system.tendency(base, params, out=tendencies[0, ...])
+        diff -= system.tendency(direction, params, out=tendencies[1, ...])
+        best = max(best, system.state_norm(diff) / separation)
     return best
 
 
@@ -141,13 +150,21 @@ def logistic_tendency(b: float, p: LogisticParams) -> float:
     return p.r * b * (1.0 - b / p.cap)
 
 
+def _into(out, value):
+    """``value`` written into the array ``out``, or ``value`` itself without one."""
+    if out is None:
+        return value
+    out[...] = value
+    return out
+
+
 class LogisticSystem(DynamicalSystem):
     """Scalar logistic growth; the standard oracle for the ensemble engine."""
 
     couplable = ("b",)
 
-    def tendency(self, state, params: LogisticParams):
-        return logistic_tendency(state, params)
+    def tendency(self, state, params: LogisticParams, out=None):
+        return _into(out, logistic_tendency(state, params))
 
     def random_state(self, params: LogisticParams, rng):
         return float(rng.uniform(0.0, params.cap))
@@ -167,8 +184,8 @@ class LinearSystem(DynamicalSystem):
     def __init__(self, lam: float):
         self.lam = float(lam)
 
-    def tendency(self, state, params=None):
-        return self.lam * state
+    def tendency(self, state, params=None, out=None):
+        return _into(out, self.lam * state)
 
     def random_state(self, params, rng):
         return float(rng.uniform(-1.0, 1.0))

@@ -61,14 +61,16 @@ and when dt > 0, that the next call is a coupled step of the same ensemble
 and that nothing writes the states before it.  Given that promise, a worker
 computes its members' next tendencies right after its reply, while the
 caller runs its serial phase (coefficient update, average, error), and the
-promised step applies them instead of computing them.  A tendency reads only
-its member's state, which nothing writes in between, so it has the same bits
-either way; one that raises is reported by the step it belongs to.  Every
-other step (the first of a loop, a public ``coupled_step`` call, a step after
-a failure) computes its tendencies afresh, so a loop that ends early leaves
-nothing stale behind, and a map drops the tendencies computed ahead.  Each
-member is computed by the same operations in the same order either way, so
-results are bit-identical to a sequential run.
+promised step applies them instead of computing them.  The worker writes
+them into one array per member that it keeps (``tendency``'s ``out``), so
+it allocates none after the first step; the caller keeps no such array.  A
+tendency reads only its member's state, which nothing writes in between, so
+it has the same bits either way; one that raises is reported by the step it
+belongs to.  Every other step (the first of a loop, a public ``coupled_step``
+call, a step after a failure) computes its tendencies afresh, so a loop that
+ends early leaves nothing stale behind, and a map drops the tendencies
+computed ahead.  Each member is computed by the same operations in the same
+order either way, so results are bit-identical to a sequential run.
 The caller steps and maps every member itself, in member order, when only
 one CPU is usable and when a member's field has fewer than
 ``PARALLEL_MIN_CELLS`` cells (where the handoff costs more than the second
@@ -356,11 +358,15 @@ def _advance_members(ens: SubModelEnsemble, members, dt: float, corrections, ahe
 
 def _look_ahead(ens: SubModelEnsemble, members) -> dict:
     """The listed members' tendencies at their current states, by member, up
-    to the first that raises, which maps to its exception instead."""
+    to the first that raises, which maps to its exception instead.  Each is
+    written into an array this process keeps for its member, so only the
+    first look-ahead allocates them."""
     ahead = {}
     for i in members:
+        state = ens.states[i]
         try:
-            ahead[i] = ens.system.tendency(ens.states[i], ens.params[i])
+            ahead[i] = ens.system.tendency(state, ens.params[i],
+                                           out=ens._buffer(f"ahead{i}", state.shape))
         except Exception as exc:
             ahead[i] = exc
             break

@@ -19,12 +19,21 @@ takes the spacing h, and volumes take the cell volume h^3, as arguments; a
 TumorSystem supplies both from its GridSpec.
 
 The tendency kernel writes its intermediates into a set of work arrays and
-never returns one.  A TumorSystem keeps a free-list of such sets: a tendency
-takes one (allocating it when the list is empty) and puts it back when it
-returns.  So a system serves concurrent tendencies from several threads, and
-it holds as many sets as tendencies have ever run at once on it: one when
-stepped from one thread.  The engine's worker processes each hold their own
-copy of the system, so each process keeps one set.
+never returns one; it writes the tendency itself into a new array or into
+one the caller passes.  It is cache-blocked: after the flux potentials,
+each stage runs over slabs of whole z-planes, about ``SLAB_CELLS`` cells
+each, so a slab's intermediates are still in cache when its next operation
+reads them.  A slab reads its neighbours' edge planes from full-size arrays
+instead of recomputing them, and every cell goes through the operations of
+an unblocked kernel in the same order, so the bits do not depend on the slab
+height.  Grids of up to ``SLAB_CELLS`` cells (32^3) are one slab.
+
+A TumorSystem keeps a free-list of work sets: a tendency takes one
+(allocating it when the list is empty) and puts it back when it returns.
+So a system serves concurrent tendencies from several threads, and it holds
+as many sets as tendencies have ever run at once on it: one when stepped
+from one thread.  The engine's worker processes each hold their own copy of
+the system, so each process keeps one set.
 """
 
 from __future__ import annotations
@@ -101,76 +110,174 @@ class VolumeTriple(NamedTuple):
 # rebuilds np.gradient(edge_order=1); every operation and every sum keeps the
 # order of those formulas, so the results are bit-identical to them.
 
+# Cells per slab of the tendency kernel: a slab is max(1, SLAB_CELLS // (ny*nx))
+# z-planes.  tumor_tendency against the unblocked kernel, calls alternating
+# in one process on a 2-vCPU host with one BLAS thread: the speedup of the
+# median call over 7 rounds, as its median and in brackets its best round,
+# with the planes per slab for each candidate value (one: the whole grid)
+#
+#     grid    16K cells             32K cells             64K cells
+#     16^3    one   0.999 (1.001)   one                   one
+#     32^3    16    1.034 (1.047)   one   1.012 (1.022)   one
+#     48^3    7     1.123 (1.141)   14    1.132 (1.139)   28    1.086 (1.114)
+#     64^3    4     1.185 (1.206)   8     1.205 (1.221)   16    1.185 (1.213)
+#
+# 32K is the best at 48^3 and 64^3 and keeps grids up to 32^3 in one slab.
+SLAB_CELLS = 32 * 1024
+
+
+class _Slab:
+    """The planes z0 <= z < z1 of a grid as the tendency kernel visits them.
+
+    ``planes`` selects them in a full-size array and ``halo`` the planes
+    their stencils read: one more on each side that is not a wall.  Within
+    the halo, ``inner`` selects the slab's own planes.  ``whole`` is set
+    when the slab is the whole grid.  ``gradient`` holds, per grid axis,
+    where _gradient writes its centered differences in a flattened field of
+    the slab, the two entries of the flattened halo they subtract, and the
+    one-sided faces.  The arrays are this slab's share of its work set's
+    slab-sized storage, each C-contiguous.
+    """
+
+    def __init__(self, shape, z0: int, z1: int, storage: dict, potentials, flux):
+        nz, ny, nx = shape
+        height, plane = z1 - z0, ny * nx
+        lo, hi = max(z0 - 1, 0), min(z1 + 1, nz)
+        self.shape = (height, ny, nx)
+        self.planes, self.halo, self.inner = slice(z0, z1), slice(lo, hi), slice(z0 - lo, z1 - lo)
+        self.whole = (lo, hi) == (z0, z1)
+        # what the slab's gradients read of the full-size work arrays
+        self.potentials, self.flux = potentials[:, self.halo], flux[:, self.halo]
+
+        def take(name, count, shape):
+            return storage[name][:count * math.prod(shape)].reshape((count,) + shape)
+
+        self.padded = take("padded", 2, (height + 2, ny + 2, nx + 2))
+        self.grads = take("grads", 2, self.shape)
+        self.coeff, self.gate, self.t1, self.t2, self.hypoxic, self.proliferative = take(
+            "scratch", 6, self.shape)
+
+        def along(axis, index, z=None):
+            """``index`` on one axis of a field or a stack, and ``z`` on its planes."""
+            lead = (Ellipsis,) if z is None else (Ellipsis, z) + (slice(None),) * (axis - 1)
+            return lead + (index,) + (slice(None),) * (2 - axis)
+
+        offset = (z0 - lo) * plane  # entry i of a field's slab is entry i + offset of its halo
+        self.gradient = []
+        for axis, (n, s) in enumerate(zip(shape, (plane, nx, 1))):
+            if self.whole:  # over all fields of a stack at once, as they are contiguous
+                centered = (slice(s, -s), slice(2 * s, None), slice(None, -2 * s))
+            else:
+                if axis == 0:  # the planes off the walls
+                    start, stop = (max(z0, 1) - z0) * plane, (min(z1, nz - 1) - z0) * plane
+                else:
+                    start, stop = s, height * plane - s
+                centered = (slice(start, stop), slice(offset + start + s, offset + stop + s),
+                            slice(offset + start - s, offset + stop - s))
+            if axis:  # x and y: both faces at once, from the slab's own planes
+                own = None if self.whole else self.inner
+                faces = [(along(axis, slice(None, None, n - 1)),
+                          along(axis, slice(1, None, n - 2), own),
+                          along(axis, slice(None, n - 1, n - 2), own))]
+            elif self.whole:  # z: both walls at once
+                faces = [(along(0, slice(None, None, nz - 1)), along(0, slice(1, None, nz - 2)),
+                          along(0, slice(None, nz - 1, nz - 2)))]
+            else:  # z: the walls among the slab's planes, if any
+                faces = [(along(0, slice(at, at + 1)), along(0, slice(up, up + 1)),
+                          along(0, slice(up - 1, up)))
+                         for wall, at, up in ((0, 0, 1), (nz - 1, height - 1, hi - lo - 1))
+                         if z0 <= wall < z1]
+            self.gradient.append(centered + (faces,))
+
 
 class _Work:
     """Work arrays of the tendency kernel for one grid shape; each has one user.
 
-    Buffers that are free at some point serve there too: ``potentials`` holds
-    6 * field in _laplacian and a gradient in _divergence, both after the
-    flux, and ``coeff`` holds the upper density gate before it is written.
+    The kernel runs its stages over slabs of ``planes`` z-planes (see
+    ``SLAB_CELLS``; the last slab may be thinner), so that what one slab
+    writes is still in cache when the next stage of that slab reads it.  Only
+    what a stage reads across a slab's walls stays full-size: the two
+    potentials whose gradients give the flux (normalized b and A) and the
+    three flux components whose divergence gives db.  The Laplacians read
+    their halo planes from the state itself.  Everything else is per slab:
+    the ghost-padded fields of a Laplacian, the two gradients of the flux
+    stage, the flux coefficient and density gate, the oxygen masks and two
+    scratch fields.  The gradients also hold 6 * field in _laplacian and a
+    gradient in _divergence, both after the flux, and ``coeff`` holds the
+    upper density gate before it is written.  With one slab (``planes`` at
+    least nz) the kernel makes the NumPy calls of an unblocked one.
     """
 
-    def __init__(self, shape: tuple[int, int, int]):
-        self.shape = shape
-        # _laplacian: up to two fields with their ghost cells
-        self.padded = np.empty((2,) + tuple(n + 2 for n in shape))
-        # compute_flux: normalized b and A, and their gradients along one axis
+    def __init__(self, shape: tuple[int, int, int], planes: int | None = None):
+        nz, ny, nx = shape = tuple(shape)
+        if planes is None:
+            planes = max(1, SLAB_CELLS // (ny * nx))
+        planes = min(planes, nz)
         self.potentials = np.empty((2,) + shape)
-        self.grads = np.empty((2,) + shape)
-        self.coeff, self.gate = np.empty((2,) + shape)
-        # tumor_tendency (hypoxic and proliferative are 0/1 masks)
         self.flux = np.empty((3,) + shape)
-        self.t1, self.t2, self.hypoxic, self.proliferative = np.empty((4,) + shape)
-        # _gradient, per axis: the flat stride, and where the two faces sit
-        # in the result and which entries of the input their differences take
-        self.strides = [int(np.prod(shape[axis + 1:])) for axis in range(3)]
-        self.faces = [
-            tuple((Ellipsis, index) + (slice(None),) * (2 - axis) for index in (
-                slice(None, None, n - 1), slice(1, None, n - 2), slice(None, n - 1, n - 2)))
-            for axis, n in enumerate(shape)
-        ]
+        cells = planes * ny * nx
+        storage = {"padded": np.empty(2 * (planes + 2) * (ny + 2) * (nx + 2)),
+                   "grads": np.empty(2 * cells), "scratch": np.empty(6 * cells)}
+        self.slabs = [_Slab(shape, z0, min(z0 + planes, nz), storage,
+                            self.potentials, self.flux)
+                      for z0 in range(0, nz, planes)]
 
 
-def _gradient(f: np.ndarray, h: float, axis: int, out: np.ndarray, w: _Work) -> np.ndarray:
-    """d/d(grid axis) of a field or a stack of fields into C-contiguous ``out``."""
-    s = w.strides[axis]
-    # centered differences over the flattened array; the entries this gives
-    # on the two faces (which straddle rows or fields) are overwritten below
-    inner = out.reshape(-1)[s:-s]
-    flat = f.reshape(-1)
-    np.subtract(flat[2 * s:], flat[:-2 * s], out=inner)
+def _one_slab(shape) -> _Slab:
+    """The whole grid as one slab, for stencils called on their own."""
+    return _Work(shape, planes=shape[0]).slabs[0]
+
+
+def _gradient(f: np.ndarray, h: float, axis: int, out: np.ndarray, slab: _Slab) -> np.ndarray:
+    """d/d(grid axis) of a field or a stack of fields on the planes of
+    ``slab`` into C-contiguous ``out``; ``f`` holds the planes ``slab.halo``."""
+    centered, ahead, behind, faces = slab.gradient[axis]
+    # centered differences over the flattened planes; the entries this gives
+    # on the faces (which straddle rows, planes or fields) are overwritten below
+    if slab.whole or f.ndim == 3:
+        flat, inner = f.reshape(-1), out.reshape(-1)[centered]
+    else:  # a stack of fields whose halos are apart: one row each
+        flat, inner = f.reshape(len(f), -1), out.reshape(len(out), -1)[:, centered]
+        ahead, behind = (slice(None), ahead), (slice(None), behind)
+    np.subtract(flat[ahead], flat[behind], out=inner)
     np.divide(inner, 2.0 * h, out=inner)
-    # both faces at once: out[0] = f[1] - f[0] and out[n-1] = f[n-1] - f[n-2]
-    faces, upper, lower = w.faces[axis]
-    faces = out[faces]
-    np.subtract(f[upper], f[lower], out=faces)
-    np.divide(faces, h, out=faces)
+    # one-sided at the walls: out[0] = f[1] - f[0] and out[n-1] = f[n-1] - f[n-2],
+    # both in one call where the slab has both
+    for index, upper, lower in faces:
+        face = out[index]
+        np.subtract(f[upper], f[lower], out=face)
+        np.divide(face, h, out=face)
     return out
 
 
 def _laplacian(data: np.ndarray, h: float, out: np.ndarray | None = None,
-               work: _Work | None = None) -> np.ndarray:
+               slab: _Slab | None = None) -> np.ndarray:
     """7-point Laplacian with mirrored (zero-flux) boundary cells.
 
-    ``data`` is one field or a stack of two.
+    ``data`` is one field or a stack of two, on the planes ``slab.halo``;
+    the result covers the slab's own planes.  Without a slab it is the whole
+    field.
     """
-    w = _Work(data.shape[-3:]) if work is None else work
-    fields = data.reshape((-1,) + w.shape)
-    nz, ny, nx = w.shape
-    p = w.padded[:len(fields)]
-    p[:, 1:-1, 1:-1, 1:-1] = fields
-    # ghost faces repeat the edge cells (two faces per copy)
-    p[:, ::nz + 1, 1:-1, 1:-1] = fields[:, ::nz - 1]
-    p[:, 1:-1, ::ny + 1, 1:-1] = fields[:, :, ::ny - 1]
-    p[:, 1:-1, 1:-1, ::nx + 1] = fields[:, :, :, ::nx - 1]
-    out = np.empty(data.shape) if out is None else out
-    result = out.reshape(fields.shape)
+    if slab is None:
+        slab = _one_slab(data.shape[-3:])
+    fields = data.reshape((-1,) + data.shape[-3:])
+    own = fields[:, slab.inner]
+    height, ny, nx = slab.shape
+    p = slab.padded[:len(fields)]
+    p[:, 1:-1, 1:-1, 1:-1] = own
+    # ghost faces repeat the edge cells (two faces per copy); along z they
+    # repeat the halo planes, which are the slab's own planes at a wall
+    p[:, ::height + 1, 1:-1, 1:-1] = fields[:, ::fields.shape[1] - 1]
+    p[:, 1:-1, ::ny + 1, 1:-1] = own[:, :, ::ny - 1]
+    p[:, 1:-1, 1:-1, ::nx + 1] = own[:, :, :, ::nx - 1]
+    out = np.empty(data.shape[:-3] + slab.shape) if out is None else out
+    result = out.reshape(own.shape)
     np.add(p[:, 2:, 1:-1, 1:-1], p[:, :-2, 1:-1, 1:-1], out=result)
     result += p[:, 1:-1, 2:, 1:-1]
     result += p[:, 1:-1, :-2, 1:-1]
     result += p[:, 1:-1, 1:-1, 2:]
     result += p[:, 1:-1, 1:-1, :-2]
-    result -= np.multiply(fields, 6.0, out=w.potentials[:len(fields)])
+    result -= np.multiply(own, 6.0, out=slab.grads[:len(fields)])
     result /= h * h
     return out
 
@@ -186,94 +293,104 @@ def compute_flux(state: np.ndarray, p: TumorParams, h: float,
     b, A = state[0], state[4]
     w = _Work(b.shape) if work is None else work
     out = np.empty((3,) + b.shape) if out is None else out
+    # the potentials are full-size: a slab's z-gradients read its neighbours'
     potentials = w.potentials
     np.subtract(b, p.b_norm, out=potentials[0])
     potentials[0] /= p.b_M - p.b_norm
     potentials[1] = A
-    gate = np.greater_equal(b, p.b_norm, out=w.gate)
-    gate *= np.less_equal(b, p.b_M, out=w.coeff)
-    coeff = np.multiply(b, -p.d_b, out=w.coeff)
-    pressure, chemotaxis = w.grads
-    for component, axis in enumerate((2, 1, 0)):  # x runs along the last axis
-        _gradient(potentials, h, axis, w.grads, w)
-        pressure *= gate
-        chemotaxis *= p.r_b
-        pressure += chemotaxis
-        np.multiply(coeff, pressure, out=out[component])
+    for slab in w.slabs:
+        b_slab, flux = b[slab.planes], out[:, slab.planes]
+        gate = np.greater_equal(b_slab, p.b_norm, out=slab.gate)
+        gate *= np.less_equal(b_slab, p.b_M, out=slab.coeff)
+        coeff = np.multiply(b_slab, -p.d_b, out=slab.coeff)
+        pressure, chemotaxis = slab.grads
+        for component, axis in enumerate((2, 1, 0)):  # x runs along the last axis
+            _gradient(slab.potentials, h, axis, slab.grads, slab)
+            pressure *= gate
+            chemotaxis *= p.r_b
+            pressure += chemotaxis
+            np.multiply(coeff, pressure, out=flux[component])
     return out
 
 
 def _divergence(flux: np.ndarray, h: float, out: np.ndarray | None = None,
-                work: _Work | None = None) -> np.ndarray:
-    """dJx/dx + dJy/dy + dJz/dz of a (3, nz, ny, nx) flux array."""
-    w = _Work(flux.shape[1:]) if work is None else work
-    out = np.empty(flux.shape[1:]) if out is None else out
-    _gradient(flux[0], h, 2, out, w)
-    out += _gradient(flux[1], h, 1, w.potentials[0], w)
-    out += _gradient(flux[2], h, 0, w.potentials[0], w)
+                slab: _Slab | None = None) -> np.ndarray:
+    """dJx/dx + dJy/dy + dJz/dz of a (3, nz, ny, nx) flux array, on the
+    planes of ``slab`` from the flux on the planes ``slab.halo``, or on the
+    whole grid without a slab."""
+    if slab is None:
+        slab = _one_slab(flux.shape[1:])
+    out = np.empty(slab.shape) if out is None else out
+    scratch = slab.grads[0]
+    _gradient(flux[0], h, 2, out, slab)
+    out += _gradient(flux[1], h, 1, scratch, slab)
+    out += _gradient(flux[2], h, 0, scratch, slab)
     return out
 
 
 def tumor_tendency(
     state: np.ndarray, p: TumorParams, h: float,
     oxygen_source_mask: np.ndarray | None = None, work: _Work | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Time derivative of all five fields of a state on spacing h, as a new array.
+    """Time derivative of all five fields of a state on spacing h, into
+    ``out`` (C-contiguous, shaped like the state) or a new array.
 
     ``oxygen_source_mask`` optionally restricts oxygen delivery to a static
     0/1 region (a crude stand-in for a vessel network); by default delivery
     acts everywhere.  ``work`` holds the grid's reusable work arrays.
     """
-    b, c, o, M, A = state
-    w = _Work(b.shape) if work is None else work
-    out = np.empty(state.shape)
-    db, dc, do, dM, dA = out
-    t1, t2 = w.t1, w.t2
-
-    hypoxic = np.less(o, p.o_death, out=w.hypoxic)
-    proliferative = np.greater(o, p.o_prol, out=w.proliferative)
+    w = _Work(state.shape[1:]) if work is None else work
+    out = np.empty(state.shape) if out is None else out
 
     with np.errstate(over="ignore", invalid="ignore"):
         compute_flux(state, p, h, out=w.flux, work=w)
-        # mitosis boost 1 + P_b * tau_b A / (tau_b A + 1), kept in t1
-        np.multiply(A, p.tau_b, out=t1)
-        t1 /= np.add(t1, 1.0, out=t2)
-        t1 *= p.P_b
-        t1 += 1.0
-        # db = -div J - (b / T_death) hypoxic
-        #      + (b / T_prol) boost (1 - b / b_M) proliferative
-        _divergence(w.flux, h, out=db, work=w)
-        np.negative(db, out=db)
-        db -= np.multiply(np.divide(b, p.T_death, out=t2), hypoxic, out=t2)
-        np.divide(b, p.T_prol, out=t2)
-        t2 *= t1
-        np.subtract(1.0, np.divide(b, p.b_M, out=t1), out=t1)
-        t2 *= t1
-        t2 *= proliferative
-        db += t2
-        # dc = chi_c lap(c) - gamma_c o c + b (1 - c) hypoxic
-        _laplacian(state[1:3], h, out=out[1:3], work=w)  # lap(c) and lap(o)
-        dc *= p.chi_c
-        dc -= np.multiply(np.multiply(o, p.gamma_c, out=t1), c, out=t1)
-        np.multiply(b, np.subtract(1.0, c, out=t1), out=t1)
-        t1 *= hypoxic
-        dc += t1
-        # do = alpha_o lap(o) - gamma_o b o + delta_o (o_max - o) [* mask]
-        do *= p.alpha_o
-        do -= np.multiply(np.multiply(b, p.gamma_o, out=t1), o, out=t1)
-        np.subtract(p.o_max, o, out=t1)
-        t1 *= p.delta_o
-        if oxygen_source_mask is not None:
-            t1 *= oxygen_source_mask
-        do += t1
-        # dM = -beta_M M b
-        np.multiply(M, -p.beta_M, out=dM)
-        dM *= b
-        # dA = gamma_A M b + chi_aA lap(A) - gamma_oA A
-        _laplacian(A, h, out=dA, work=w)
-        dA *= p.chi_aA
-        dA += np.multiply(np.multiply(M, p.gamma_A, out=t1), b, out=t1)
-        dA -= np.multiply(A, p.gamma_oA, out=t1)
+        for slab in w.slabs:
+            planes, halo = slab.planes, slab.halo
+            b, c, o, M, A = state[:, planes]
+            db, dc, do, dM, dA = tend = out[:, planes]
+            t1, t2 = slab.t1, slab.t2
+            hypoxic = np.less(o, p.o_death, out=slab.hypoxic)
+            proliferative = np.greater(o, p.o_prol, out=slab.proliferative)
+            # mitosis boost 1 + P_b * tau_b A / (tau_b A + 1), kept in t1
+            np.multiply(A, p.tau_b, out=t1)
+            t1 /= np.add(t1, 1.0, out=t2)
+            t1 *= p.P_b
+            t1 += 1.0
+            # db = -div J - (b / T_death) hypoxic
+            #      + (b / T_prol) boost (1 - b / b_M) proliferative
+            _divergence(slab.flux, h, out=db, slab=slab)
+            np.negative(db, out=db)
+            db -= np.multiply(np.divide(b, p.T_death, out=t2), hypoxic, out=t2)
+            np.divide(b, p.T_prol, out=t2)
+            t2 *= t1
+            np.subtract(1.0, np.divide(b, p.b_M, out=t1), out=t1)
+            t2 *= t1
+            t2 *= proliferative
+            db += t2
+            # dc = chi_c lap(c) - gamma_c o c + b (1 - c) hypoxic
+            _laplacian(state[1:3, halo], h, out=tend[1:3], slab=slab)  # lap(c) and lap(o)
+            dc *= p.chi_c
+            dc -= np.multiply(np.multiply(o, p.gamma_c, out=t1), c, out=t1)
+            np.multiply(b, np.subtract(1.0, c, out=t1), out=t1)
+            t1 *= hypoxic
+            dc += t1
+            # do = alpha_o lap(o) - gamma_o b o + delta_o (o_max - o) [* mask]
+            do *= p.alpha_o
+            do -= np.multiply(np.multiply(b, p.gamma_o, out=t1), o, out=t1)
+            np.subtract(p.o_max, o, out=t1)
+            t1 *= p.delta_o
+            if oxygen_source_mask is not None:
+                t1 *= oxygen_source_mask[planes]
+            do += t1
+            # dM = -beta_M M b
+            np.multiply(M, -p.beta_M, out=dM)
+            dM *= b
+            # dA = gamma_A M b + chi_aA lap(A) - gamma_oA A
+            _laplacian(state[4, halo], h, out=dA, slab=slab)
+            dA *= p.chi_aA
+            dA += np.multiply(np.multiply(M, p.gamma_A, out=t1), b, out=t1)
+            dA -= np.multiply(A, p.gamma_oA, out=t1)
 
     return out
 
@@ -389,14 +506,16 @@ class TumorSystem(DynamicalSystem):
         self.metric_params = metric_params if metric_params is not None else TumorParams()
         self._idle_work: list[_Work] = []  # work sets no tendency is using
 
-    def tendency(self, state: np.ndarray, params: TumorParams) -> np.ndarray:
+    def tendency(self, state: np.ndarray, params: TumorParams,
+                 out: np.ndarray | None = None) -> np.ndarray:
         # list.pop and list.append are atomic, so each set has one user at a time
         try:
             work = self._idle_work.pop()
         except IndexError:
             work = _Work(self.spec.shape)
         try:
-            return tumor_tendency(state, params, self.spec.h, self.oxygen_source_mask, work)
+            return tumor_tendency(state, params, self.spec.h, self.oxygen_source_mask, work,
+                                  out)
         finally:
             self._idle_work.append(work)
 
@@ -408,7 +527,11 @@ class TumorSystem(DynamicalSystem):
 
     def random_state(self, params: TumorParams, rng) -> np.ndarray:
         ranges = (params.b_M, 1.0, params.o_max, 1.0, 1.0)  # b, c, o, M, A
-        return np.stack([rng.uniform(0.0, hi, size=self.spec.shape) for hi in ranges])
+        # one field at a time: a state and a field at most, not two states
+        state = np.empty((len(ranges),) + self.spec.shape)
+        for field, hi in zip(state, ranges):
+            field[...] = rng.uniform(0.0, hi, size=self.spec.shape)
+        return state
 
     def noise_like(self, state: np.ndarray, rng) -> np.ndarray:
         return rng.standard_normal(state.shape)

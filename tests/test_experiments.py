@@ -137,6 +137,27 @@ class TestCli:
         assert not (tmp_path / "training.csv").exists()
         assert not (tmp_path / "curves.csv").exists()
 
+    @pytest.mark.parametrize("command, given", [
+        ("train", True), ("simulate", True), ("simulate", False),
+    ])
+    def test_missing_reference_archive_exits_with_its_path(self, tmp_path, capsys, command,
+                                                          given):
+        out = tmp_path / "cli"
+        missing = tmp_path / "no_such_archive" if given else out / "gt"
+        argv = [command, *GRID, "--out", str(out)] + (["--gt", str(missing)] if given else [])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert str(missing) in err and "does not exist" in err
+        # nothing was generated in its place
+        assert not out.exists()
+
+    def test_missing_coupling_exits_with_its_path(self, tmp_path, capsys, archive):
+        out = tmp_path / "cli"
+        assert main(["simulate", *GRID, "--out", str(out), "--gt", str(archive)]) == 2
+        err = capsys.readouterr().err
+        assert str(out / "trained_coupling.json") in err and "does not exist" in err
+        assert not (out / "curves.csv").exists()
+
     def test_simulate_reproduces_experiment_prediction(self, tmp_path):
         run, sim = tmp_path / "run", tmp_path / "sim"
         assert main(["experiment", *GRID, "--out", str(run)]) == 0

@@ -1,7 +1,7 @@
 """The buffer-reusing tendency kernel against the plain numpy formula."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from supermodeling.experiments import ExperimentConfig, instantiate_submodels
@@ -10,6 +10,7 @@ from supermodeling.tumor import (
     FIELD_NAMES,
     TumorParams,
     TumorSystem,
+    _Work,
     gaussian_bump_state,
     tumor_tendency,
 )
@@ -72,8 +73,12 @@ def random_state(spec, rng):
     h=st.sampled_from([1.0, 0.5, 0.7]),  # 0.7: x / h and x * (1 / h) often differ
     seed=st.integers(0, 2**32 - 1),
     masked=st.booleans(),
+    planes=st.integers(1, 9),  # z-planes per slab; nz or more is one slab
 )
-def test_kernel_matches_numpy_formula(cells, h, seed, masked):
+@example(cells=(4, 5, 7), h=0.7, seed=1, masked=True, planes=3)  # slabs of 3, 3 and 1
+@example(cells=(5, 3, 6), h=0.5, seed=2, masked=False, planes=1)  # one plane per slab
+@example(cells=(3, 4, 9), h=1.0, seed=3, masked=True, planes=4)  # 4, 4 and 1
+def test_kernel_matches_numpy_formula(cells, h, seed, masked, planes):
     spec = GridSpec(*cells, h=h)
     rng = np.random.default_rng(seed)
     # one V2 draw: sensitive parameters +-40%, all other rates +-30%
@@ -95,6 +100,16 @@ def test_kernel_matches_numpy_formula(cells, h, seed, masked):
     assert np.array_equal(got_first, kept)
     # without a system the kernel runs on work arrays of its own
     assert np.array_equal(tumor_tendency(first, params, h, mask), kept)
+    # slabs of any height give the same bits, written into a given array or not
+    work = _Work(spec.shape, planes)
+    out = np.full(first.shape, np.nan)
+    assert tumor_tendency(first, params, h, mask, work, out) is out
+    assert np.array_equal(out, kept)
+    assert np.array_equal(tumor_tendency(second, params, h, mask, work), got_second)
+    # a system writes into a given array what a fresh call returns
+    out = np.full(first.shape, np.nan)
+    assert system.tendency(first, params, out=out) is out
+    assert np.array_equal(out, kept)
 
 
 def test_tendency_calls_return_independent_arrays():

@@ -101,9 +101,9 @@ def count_member_tendencies(ens):
     counts = engine._shared_zeros((ens.n,))
     tendency, base, size = ens.system.tendency, ens.states.ctypes.data, ens.states[0].nbytes
 
-    def spy(state, params):
+    def spy(state, params, out=None):
         counts[(state.ctypes.data - base) // size] += 1
-        return tendency(state, params)
+        return tendency(state, params, out=out)
 
     ens.system.tendency = spy
     return counts
@@ -114,9 +114,9 @@ def count_tendencies(system):
     calls = []
     tendency = system.tendency
 
-    def spy(state, params):
+    def spy(state, params, out=None):
         calls.append(None)
-        return tendency(state, params)
+        return tendency(state, params, out=out)
 
     system.tendency = spy
     return calls
@@ -348,6 +348,22 @@ def test_look_ahead_keeps_the_bits(monkeypatch, n_submodels):
     assert np.array_equal(counts, np.full(n_submodels, steps))
 
 
+def test_look_ahead_writes_into_arrays_it_keeps():
+    ens, _cm, _gt = make_training(3)
+    first = engine._look_ahead(ens, range(ens.n))
+    kept = {i: tendency.copy() for i, tendency in first.items()}
+    for i in range(ens.n):
+        first[i] *= 0.1  # as the step that applies it does
+    second = engine._look_ahead(ens, range(ens.n))
+    assert sorted(second) == list(range(ens.n))
+    for i in range(ens.n):
+        # the same array as last time, holding the tendency afresh
+        assert second[i] is first[i]
+        assert not np.shares_memory(second[i], ens.states)
+        assert np.array_equal(second[i], kept[i])
+        assert np.array_equal(second[i], ens.system.tendency(ens.states[i], ens.params[i]))
+
+
 def test_aborted_training_leaves_no_stale_tendency(monkeypatch):
     expected = run_loops(*make_training(3))
     force_workers(monkeypatch)
@@ -384,11 +400,14 @@ class Ramp(DynamicalSystem):
 
     couplable = ("b",)
 
-    def tendency(self, state, params):
+    def tendency(self, state, params, out=None):
         member, limit = params
         if state[0] >= limit:
             raise BlowUpError(f"member {member} reached {state[0]}")
-        return np.ones(state.shape)
+        if out is None:
+            return np.ones(state.shape)
+        out[...] = 1.0
+        return out
 
 
 # with two processes members 0 and 2 are the worker's, whose tendencies at
