@@ -39,7 +39,7 @@ from .engine import (
     train,
 )
 from .fields import BlowUpError, GridSpec, l2_norm
-from .groundtruth import GroundTruth, error_metrics, generate_gt, gt_volumes_at, load_gt, save_gt
+from .groundtruth import GroundTruth, generate_gt, gt_volumes_at, load_gt, save_gt, step_error
 from .theory import export_contraction_csv, make_contraction_report
 from .tumor import (
     DIVERGING,
@@ -124,6 +124,8 @@ class ExperimentConfig:
             raise ValueError("k_nudge must be nonnegative")
         if not self.bump_width > 0:
             raise ValueError("bump_width must be positive")
+        if not self.vessel_core_radius >= 0:
+            raise ValueError("vessel_core_radius must be nonnegative")
         if self.core_oxygen > 0 and not self.oxygen_ramp_radius > 0:
             raise ValueError("oxygen_ramp_radius must be positive when core_oxygen "
                              "enables the hypoxic core")
@@ -522,21 +524,23 @@ def predict(ensemble, cm, gt, config, out_dir: Path | None = None) -> Prediction
     system = ens.system
     averaged = system.volume_variables  # b, then o: the error reads output[0]
     member_volumes = [[system.volumes(x) for x in ens.states]]
+    errors = []  # each step's error, taken as the step ends: no b is kept
 
     def observer(_step, current):
         member_volumes.append([system.volumes(x) for x in current.states])
 
     def record(output):
-        return output[0].copy(), system.volumes(output, averaged)
+        errors.append(step_error(gt, len(errors), output[0]))
+        return system.volumes(output, averaged)
 
-    outputs = simulate(
+    volumes = simulate(
         ens, cm, gt, config.dt, config.steps,
         nudge_in_prediction=config.nudge_in_prediction, observer=observer, record=record,
         variables=averaged,
     )
-    l2_error, volume_diff = error_metrics(gt, [b for b, _volumes in outputs])
-    run = Prediction(volumes=[volumes for _b, volumes in outputs],
-                     member_volumes=member_volumes, l2_error=l2_error, volume_diff=volume_diff)
+    l2_error, volume_diff = np.array(errors, dtype=np.float64).T
+    run = Prediction(volumes=volumes, member_volumes=member_volumes, l2_error=l2_error,
+                     volume_diff=volume_diff)
     if out_dir is not None:
         _write_curves_csv(gt, run, out_dir / "curves.csv", config)
         _write_volume_diff_csv(run, out_dir / "volume_diff.csv", config)

@@ -118,6 +118,9 @@ def read_field(path) -> tuple[np.ndarray, GridSpec, float]:
         nx, ny, nz = int(header[0]), int(header[1]), int(header[2])
         h, t = float(header[3]), float(header[4])
         spec = GridSpec(nx, ny, nz, h)
-        raw = fh.read(spec.size * 8)
+        raw = fh.read()
+    if len(raw) != spec.size * 8:
+        raise ValueError(f"snapshot {path} holds {len(raw)} data bytes, but its "
+                         f"{nx}x{ny}x{nz} header needs {spec.size * 8}")
     data = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(spec.shape)
     return data, spec, t

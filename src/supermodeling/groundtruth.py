@@ -128,22 +128,25 @@ def gt_volumes_at(gt: GroundTruth, n: int) -> VolumeTriple:
     return VolumeTriple(*((1.0 - w) * np.array(a) + w * np.array(b)))
 
 
+def step_error(gt: GroundTruth, n: int, state) -> tuple[float, float]:
+    """L2 error and signed volume difference (reference minus ``state``) of a
+    coupled-variable state at step n, both weighted by the reference's cell
+    volume."""
+    ref = gt_at(gt, n)
+    vol = gt.cell_volume
+    return l2_norm(ref - state, vol), volume_integral(ref, vol) - volume_integral(state, vol)
+
+
 def error_metrics(gt: GroundTruth, trajectory, start_step: int = 0):
-    """Per-step L2 error and signed volume difference (reference minus run),
-    both weighted by the reference's cell volume.
+    """Per-step ``step_error`` of a trajectory, as two arrays.
 
     ``trajectory`` holds coupled-variable states at consecutive steps
     beginning at ``start_step``; the whole range must be covered by the
     ground truth.
     """
-    vol = gt.cell_volume
-    l2 = np.empty(len(trajectory))
-    voldiff = np.empty(len(trajectory))
-    for k, state in enumerate(trajectory):
-        ref = gt_at(gt, start_step + k)
-        l2[k] = l2_norm(ref - state, vol)
-        voldiff[k] = volume_integral(ref, vol) - volume_integral(state, vol)
-    return l2, voldiff
+    errors = [step_error(gt, start_step + k, state) for k, state in enumerate(trajectory)]
+    return (np.array([l2 for l2, _ in errors], dtype=np.float64),
+            np.array([diff for _, diff in errors], dtype=np.float64))
 
 
 # -- on-disk archive ----------------------------------------------------------

@@ -28,6 +28,17 @@ instead of recomputing them, and every cell goes through the operations of
 an unblocked kernel in the same order, so the bits do not depend on the slab
 height.  Grids of up to ``SLAB_CELLS`` cells (32^3) are one slab.
 
+Two more rules cut the work per cell without changing a bit.  A division
+by a power of two is a multiply by its exact reciprocal, and a division by
+one is skipped (``_scale``): x / 2^k and x * 2^-k are the same correctly
+rounded number for every x.  Other divisors, such as h = 0.7 or T_prol,
+still divide.  And a Laplacian runs each of its terms as one contiguous pass
+over a flattened ghost-padded copy of the field; the entries that fall on
+ghost cells are computed and never read.  Its result is a view of an
+accumulator laid out like that copy.  The accumulators share storage with a
+slab's coeff, gate, t1 and t2, which are free once the flux and db are
+done, so they add no memory except on grids with nx or ny below 5.
+
 A TumorSystem keeps a free-list of work sets: a tendency takes one
 (allocating it when the list is empty) and puts it back when it returns.
 So a system serves concurrent tendencies from several threads, and it holds
@@ -110,6 +121,26 @@ class VolumeTriple(NamedTuple):
 # rebuilds np.gradient(edge_order=1); every operation and every sum keeps the
 # order of those formulas, so the results are bit-identical to them.
 
+
+def _scale(x: np.ndarray, divisor: float, out: np.ndarray) -> np.ndarray:
+    """``x / divisor`` into ``out``, bit for bit what np.divide writes.
+
+    A power of two whose reciprocal is finite becomes a multiply by that
+    reciprocal: both are exact, so x / 2^k and x * 2^-k round the same real
+    number and agree on every input, subnormals, infinities and NaN included.
+    Dividing by one is a copy, and no pass at all when ``out`` is ``x``.
+    Every other divisor divides.
+    """
+    if divisor == 1.0:
+        if out is not x:
+            np.copyto(out, x)
+        return out
+    reciprocal = 1.0 / divisor if abs(math.frexp(divisor)[0]) == 0.5 else math.inf
+    if math.isfinite(reciprocal):
+        return np.multiply(x, reciprocal, out=out)
+    return np.divide(x, divisor, out=out)
+
+
 # Cells per slab of the tendency kernel: a slab is max(1, SLAB_CELLS // (ny*nx))
 # z-planes.  tumor_tendency against the unblocked kernel, calls alternating
 # in one process on a 2-vCPU host with one BLAS thread: the speedup of the
@@ -117,12 +148,13 @@ class VolumeTriple(NamedTuple):
 # with the planes per slab for each candidate value (one: the whole grid)
 #
 #     grid    16K cells             32K cells             64K cells
-#     16^3    one   0.999 (1.001)   one                   one
-#     32^3    16    1.034 (1.047)   one   1.012 (1.022)   one
-#     48^3    7     1.123 (1.141)   14    1.132 (1.139)   28    1.086 (1.114)
-#     64^3    4     1.185 (1.206)   8     1.205 (1.221)   16    1.185 (1.213)
+#     16^3    one   1.007 (1.079)   one                   one
+#     32^3    16    0.884 (0.915)   one   0.966 (0.982)   one
+#     48^3    7     1.079 (1.452)   14    1.215 (1.482)   28    1.195 (1.457)
+#     64^3    4     1.415 (1.452)   8     1.393 (1.510)   16    1.325 (1.398)
 #
-# 32K is the best at 48^3 and 64^3 and keeps grids up to 32^3 in one slab.
+# No value is the best at both 48^3 and 64^3; 32K, the best at 48^3 and
+# within 2% of the best at 64^3, keeps grids up to 32^3 in one slab.
 SLAB_CELLS = 32 * 1024
 
 
@@ -135,8 +167,10 @@ class _Slab:
     when the slab is the whole grid.  ``gradient`` holds, per grid axis,
     where _gradient writes its centered differences in a flattened field of
     the slab, the two entries of the flattened halo they subtract, and the
-    one-sided faces.  The arrays are this slab's share of its work set's
-    slab-sized storage, each C-contiguous.
+    one-sided faces.  ``stencil`` holds, for a flattened ghost-padded field,
+    where _laplacian's passes read the cells and their six neighbours.  The
+    arrays are this slab's share of its work set's slab-sized storage, each
+    C-contiguous.
     """
 
     def __init__(self, shape, z0: int, z1: int, storage: dict, potentials, flux):
@@ -149,13 +183,26 @@ class _Slab:
         # what the slab's gradients read of the full-size work arrays
         self.potentials, self.flux = potentials[:, self.halo], flux[:, self.halo]
 
-        def take(name, count, shape):
-            return storage[name][:count * math.prod(shape)].reshape((count,) + shape)
+        def take(name, count, shape, start=0):
+            size = count * math.prod(shape)
+            return storage[name][start:start + size].reshape((count,) + shape)
 
+        padded_plane = (ny + 2) * (nx + 2)
         self.padded = take("padded", 2, (height + 2, ny + 2, nx + 2))
         self.grads = take("grads", 2, self.shape)
-        self.coeff, self.gate, self.t1, self.t2, self.hypoxic, self.proliferative = take(
-            "scratch", 6, self.shape)
+        self.coeff, self.gate, self.t1, self.t2 = take("scratch", 4, self.shape)
+        # the Laplacians' accumulators, laid out like the padded fields and
+        # sharing the four slots above; the oxygen masks come after both
+        self.laplacians = take("scratch", 2, (height, ny + 2, nx + 2))
+        self.hypoxic, self.proliferative = take(
+            "scratch", 2, self.shape, height * _front_per_plane(ny, nx))
+        # a padded field's own cells span [start, start + length) flattened,
+        # with ghost entries between their rows and planes
+        start = padded_plane + (nx + 2) + 1
+        length = (height - 1) * padded_plane + (ny - 1) * (nx + 2) + nx
+        self.stencil = (slice(start, start + length), length,
+                        [slice(start + d, start + d + length)
+                         for step in (padded_plane, nx + 2, 1) for d in (step, -step)])
 
         def along(axis, index, z=None):
             """``index`` on one axis of a field or a stack, and ``z`` on its planes."""
@@ -190,6 +237,13 @@ class _Slab:
             self.gradient.append(centered + (faces,))
 
 
+def _front_per_plane(ny: int, nx: int) -> int:
+    """Scratch entries per slab plane ahead of the oxygen masks: four fields
+    (coeff, gate, t1, t2), or two padded Laplacian accumulators where those
+    are larger, which takes nx or ny below 5."""
+    return max(4 * ny * nx, 2 * (ny + 2) * (nx + 2))
+
+
 class _Work:
     """Work arrays of the tendency kernel for one grid shape; each has one user.
 
@@ -202,10 +256,12 @@ class _Work:
     their halo planes from the state itself.  Everything else is per slab:
     the ghost-padded fields of a Laplacian, the two gradients of the flux
     stage, the flux coefficient and density gate, the oxygen masks and two
-    scratch fields.  The gradients also hold 6 * field in _laplacian and a
-    gradient in _divergence, both after the flux, and ``coeff`` holds the
-    upper density gate before it is written.  With one slab (``planes`` at
-    least nz) the kernel makes the NumPy calls of an unblocked one.
+    scratch fields.  The gradients also hold a gradient in _divergence, after
+    the flux; ``coeff`` holds the upper density gate before it is written;
+    and once the flux and db are done, coeff, gate, t1 and t2 hold the
+    Laplacians' accumulators (a grid with nx or ny below 5 may get more room
+    for them).  With one slab (``planes`` at least nz) the kernel makes the
+    NumPy calls of an unblocked one.
     """
 
     def __init__(self, shape: tuple[int, int, int], planes: int | None = None):
@@ -217,7 +273,8 @@ class _Work:
         self.flux = np.empty((3,) + shape)
         cells = planes * ny * nx
         storage = {"padded": np.empty(2 * (planes + 2) * (ny + 2) * (nx + 2)),
-                   "grads": np.empty(2 * cells), "scratch": np.empty(6 * cells)}
+                   "grads": np.empty(2 * cells),
+                   "scratch": np.empty(planes * _front_per_plane(ny, nx) + 2 * cells)}
         self.slabs = [_Slab(shape, z0, min(z0 + planes, nz), storage,
                             self.potentials, self.flux)
                       for z0 in range(0, nz, planes)]
@@ -240,23 +297,23 @@ def _gradient(f: np.ndarray, h: float, axis: int, out: np.ndarray, slab: _Slab) 
         flat, inner = f.reshape(len(f), -1), out.reshape(len(out), -1)[:, centered]
         ahead, behind = (slice(None), ahead), (slice(None), behind)
     np.subtract(flat[ahead], flat[behind], out=inner)
-    np.divide(inner, 2.0 * h, out=inner)
+    _scale(inner, 2.0 * h, inner)
     # one-sided at the walls: out[0] = f[1] - f[0] and out[n-1] = f[n-1] - f[n-2],
     # both in one call where the slab has both
     for index, upper, lower in faces:
         face = out[index]
         np.subtract(f[upper], f[lower], out=face)
-        np.divide(face, h, out=face)
+        _scale(face, h, face)
     return out
 
 
-def _laplacian(data: np.ndarray, h: float, out: np.ndarray | None = None,
-               slab: _Slab | None = None) -> np.ndarray:
+def _laplacian(data: np.ndarray, h: float, slab: _Slab | None = None) -> np.ndarray:
     """7-point Laplacian with mirrored (zero-flux) boundary cells.
 
     ``data`` is one field or a stack of two, on the planes ``slab.halo``;
     the result covers the slab's own planes.  Without a slab it is the whole
-    field.
+    field.  The result is a view of the slab's accumulators, which share
+    storage with its coeff, gate, t1 and t2: read it before writing those.
     """
     if slab is None:
         slab = _one_slab(data.shape[-3:])
@@ -270,16 +327,23 @@ def _laplacian(data: np.ndarray, h: float, out: np.ndarray | None = None,
     p[:, ::height + 1, 1:-1, 1:-1] = fields[:, ::fields.shape[1] - 1]
     p[:, 1:-1, ::ny + 1, 1:-1] = own[:, :, ::ny - 1]
     p[:, 1:-1, 1:-1, ::nx + 1] = own[:, :, :, ::nx - 1]
-    out = np.empty(data.shape[:-3] + slab.shape) if out is None else out
-    result = out.reshape(own.shape)
-    np.add(p[:, 2:, 1:-1, 1:-1], p[:, :-2, 1:-1, 1:-1], out=result)
-    result += p[:, 1:-1, 2:, 1:-1]
-    result += p[:, 1:-1, :-2, 1:-1]
-    result += p[:, 1:-1, 1:-1, 2:]
-    result += p[:, 1:-1, 1:-1, :-2]
-    result -= np.multiply(own, 6.0, out=slab.grads[:len(fields)])
-    result /= h * h
-    return out
+    # one contiguous pass per term over each flattened padded field: entry i
+    # of the accumulator is the padded cell at start + i, and the entries
+    # that fall on ghost cells are never read
+    centre, length, (up_z, down_z, up_y, down_y, up_x, down_x) = slab.stencil
+    result = slab.laplacians[:len(fields)]
+    for padded, flat in zip(p.reshape(len(fields), -1), result.reshape(len(fields), -1)):
+        acc = flat[:length]
+        np.add(padded[up_z], padded[down_z], out=acc)
+        acc += padded[up_y]
+        acc += padded[down_y]
+        acc += padded[up_x]
+        acc += padded[down_x]
+        own_cells = padded[centre]  # nothing reads the padded copy after this
+        acc -= np.multiply(own_cells, 6.0, out=own_cells)
+        _scale(acc, h * h, acc)
+    result = result[:, :, :ny, :nx]
+    return result if data.ndim > 3 else result[0]
 
 
 def compute_flux(state: np.ndarray, p: TumorParams, h: float,
@@ -296,7 +360,7 @@ def compute_flux(state: np.ndarray, p: TumorParams, h: float,
     # the potentials are full-size: a slab's z-gradients read its neighbours'
     potentials = w.potentials
     np.subtract(b, p.b_norm, out=potentials[0])
-    potentials[0] /= p.b_M - p.b_norm
+    _scale(potentials[0], p.b_M - p.b_norm, potentials[0])
     potentials[1] = A
     for slab in w.slabs:
         b_slab, flux = b[slab.planes], out[:, slab.planes]
@@ -348,7 +412,7 @@ def tumor_tendency(
         for slab in w.slabs:
             planes, halo = slab.planes, slab.halo
             b, c, o, M, A = state[:, planes]
-            db, dc, do, dM, dA = tend = out[:, planes]
+            db, dc, do, dM, dA = out[:, planes]
             t1, t2 = slab.t1, slab.t2
             hypoxic = np.less(o, p.o_death, out=slab.hypoxic)
             proliferative = np.greater(o, p.o_prol, out=slab.proliferative)
@@ -364,19 +428,20 @@ def tumor_tendency(
             db -= np.multiply(np.divide(b, p.T_death, out=t2), hypoxic, out=t2)
             np.divide(b, p.T_prol, out=t2)
             t2 *= t1
-            np.subtract(1.0, np.divide(b, p.b_M, out=t1), out=t1)
+            np.subtract(1.0, _scale(b, p.b_M, t1), out=t1)
             t2 *= t1
             t2 *= proliferative
             db += t2
-            # dc = chi_c lap(c) - gamma_c o c + b (1 - c) hypoxic
-            _laplacian(state[1:3, halo], h, out=tend[1:3], slab=slab)  # lap(c) and lap(o)
-            dc *= p.chi_c
+            # dc = chi_c lap(c) - gamma_c o c + b (1 - c) hypoxic and
+            # do = alpha_o lap(o) - gamma_o b o + delta_o (o_max - o) [* mask];
+            # both Laplacians are read before t1, which may hold lap(o), is written
+            lap_c, lap_o = _laplacian(state[1:3, halo], h, slab=slab)
+            np.multiply(lap_c, p.chi_c, out=dc)
+            np.multiply(lap_o, p.alpha_o, out=do)
             dc -= np.multiply(np.multiply(o, p.gamma_c, out=t1), c, out=t1)
             np.multiply(b, np.subtract(1.0, c, out=t1), out=t1)
             t1 *= hypoxic
             dc += t1
-            # do = alpha_o lap(o) - gamma_o b o + delta_o (o_max - o) [* mask]
-            do *= p.alpha_o
             do -= np.multiply(np.multiply(b, p.gamma_o, out=t1), o, out=t1)
             np.subtract(p.o_max, o, out=t1)
             t1 *= p.delta_o
@@ -387,8 +452,7 @@ def tumor_tendency(
             np.multiply(M, -p.beta_M, out=dM)
             dM *= b
             # dA = gamma_A M b + chi_aA lap(A) - gamma_oA A
-            _laplacian(state[4, halo], h, out=dA, slab=slab)
-            dA *= p.chi_aA
+            np.multiply(_laplacian(state[4, halo], h, slab=slab), p.chi_aA, out=dA)
             dA += np.multiply(np.multiply(M, p.gamma_A, out=t1), b, out=t1)
             dA -= np.multiply(A, p.gamma_oA, out=t1)
 

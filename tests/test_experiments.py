@@ -1,15 +1,19 @@
 import csv
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import supermodeling
 from supermodeling import experiments
 from supermodeling.cli import main
+from supermodeling.engine import SubModelEnsemble, simulate
+from supermodeling.groundtruth import error_metrics, generate_gt
 
 
 def read_rows(path):
@@ -62,7 +66,7 @@ class TestBadConfig:
         {"c_min": 0.9, "c_max": 0.1}, {"a_rate": 1.5}, {"tol": 0.0},
         {"n_submodels": 0}, {"epochs": 0}, {"dt": 0.0}, {"dt": -0.1},
         {"steps": 0}, {"keep_every": 0}, {"k_nudge": -1.0}, {"bump_width": 0.0},
-        {"oxygen_ramp_radius": 0.0},
+        {"oxygen_ramp_radius": 0.0}, {"vessel_core_radius": -0.3},
     ])
     def test_rejected_before_any_work(self, tmp_path, bad):
         with pytest.raises(ValueError):
@@ -151,6 +155,16 @@ class TestCli:
         # nothing was generated in its place
         assert not out.exists()
 
+    def test_truncated_snapshot_exits_with_its_path(self, tmp_path, capsys, archive):
+        copy = tmp_path / "gt"
+        shutil.copytree(archive, copy)
+        snapshot = copy / "gt_000002.f64"
+        snapshot.write_bytes(snapshot.read_bytes()[:-8])
+        assert main(["train", *GRID, "--out", str(tmp_path / "cli"), "--gt", str(copy)]) == 2
+        err = capsys.readouterr().err
+        assert str(snapshot) in err and "4096" in err and "4088" in err
+        assert not (tmp_path / "cli" / "training.csv").exists()
+
     def test_missing_coupling_exits_with_its_path(self, tmp_path, capsys, archive):
         out = tmp_path / "cli"
         assert main(["simulate", *GRID, "--out", str(out), "--gt", str(archive)]) == 2
@@ -165,6 +179,27 @@ class TestCli:
                      "--coupling", str(run / "trained_coupling.json")]) == 0
         for name in ("curves.csv", "volume_diff.csv"):
             assert (sim / name).read_bytes() == (run / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("nudge", [True, False])
+def test_prediction_streams_the_errors_of_its_b_trajectory(nudge):
+    # keep_every=3: the reference is interpolated at steps 1, 2, 4 and 5
+    config = experiments.ExperimentConfig(nx=8, ny=8, nz=8, steps=6, keep_every=3,
+                                          variant="V2", nudge_in_prediction=nudge)
+    _spec, reference, system, initial = experiments.build_setup(config)
+    ensemble = SubModelEnsemble.identical_start(
+        system, experiments.instantiate_submodels(reference, config), initial)
+    gt = generate_gt(system, reference, initial, config.dt, config.steps, config.keep_every)
+    cm = experiments.initial_coupling(config)
+    run = experiments.predict(ensemble, cm, gt, config)
+    trajectory = simulate(ensemble.reset(), cm, gt, config.dt, config.steps,
+                          nudge_in_prediction=nudge, record=lambda output: output[0].copy(),
+                          variables=system.volume_variables)
+    l2_error, volume_diff = error_metrics(gt, trajectory)
+    assert len(run.volumes) == len(trajectory) == config.steps + 1
+    assert np.array_equal(run.l2_error, l2_error)
+    assert np.array_equal(run.volume_diff, volume_diff)
+    assert np.count_nonzero(l2_error) == config.steps  # only step 0 is exact
 
 
 # training.csv of the run above: every step's l2_error, and the full row

@@ -188,6 +188,20 @@ class TestSnapshotIO:
         assert g_spec == spec
         assert np.array_equal(g, f)
 
+    @pytest.mark.parametrize("change", [-8, -1, 8])  # a value short, a byte short, one over
+    def test_wrong_data_length_names_the_file_and_both_sizes(self, tmp_path, change):
+        spec = GridSpec(5, 4, 3, 0.3)
+        path = tmp_path / "field.f64"
+        write_field(path, np.zeros(spec.shape), spec)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:change] if change < 0 else raw + bytes(change))
+        with pytest.raises(ValueError) as info:
+            read_field(path)
+        expected = spec.size * 8
+        message = str(info.value)
+        assert str(path) in message
+        assert str(expected) in message and str(expected + change) in message
+
     def test_shape_must_match_grid(self, tmp_path):
         with pytest.raises(ValueError):
             write_field(tmp_path / "field.f64", np.zeros((3, 4, 5)), GridSpec(3, 4, 5, 1.0))

@@ -1,0 +1,61 @@
+"""The benchmark's traced layers name functions the package still calls.
+
+perfbench/spec.py lists each layer as (module, attribute) targets that the
+traced run replaces with timing wrappers.  A target that no longer resolves
+is reported absent instead of failing the run, so these tests catch a
+refactor that drops or renames one.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from supermodeling import tumor
+from supermodeling.fields import GridSpec
+
+SPEC_FILE = Path(__file__).resolve().parents[1] / "perfbench" / "spec.py"
+
+
+def _layers():
+    loader = importlib.util.spec_from_file_location("perfbench_spec", SPEC_FILE)
+    module = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(module)
+    return module.LAYERS
+
+
+TARGETS = [(layer.name, module, attribute)
+           for layer in _layers() for module, attribute in layer.targets]
+
+
+@pytest.mark.parametrize("layer, module, attribute", TARGETS,
+                         ids=[f"{module}.{attribute}" for _, module, attribute in TARGETS])
+def test_every_traced_target_resolves(layer, module, attribute):
+    target = getattr(importlib.import_module(f"supermodeling.{module}"), attribute, None)
+    assert callable(target), f"layer {layer}: supermodeling.{module}.{attribute} is gone"
+
+
+def test_the_kernel_calls_its_traced_layers_by_their_module_names(monkeypatch):
+    """Replacing a tumor target in its module, as the tracer does, must reach
+    every call of it: a kernel that bound one to another name would hide its
+    time from the trace."""
+    calls = {}
+    for _layer, module, attribute in TARGETS:
+        if module != "tumor":
+            continue
+        original = getattr(tumor, attribute)
+
+        def counted(*args, _name=attribute, _original=original, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args, **kwargs)
+
+        calls[attribute] = 0
+        monkeypatch.setattr(tumor, attribute, counted)
+    spec = GridSpec(6, 6, 6, 1.0)
+    params = tumor.TumorParams()
+    system = tumor.TumorSystem(spec)
+    state = tumor.gaussian_bump_state(spec, params, core_oxygen=1.0)
+    system.volumes(state + system.tendency(state, params))
+    assert calls and all(calls.values()), calls
