@@ -266,21 +266,26 @@ class TrainingReport:
 # Worker processes step an ensemble only when a member's field has at least
 # this many cells.  One training step (coupled step, coefficient update,
 # average of b and o, error), workers against inline, in 16 alternating
-# rounds of 40 steps per grid, on a 2-vCPU host with one BLAS thread: the
-# median speedup over the rounds in each of two sets, and in brackets the
-# lower quartiles,
+# rounds of 40 steps per grid, on a 2-vCPU host with one BLAS thread and the
+# compiled tendency (a 16^3 member step takes 0.13-0.22 ms): the median
+# speedup over the rounds in each of three sets, and in brackets the lowest
+# of their lower quartiles,
 #
 #     grid    N=3                      N=8
-#     8^3     1.13 1.05 (1.04 0.81)    1.44 1.45 (1.32 1.06)
-#     12^3    1.16 1.14 (1.13 1.00)    1.41 1.45 (1.27 1.31)
-#     16^3    1.26 1.24 (1.25 1.17)    1.44 1.42 (1.30 1.33)
-#     20^3    1.31 1.31 (1.28 1.16)    1.55 1.51 (1.31 1.35)
-#     24^3    1.31 1.28 (1.23 1.12)    1.50 1.52 (1.43 1.32)
-#     28^3    1.36 1.31 (1.28 1.17)    1.34 1.29 (1.25 1.11)
+#     8^3     0.80 1.62 0.86 (0.75)    1.53 1.54 1.50 (1.25)
+#     12^3    0.83 1.62 0.85 (0.82)    1.53 1.53 1.55 (1.31)
+#     16^3    1.66 1.30 1.32 (0.96)    1.54 1.55 1.45 (1.33)
+#     20^3    1.73 1.66 1.51 (1.07)    1.59 1.47 1.41 (1.31)
+#     24^3    1.79 1.66 1.70 (1.54)    1.54 1.54 1.51 (1.41)
+#     28^3    1.69 1.77 1.73 (1.37)    1.53 1.51 1.48 (1.39)
+#     32^3    1.58 1.79 1.63 (1.44)    1.57 1.61 1.49 (1.43)
 #
-# 16^3 is the smallest grid whose lower quartiles all exceed 1.  Below it a
-# step saves only 0.1-0.3 ms, and the rounds the workers lost there took up
-# to 1.9 times as long as inline.
+# 16^3 is the smallest grid where every median exceeds 1: below it, N=3
+# lost in two sets of three.  One 16^3 lower quartile dips to 0.96, but
+# with the limit at 20^3 the default 16^3 run would step inline, slower by
+# the 1.3-1.7 of the medians.  The host's spread is wide: a 6-round set
+# taken between these read 0.85 at 20^3 and 24^3 (N=3), and the same set
+# with the NumPy tendency 0.93 and 0.99.
 PARALLEL_MIN_CELLS = 16 ** 3
 
 _CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -298,10 +303,13 @@ _REPLY = struct.Struct("=I")
 # (corrections, coefficient update, average, error) computing its members'
 # next tendencies, and waits for the next command only for what is left of
 # it; on a step that promised nothing it waits for all of it, and for the
-# caller's own member: 0.7 + 0.2-0.4 ms at 16^3 (N=3) on a 2-vCPU host, so
-# 2 ms covers it.  There, a pipe round trip with the caller busy 0.2 ms
-# between handoffs took p50 37-40 us, p90 135-175 us and p99 2.2-3.0 ms to a
-# blocking worker, and 17 us, 22-33 us and 0.3-2.3 ms to a polling one.
+# caller's own member: 0.24-0.35 + 0.13-0.22 ms at 16^3 (N=3) on a 2-vCPU
+# host with the compiled tendency, so 2 ms covers it.  There, a pipe round
+# trip with the caller busy 0.2 ms between handoffs took p50 19-20 us, p90
+# 26-38 us and p99 50-91 us to a blocking worker, and 8-11 us, 13-18 us and
+# 25-34 us to a polling one (2 sets of 3000); on a busier day the same
+# host read p50 37-40 us, p90 135-175 us and p99 2.2-3.0 ms against 17 us,
+# 22-33 us and 0.3-2.3 ms.
 _POLL_S = 0.002
 
 # Ensembles whose states sit in a shared mapping, by id.  A process forked

@@ -4,13 +4,15 @@ A run generates a synthetic reference trajectory, instantiates a perturbed
 sub-model ensemble, trains the coupling coefficients against the reference,
 then simulates with the frozen trained (and, for comparison, untrained)
 coefficients.  Everything lands in one output directory as CSV files plus a
-manifest.  Identical config + seed reproduces every CSV byte for byte at one
-BLAS thread count.  The norms and the engine's coupling products go through
-BLAS, which may sum in another order with another number of threads: one
-and two OpenBLAS threads gave CSVs up to 1.2e-15 apart (relative) at 32^3
-with 8 members, and contraction.csv 4e-16 apart at the default 16^3.  The
-package defaults to one BLAS thread (see ``supermodeling``), as the
-benchmark runs it, so the CSVs of a CLI run equal the benchmark's.
+manifest, whose [run] section records which tendency kernel ran (see
+``tumor``) and how the run ended.  Identical config + seed reproduces every
+CSV byte for byte at one BLAS thread count.  The norms and the engine's
+coupling products go through BLAS, which may sum in another order with
+another number of threads: one and two OpenBLAS threads gave CSVs up to
+1.2e-15 apart (relative) at 32^3 with 8 members, and contraction.csv 4e-16
+apart at the default 16^3.  The package defaults to one BLAS thread (see
+``supermodeling``), as the benchmark runs it, so the CSVs of a CLI run
+equal the benchmark's.
 
 Desk-scale defaults: a 16^3 unit-spacing grid with a hypoxic-core oxygen
 profile and a vessel-free central region, so the oxygen thresholds that the
@@ -47,6 +49,7 @@ from .tumor import (
     TumorParams,
     TumorSystem,
     gaussian_bump_state,
+    kernel_in_use,
     stability_monitor,
     vessel_free_mask,
 )
@@ -176,7 +179,7 @@ def parse_config(text: str) -> ExperimentConfig:
     values = {}
     for section in parser.sections():
         if section == "run":
-            continue  # a run's status, which run_experiment adds to its manifest
+            continue  # the kernel and status run_experiment adds to its manifest
         if section not in layout:
             raise ValueError(f"unknown config section [{section}]")
         for name in parser.options(section):
@@ -195,10 +198,12 @@ def _convert_option(name: str, raw: str):
         if lowered not in ("true", "false"):
             raise ValueError(f"option {name} must be true or false, got {raw!r}")
         return lowered == "true"
-    if kind in (int, "int"):
-        return int(raw)
-    if kind in (float, "float"):
-        return float(raw)
+    for number, expected in ((int, "an integer"), (float, "a number")):
+        if kind in (number, number.__name__):
+            try:
+                return number(raw)
+            except ValueError:
+                raise ValueError(f"option {name} must be {expected}, got {raw!r}") from None
     return raw
 
 
@@ -494,7 +499,7 @@ def run_experiment(config: ExperimentConfig) -> Path:
         before = predict(ensemble, cm_init, gt, config)
         _write_before_after_csv(before, after, out / "before_after.csv", config)
 
-    manifest = emit_config(config) + f"\n[run]\nstatus = {status}\n"
+    manifest = emit_config(config) + f"\n[run]\nkernel = {kernel_in_use()}\nstatus = {status}\n"
     (out / "manifest.ini").write_text(manifest)
     return out
 

@@ -18,26 +18,27 @@ M and A in that order (see FIELD_NAMES).  Arrays carry no grid: the kernel
 takes the spacing h, and volumes take the cell volume h^3, as arguments; a
 TumorSystem supplies both from its GridSpec.
 
-The tendency kernel writes its intermediates into a set of work arrays and
-never returns one; it writes the tendency itself into a new array or into
-one the caller passes.  It is cache-blocked: after the flux potentials,
-each stage runs over slabs of whole z-planes, about ``SLAB_CELLS`` cells
-each, so a slab's intermediates are still in cache when its next operation
-reads them.  A slab reads its neighbours' edge planes from full-size arrays
-instead of recomputing them, and every cell goes through the operations of
-an unblocked kernel in the same order, so the bits do not depend on the slab
-height.  Grids of up to ``SLAB_CELLS`` cells (32^3) are one slab.
+The tendency runs in four stages: the flux, its divergence, the Laplacians
+of c, o and A, and the reaction terms, which turn the divergence and the
+Laplacians, written into the output array, into the tendency.  Each stage
+is one call into a small C library, ``_tendency.c``, which the first import
+builds with the interpreter's C compiler and caches in the package's
+``__pycache__``; later imports load it from there.  Its loops do each
+stage's arithmetic cell by cell, two cells at a time, in the order of the
+NumPy expressions beside each call, and the build allows no reordering or
+fused operations, so both give the same bits: every CSV is the same either
+way.  The loops multiply by the exact reciprocal of a power-of-two divisor
+(``_scaling``), since x / 2^k and x * 2^-k are the same correctly rounded
+number for every x; every other divisor, such as h = 0.7 or T_prol,
+divides.  Before a call the wrappers check every array it is
+given (C-contiguous float64 of the grid's shape, at least 3 cells per axis,
+outputs apart from inputs) and raise ValueError otherwise.
 
-Two more rules cut the work per cell without changing a bit.  A division
-by a power of two is a multiply by its exact reciprocal, and a division by
-one is skipped (``_scale``): x / 2^k and x * 2^-k are the same correctly
-rounded number for every x.  Other divisors, such as h = 0.7 or T_prol,
-still divide.  And a Laplacian runs each of its terms as one contiguous pass
-over a flattened ghost-padded copy of the field; the entries that fall on
-ghost cells are computed and never read.  Its result is a view of an
-accumulator laid out like that copy.  The accumulators share storage with a
-slab's coeff, gate, t1 and t2, which are free once the flux and db are
-done, so they add no memory except on grids with nx or ny below 5.
+The NumPy expressions run when the library cannot be built or loaded, for
+example without a compiler or with a read-only package directory; the tests
+compare both against the plain np.gradient / np.pad formula.
+``kernel_in_use`` says which ran and why, and a run's manifest records it.
+There is no setting to choose: the compiled stages run whenever they load.
 
 A TumorSystem keeps a free-list of work sets: a tendency takes one
 (allocating it when the list is empty) and puts it back when it returns.
@@ -50,8 +51,12 @@ the system, so each process keeps one set.
 from __future__ import annotations
 
 import csv
+import ctypes
 import math
+import os
+import zlib
 from dataclasses import dataclass
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -116,234 +121,147 @@ class VolumeTriple(NamedTuple):
     quiescent: float
 
 
-# -- stencils ---------------------------------------------------------------
-# _laplacian rebuilds np.pad(mode="edge") as ghost-cell fills and _gradient
-# rebuilds np.gradient(edge_order=1); every operation and every sum keeps the
-# order of those formulas, so the results are bit-identical to them.
+# -- kernel -------------------------------------------------------------------
+# Each stage is one call into the compiled library when it loaded, and the
+# NumPy expression beside that call otherwise (see the module docstring).
+
+_SOURCE = Path(__file__).with_name("_tendency.c")
+# nothing that may reorder, fuse or re-round an operation: never
+# -ffast-math, -Ofast or -march=native, and no fused multiply-adds
+_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+_LONG, _DOUBLE, _ARRAY = ctypes.c_long, ctypes.c_double, ctypes.c_void_p
+_SCALING = (_DOUBLE, ctypes.c_int)  # see _scaling
+_SIGNATURES = {
+    "flux": (_LONG,) * 3 + (_ARRAY,) * 4 + (_DOUBLE,) * 4 + _SCALING * 3,
+    "divergence": (_LONG,) * 3 + (_ARRAY,) * 2 + _SCALING * 2,
+    "laplacian": (_LONG,) * 4 + (_ARRAY,) * 2 + _SCALING,
+    "reaction": (_LONG,) + (_ARRAY,) * 3 + (_DOUBLE,) * 6 + _SCALING + (_DOUBLE,) * 10,
+}
 
 
-def _scale(x: np.ndarray, divisor: float, out: np.ndarray) -> np.ndarray:
-    """``x / divisor`` into ``out``, bit for bit what np.divide writes.
+def _load_kernel(cache: Path):
+    """The compiled stages and None, or None and why they cannot be used.
 
-    A power of two whose reciprocal is finite becomes a multiply by that
-    reciprocal: both are exact, so x / 2^k and x * 2^-k round the same real
-    number and agree on every input, subnormals, infinities and NaN included.
-    Dividing by one is a copy, and no pass at all when ``out`` is ``x``.
-    Every other divisor divides.
+    The library is built from ``_SOURCE`` into ``cache`` on first use, named
+    by a checksum of the source and the flags, so a later import only reads
+    the source and loads the library.
     """
-    if divisor == 1.0:
-        if out is not x:
-            np.copyto(out, x)
-        return out
-    reciprocal = 1.0 / divisor if abs(math.frexp(divisor)[0]) == 0.5 else math.inf
-    if math.isfinite(reciprocal):
-        return np.multiply(x, reciprocal, out=out)
-    return np.divide(x, divisor, out=out)
+    try:
+        key = zlib.crc32(" ".join(_FLAGS).encode(), zlib.crc32(_SOURCE.read_bytes()))
+        library = cache / f"_tendency-{key:08x}.so"
+        if not library.exists():
+            error = _build(library)
+            if error is not None:
+                return None, error
+        lib = ctypes.CDLL(str(library))
+    except OSError as exc:
+        return None, " ".join(str(exc).split())
+    for name, argtypes in _SIGNATURES.items():
+        function = getattr(lib, name)
+        function.argtypes, function.restype = argtypes, None
+    return lib, None
 
 
-# Cells per slab of the tendency kernel: a slab is max(1, SLAB_CELLS // (ny*nx))
-# z-planes.  tumor_tendency against the unblocked kernel, calls alternating
-# in one process on a 2-vCPU host with one BLAS thread: the speedup of the
-# median call over 7 rounds, as its median and in brackets its best round,
-# with the planes per slab for each candidate value (one: the whole grid)
-#
-#     grid    16K cells             32K cells             64K cells
-#     16^3    one   1.007 (1.079)   one                   one
-#     32^3    16    0.884 (0.915)   one   0.966 (0.982)   one
-#     48^3    7     1.079 (1.452)   14    1.215 (1.482)   28    1.195 (1.457)
-#     64^3    4     1.415 (1.452)   8     1.393 (1.510)   16    1.325 (1.398)
-#
-# No value is the best at both 48^3 and 64^3; 32K, the best at 48^3 and
-# within 2% of the best at 64^3, keeps grids up to 32^3 in one slab.
-SLAB_CELLS = 32 * 1024
+def _build(library: Path) -> str | None:
+    """Compile ``_SOURCE`` into ``library`` with the interpreter's C compiler:
+    None, or why it failed.  The library is written under a temporary name
+    and renamed, so no process loads one that another is still writing."""
+    # imported here: a run that finds the library built needs none of them,
+    # and they take a few milliseconds of every run's set-up
+    import shlex
+    import subprocess
+    import sysconfig
+
+    command = [*shlex.split(sysconfig.get_config_var("CC") or "cc"), *_FLAGS]
+    library.parent.mkdir(parents=True, exist_ok=True)
+    partial = library.with_name(f"{library.name}.{os.getpid()}.tmp")
+    try:
+        result = subprocess.run([*command, "-o", str(partial), str(_SOURCE)],
+                                capture_output=True, text=True, timeout=300)
+        if result.returncode != 0:
+            return f"{command[0]} failed: {' '.join(result.stderr.split())[:300]}"
+        os.replace(partial, library)
+    except (OSError, subprocess.SubprocessError) as exc:
+        return " ".join(str(exc).split())
+    finally:
+        partial.unlink(missing_ok=True)
+    return None
 
 
-class _Slab:
-    """The planes z0 <= z < z1 of a grid as the tendency kernel visits them.
+_LIB, _LIB_ERROR = _load_kernel(_SOURCE.parent / "__pycache__")
 
-    ``planes`` selects them in a full-size array and ``halo`` the planes
-    their stencils read: one more on each side that is not a wall.  Within
-    the halo, ``inner`` selects the slab's own planes.  ``whole`` is set
-    when the slab is the whole grid.  ``gradient`` holds, per grid axis,
-    where _gradient writes its centered differences in a flattened field of
-    the slab, the two entries of the flattened halo they subtract, and the
-    one-sided faces.  ``stencil`` holds, for a flattened ghost-padded field,
-    where _laplacian's passes read the cells and their six neighbours.  The
-    arrays are this slab's share of its work set's slab-sized storage, each
-    C-contiguous.
+
+def kernel_in_use() -> str:
+    """Which path the tendency takes: "compiled", or "numpy" and why."""
+    return "compiled" if _LIB is not None else f"numpy ({_LIB_ERROR})"
+
+
+def _scaling(divisor: float) -> tuple[float, bool]:
+    """How the compiled stages divide by ``divisor``, bit for bit as np.divide:
+    ``(1 / divisor, True)``, multiply by it, or ``(divisor, False)``, divide.
+
+    A power of two whose reciprocal is finite multiplies: both are exact, so
+    x / 2^k and x * 2^-k round the same real number and agree on every input,
+    subnormals, infinities and NaN included.  Every other divisor divides.
     """
-
-    def __init__(self, shape, z0: int, z1: int, storage: dict, potentials, flux):
-        nz, ny, nx = shape
-        height, plane = z1 - z0, ny * nx
-        lo, hi = max(z0 - 1, 0), min(z1 + 1, nz)
-        self.shape = (height, ny, nx)
-        self.planes, self.halo, self.inner = slice(z0, z1), slice(lo, hi), slice(z0 - lo, z1 - lo)
-        self.whole = (lo, hi) == (z0, z1)
-        # what the slab's gradients read of the full-size work arrays
-        self.potentials, self.flux = potentials[:, self.halo], flux[:, self.halo]
-
-        def take(name, count, shape, start=0):
-            size = count * math.prod(shape)
-            return storage[name][start:start + size].reshape((count,) + shape)
-
-        padded_plane = (ny + 2) * (nx + 2)
-        self.padded = take("padded", 2, (height + 2, ny + 2, nx + 2))
-        self.grads = take("grads", 2, self.shape)
-        self.coeff, self.gate, self.t1, self.t2 = take("scratch", 4, self.shape)
-        # the Laplacians' accumulators, laid out like the padded fields and
-        # sharing the four slots above; the oxygen masks come after both
-        self.laplacians = take("scratch", 2, (height, ny + 2, nx + 2))
-        self.hypoxic, self.proliferative = take(
-            "scratch", 2, self.shape, height * _front_per_plane(ny, nx))
-        # a padded field's own cells span [start, start + length) flattened,
-        # with ghost entries between their rows and planes
-        start = padded_plane + (nx + 2) + 1
-        length = (height - 1) * padded_plane + (ny - 1) * (nx + 2) + nx
-        self.stencil = (slice(start, start + length), length,
-                        [slice(start + d, start + d + length)
-                         for step in (padded_plane, nx + 2, 1) for d in (step, -step)])
-
-        def along(axis, index, z=None):
-            """``index`` on one axis of a field or a stack, and ``z`` on its planes."""
-            lead = (Ellipsis,) if z is None else (Ellipsis, z) + (slice(None),) * (axis - 1)
-            return lead + (index,) + (slice(None),) * (2 - axis)
-
-        offset = (z0 - lo) * plane  # entry i of a field's slab is entry i + offset of its halo
-        self.gradient = []
-        for axis, (n, s) in enumerate(zip(shape, (plane, nx, 1))):
-            if self.whole:  # over all fields of a stack at once, as they are contiguous
-                centered = (slice(s, -s), slice(2 * s, None), slice(None, -2 * s))
-            else:
-                if axis == 0:  # the planes off the walls
-                    start, stop = (max(z0, 1) - z0) * plane, (min(z1, nz - 1) - z0) * plane
-                else:
-                    start, stop = s, height * plane - s
-                centered = (slice(start, stop), slice(offset + start + s, offset + stop + s),
-                            slice(offset + start - s, offset + stop - s))
-            if axis:  # x and y: both faces at once, from the slab's own planes
-                own = None if self.whole else self.inner
-                faces = [(along(axis, slice(None, None, n - 1)),
-                          along(axis, slice(1, None, n - 2), own),
-                          along(axis, slice(None, n - 1, n - 2), own))]
-            elif self.whole:  # z: both walls at once
-                faces = [(along(0, slice(None, None, nz - 1)), along(0, slice(1, None, nz - 2)),
-                          along(0, slice(None, nz - 1, nz - 2)))]
-            else:  # z: the walls among the slab's planes, if any
-                faces = [(along(0, slice(at, at + 1)), along(0, slice(up, up + 1)),
-                          along(0, slice(up - 1, up)))
-                         for wall, at, up in ((0, 0, 1), (nz - 1, height - 1, hi - lo - 1))
-                         if z0 <= wall < z1]
-            self.gradient.append(centered + (faces,))
+    if abs(math.frexp(divisor)[0]) == 0.5 and math.isfinite(1.0 / divisor):
+        return 1.0 / divisor, True
+    return divisor, False
 
 
-def _front_per_plane(ny: int, nx: int) -> int:
-    """Scratch entries per slab plane ahead of the oxygen masks: four fields
-    (coeff, gate, t1, t2), or two padded Laplacian accumulators where those
-    are larger, which takes nx or ny below 5."""
-    return max(4 * ny * nx, 2 * (ny + 2) * (nx + 2))
+def _grid(shape) -> tuple[int, int, int]:
+    """``shape`` as a grid the compiled loops can run on: at least 3 cells
+    per axis, since they read the neighbours on both sides of a cell."""
+    shape = tuple(shape)
+    if len(shape) != 3 or min(shape) < 3:
+        raise ValueError(f"the kernel needs a 3-D grid of at least 3 cells per axis, got {shape}")
+    return shape
+
+
+def _pointer(array, shape, *apart):
+    """``array`` as a pointer argument of a foreign call, which must be a
+    C-contiguous float64 array of ``shape`` sharing no memory with the
+    ``apart`` ones."""
+    if not (isinstance(array, np.ndarray) and array.dtype == np.float64
+            and array.shape == shape):
+        raise ValueError(f"the kernel needs float64 arrays of shape {shape}, got "
+                         f"{getattr(array, 'dtype', type(array))} of shape "
+                         f"{getattr(array, 'shape', None)}")
+    if not array.flags.c_contiguous:
+        raise ValueError("the kernel needs C-contiguous arrays")
+    if any(np.may_share_memory(array, other) for other in apart):
+        raise ValueError("the kernel's output may not overlap its inputs")
+    if not array.flags.writeable:  # which from_buffer requires
+        return array.ctypes.data
+    # a quarter of the time of array.ctypes.data, which is most of a call's
+    # overhead on a small grid
+    return ctypes.byref(ctypes.c_char.from_buffer(array))
 
 
 class _Work:
-    """Work arrays of the tendency kernel for one grid shape; each has one user.
+    """Work arrays of the tendency for one grid shape, each with one user: the
+    flux, and the normalized density whose gradient it takes."""
 
-    The kernel runs its stages over slabs of ``planes`` z-planes (see
-    ``SLAB_CELLS``; the last slab may be thinner), so that what one slab
-    writes is still in cache when the next stage of that slab reads it.  Only
-    what a stage reads across a slab's walls stays full-size: the two
-    potentials whose gradients give the flux (normalized b and A) and the
-    three flux components whose divergence gives db.  The Laplacians read
-    their halo planes from the state itself.  Everything else is per slab:
-    the ghost-padded fields of a Laplacian, the two gradients of the flux
-    stage, the flux coefficient and density gate, the oxygen masks and two
-    scratch fields.  The gradients also hold a gradient in _divergence, after
-    the flux; ``coeff`` holds the upper density gate before it is written;
-    and once the flux and db are done, coeff, gate, t1 and t2 hold the
-    Laplacians' accumulators (a grid with nx or ny below 5 may get more room
-    for them).  With one slab (``planes`` at least nz) the kernel makes the
-    NumPy calls of an unblocked one.
-    """
-
-    def __init__(self, shape: tuple[int, int, int], planes: int | None = None):
-        nz, ny, nx = shape = tuple(shape)
-        if planes is None:
-            planes = max(1, SLAB_CELLS // (ny * nx))
-        planes = min(planes, nz)
-        self.potentials = np.empty((2,) + shape)
-        self.flux = np.empty((3,) + shape)
-        cells = planes * ny * nx
-        storage = {"padded": np.empty(2 * (planes + 2) * (ny + 2) * (nx + 2)),
-                   "grads": np.empty(2 * cells),
-                   "scratch": np.empty(planes * _front_per_plane(ny, nx) + 2 * cells)}
-        self.slabs = [_Slab(shape, z0, min(z0 + planes, nz), storage,
-                            self.potentials, self.flux)
-                      for z0 in range(0, nz, planes)]
+    def __init__(self, shape: tuple[int, int, int]):
+        self.potential = np.empty(shape)
+        self.flux = np.empty((3,) + tuple(shape))
 
 
-def _one_slab(shape) -> _Slab:
-    """The whole grid as one slab, for stencils called on their own."""
-    return _Work(shape, planes=shape[0]).slabs[0]
-
-
-def _gradient(f: np.ndarray, h: float, axis: int, out: np.ndarray, slab: _Slab) -> np.ndarray:
-    """d/d(grid axis) of a field or a stack of fields on the planes of
-    ``slab`` into C-contiguous ``out``; ``f`` holds the planes ``slab.halo``."""
-    centered, ahead, behind, faces = slab.gradient[axis]
-    # centered differences over the flattened planes; the entries this gives
-    # on the faces (which straddle rows, planes or fields) are overwritten below
-    if slab.whole or f.ndim == 3:
-        flat, inner = f.reshape(-1), out.reshape(-1)[centered]
-    else:  # a stack of fields whose halos are apart: one row each
-        flat, inner = f.reshape(len(f), -1), out.reshape(len(out), -1)[:, centered]
-        ahead, behind = (slice(None), ahead), (slice(None), behind)
-    np.subtract(flat[ahead], flat[behind], out=inner)
-    _scale(inner, 2.0 * h, inner)
-    # one-sided at the walls: out[0] = f[1] - f[0] and out[n-1] = f[n-1] - f[n-2],
-    # both in one call where the slab has both
-    for index, upper, lower in faces:
-        face = out[index]
-        np.subtract(f[upper], f[lower], out=face)
-        _scale(face, h, face)
+def _laplacian(data: np.ndarray, h: float, out: np.ndarray | None = None) -> np.ndarray:
+    """7-point Laplacian with mirrored (zero-flux) boundary cells of one
+    field or a stack of fields, into ``out`` or a new array."""
+    out = np.empty(data.shape) if out is None else out
+    if _LIB is None:
+        p_ = np.pad(data, [(0, 0)] * (data.ndim - 3) + [(1, 1)] * 3, mode="edge")
+        return np.divide(
+            p_[..., 2:, 1:-1, 1:-1] + p_[..., :-2, 1:-1, 1:-1]
+            + p_[..., 1:-1, 2:, 1:-1] + p_[..., 1:-1, :-2, 1:-1]
+            + p_[..., 1:-1, 1:-1, 2:] + p_[..., 1:-1, 1:-1, :-2]
+            - 6.0 * data, h * h, out=out)
+    shape = _grid(data.shape[-3:])
+    _LIB.laplacian(math.prod(data.shape[:-3]), *shape, _pointer(data, data.shape),
+                   _pointer(out, data.shape, data), *_scaling(h * h))
     return out
-
-
-def _laplacian(data: np.ndarray, h: float, slab: _Slab | None = None) -> np.ndarray:
-    """7-point Laplacian with mirrored (zero-flux) boundary cells.
-
-    ``data`` is one field or a stack of two, on the planes ``slab.halo``;
-    the result covers the slab's own planes.  Without a slab it is the whole
-    field.  The result is a view of the slab's accumulators, which share
-    storage with its coeff, gate, t1 and t2: read it before writing those.
-    """
-    if slab is None:
-        slab = _one_slab(data.shape[-3:])
-    fields = data.reshape((-1,) + data.shape[-3:])
-    own = fields[:, slab.inner]
-    height, ny, nx = slab.shape
-    p = slab.padded[:len(fields)]
-    p[:, 1:-1, 1:-1, 1:-1] = own
-    # ghost faces repeat the edge cells (two faces per copy); along z they
-    # repeat the halo planes, which are the slab's own planes at a wall
-    p[:, ::height + 1, 1:-1, 1:-1] = fields[:, ::fields.shape[1] - 1]
-    p[:, 1:-1, ::ny + 1, 1:-1] = own[:, :, ::ny - 1]
-    p[:, 1:-1, 1:-1, ::nx + 1] = own[:, :, :, ::nx - 1]
-    # one contiguous pass per term over each flattened padded field: entry i
-    # of the accumulator is the padded cell at start + i, and the entries
-    # that fall on ghost cells are never read
-    centre, length, (up_z, down_z, up_y, down_y, up_x, down_x) = slab.stencil
-    result = slab.laplacians[:len(fields)]
-    for padded, flat in zip(p.reshape(len(fields), -1), result.reshape(len(fields), -1)):
-        acc = flat[:length]
-        np.add(padded[up_z], padded[down_z], out=acc)
-        acc += padded[up_y]
-        acc += padded[down_y]
-        acc += padded[up_x]
-        acc += padded[down_x]
-        own_cells = padded[centre]  # nothing reads the padded copy after this
-        acc -= np.multiply(own_cells, 6.0, out=own_cells)
-        _scale(acc, h * h, acc)
-    result = result[:, :, :ny, :nx]
-    return result if data.ndim > 3 else result[0]
 
 
 def compute_flux(state: np.ndarray, p: TumorParams, h: float,
@@ -355,40 +273,33 @@ def compute_flux(state: np.ndarray, p: TumorParams, h: float,
     Returns (Jx, Jy, Jz) as one (3, nz, ny, nx) array, ``out`` if given.
     """
     b, A = state[0], state[4]
-    w = _Work(b.shape) if work is None else work
     out = np.empty((3,) + b.shape) if out is None else out
-    # the potentials are full-size: a slab's z-gradients read its neighbours'
-    potentials = w.potentials
-    np.subtract(b, p.b_norm, out=potentials[0])
-    _scale(potentials[0], p.b_M - p.b_norm, potentials[0])
-    potentials[1] = A
-    for slab in w.slabs:
-        b_slab, flux = b[slab.planes], out[:, slab.planes]
-        gate = np.greater_equal(b_slab, p.b_norm, out=slab.gate)
-        gate *= np.less_equal(b_slab, p.b_M, out=slab.coeff)
-        coeff = np.multiply(b_slab, -p.d_b, out=slab.coeff)
-        pressure, chemotaxis = slab.grads
+    if _LIB is None:
+        normalized = (b - p.b_norm) / (p.b_M - p.b_norm)
+        gate = ((b >= p.b_norm) & (b <= p.b_M)).astype(np.float64)
+        coeff = -p.d_b * b
         for component, axis in enumerate((2, 1, 0)):  # x runs along the last axis
-            _gradient(slab.potentials, h, axis, slab.grads, slab)
-            pressure *= gate
-            chemotaxis *= p.r_b
-            pressure += chemotaxis
-            np.multiply(coeff, pressure, out=flux[component])
+            out[component] = coeff * (np.gradient(normalized, h, axis=axis) * gate
+                                      + p.r_b * np.gradient(A, h, axis=axis))
+        return out
+    shape = _grid(b.shape)
+    potential = np.empty(shape) if work is None else work.potential
+    _LIB.flux(*shape, _pointer(b, shape), _pointer(A, shape), _pointer(potential, shape, state),
+              _pointer(out, (3,) + shape, state, potential), p.b_norm, p.b_M, -p.d_b, p.r_b,
+              *_scaling(p.b_M - p.b_norm), *_scaling(2.0 * h), *_scaling(h))
     return out
 
 
-def _divergence(flux: np.ndarray, h: float, out: np.ndarray | None = None,
-                slab: _Slab | None = None) -> np.ndarray:
-    """dJx/dx + dJy/dy + dJz/dz of a (3, nz, ny, nx) flux array, on the
-    planes of ``slab`` from the flux on the planes ``slab.halo``, or on the
-    whole grid without a slab."""
-    if slab is None:
-        slab = _one_slab(flux.shape[1:])
-    out = np.empty(slab.shape) if out is None else out
-    scratch = slab.grads[0]
-    _gradient(flux[0], h, 2, out, slab)
-    out += _gradient(flux[1], h, 1, scratch, slab)
-    out += _gradient(flux[2], h, 0, scratch, slab)
+def _divergence(flux: np.ndarray, h: float, out: np.ndarray | None = None) -> np.ndarray:
+    """dJx/dx + dJy/dy + dJz/dz of a (3, nz, ny, nx) flux array, one-sided
+    at the walls, into ``out`` or a new array."""
+    out = np.empty(flux.shape[1:]) if out is None else out
+    if _LIB is None:
+        return np.add(np.gradient(flux[0], h, axis=2) + np.gradient(flux[1], h, axis=1),
+                      np.gradient(flux[2], h, axis=0), out=out)
+    shape = _grid(flux.shape[1:])
+    _LIB.divergence(*shape, _pointer(flux, (3,) + shape), _pointer(out, shape, flux),
+                    *_scaling(2.0 * h), *_scaling(h))
     return out
 
 
@@ -406,56 +317,39 @@ def tumor_tendency(
     """
     w = _Work(state.shape[1:]) if work is None else work
     out = np.empty(state.shape) if out is None else out
+    if _LIB is not None:  # every array is checked before the first foreign call
+        shape = _grid(state.shape[1:])
+        state_ptr = _pointer(state, (5,) + shape, out)
+        out_ptr = _pointer(out, (5,) + shape)
+        mask_ptr = (None if oxygen_source_mask is None
+                   else _pointer(oxygen_source_mask, shape, out))
 
     with np.errstate(over="ignore", invalid="ignore"):
-        compute_flux(state, p, h, out=w.flux, work=w)
-        for slab in w.slabs:
-            planes, halo = slab.planes, slab.halo
-            b, c, o, M, A = state[:, planes]
-            db, dc, do, dM, dA = out[:, planes]
-            t1, t2 = slab.t1, slab.t2
-            hypoxic = np.less(o, p.o_death, out=slab.hypoxic)
-            proliferative = np.greater(o, p.o_prol, out=slab.proliferative)
-            # mitosis boost 1 + P_b * tau_b A / (tau_b A + 1), kept in t1
-            np.multiply(A, p.tau_b, out=t1)
-            t1 /= np.add(t1, 1.0, out=t2)
-            t1 *= p.P_b
-            t1 += 1.0
-            # db = -div J - (b / T_death) hypoxic
-            #      + (b / T_prol) boost (1 - b / b_M) proliferative
-            _divergence(slab.flux, h, out=db, slab=slab)
-            np.negative(db, out=db)
-            db -= np.multiply(np.divide(b, p.T_death, out=t2), hypoxic, out=t2)
-            np.divide(b, p.T_prol, out=t2)
-            t2 *= t1
-            np.subtract(1.0, _scale(b, p.b_M, t1), out=t1)
-            t2 *= t1
-            t2 *= proliferative
-            db += t2
-            # dc = chi_c lap(c) - gamma_c o c + b (1 - c) hypoxic and
-            # do = alpha_o lap(o) - gamma_o b o + delta_o (o_max - o) [* mask];
-            # both Laplacians are read before t1, which may hold lap(o), is written
-            lap_c, lap_o = _laplacian(state[1:3, halo], h, slab=slab)
-            np.multiply(lap_c, p.chi_c, out=dc)
-            np.multiply(lap_o, p.alpha_o, out=do)
-            dc -= np.multiply(np.multiply(o, p.gamma_c, out=t1), c, out=t1)
-            np.multiply(b, np.subtract(1.0, c, out=t1), out=t1)
-            t1 *= hypoxic
-            dc += t1
-            do -= np.multiply(np.multiply(b, p.gamma_o, out=t1), o, out=t1)
-            np.subtract(p.o_max, o, out=t1)
-            t1 *= p.delta_o
+        # out holds div J and the Laplacians of c, o and A until the
+        # reaction terms replace them with the tendency
+        _divergence(compute_flux(state, p, h, out=w.flux, work=w), h, out=out[0])
+        _laplacian(state[1:3], h, out=out[1:3])
+        _laplacian(state[4], h, out=out[4])
+        if _LIB is None:
+            b, c, o, M, A = state
+            div, lap_c, lap_o, _, lap_a = out
+            hypoxic = (o < p.o_death).astype(np.float64)
+            proliferative = (o > p.o_prol).astype(np.float64)
+            mitosis_boost = 1.0 + (p.tau_b * A / (p.tau_b * A + 1.0)) * p.P_b
+            delivery = p.delta_o * (p.o_max - o)
             if oxygen_source_mask is not None:
-                t1 *= oxygen_source_mask[planes]
-            do += t1
-            # dM = -beta_M M b
-            np.multiply(M, -p.beta_M, out=dM)
-            dM *= b
-            # dA = gamma_A M b + chi_aA lap(A) - gamma_oA A
-            np.multiply(_laplacian(state[4, halo], h, slab=slab), p.chi_aA, out=dA)
-            dA += np.multiply(np.multiply(M, p.gamma_A, out=t1), b, out=t1)
-            dA -= np.multiply(A, p.gamma_oA, out=t1)
-
+                delivery = delivery * oxygen_source_mask
+            out[0] = (-div - (b / p.T_death) * hypoxic
+                      + (b / p.T_prol) * mitosis_boost * (1.0 - b / p.b_M) * proliferative)
+            out[1] = p.chi_c * lap_c - p.gamma_c * o * c + b * (1.0 - c) * hypoxic
+            out[2] = p.alpha_o * lap_o - p.gamma_o * b * o + delivery
+            out[3] = -p.beta_M * M * b
+            out[4] = p.gamma_A * M * b + p.chi_aA * lap_a - p.gamma_oA * A
+            return out
+        _LIB.reaction(math.prod(shape), state_ptr, mask_ptr, out_ptr, p.o_death, p.o_prol,
+                      p.tau_b, p.P_b, p.T_death, p.T_prol, *_scaling(p.b_M), p.chi_c,
+                      p.gamma_c, p.alpha_o, p.gamma_o, p.delta_o, p.o_max, -p.beta_M,
+                      p.gamma_A, p.chi_aA, p.gamma_oA)
     return out
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import supermodeling
-from supermodeling import experiments
+from supermodeling import experiments, tumor
 from supermodeling.cli import main
 from supermodeling.engine import SubModelEnsemble, simulate
 from supermodeling.groundtruth import error_metrics, generate_gt
@@ -83,10 +83,20 @@ class TestBadConfig:
         assert "unknown config key 'nxx'" in capsys.readouterr().err
         assert not (tmp_path / "cli").exists()
 
+    @pytest.mark.parametrize("setting, shown", [
+        ("nx=abc", "option nx must be an integer, got 'abc'"),
+        ("dt=0.1x", "option dt must be a number, got '0.1x'"),
+    ])
+    def test_unparsable_number_exits_naming_the_option(self, tmp_path, capsys, setting, shown):
+        assert main(["train", *GRID, "--set", setting, "--out", str(tmp_path / "cli")]) == 2
+        assert shown in capsys.readouterr().err
+        assert not (tmp_path / "cli").exists()
+
     @pytest.mark.parametrize("text, shown", [
         ("[ensemble]\nn_submodel = 8\n", "unknown config key 'n_submodel' in section [ensemble]"),
         ("[grid]\nsteps = 8\n", "unknown config key 'steps' in section [grid]"),
         ("[ensembles]\nn_submodels = 8\n", "unknown config section [ensembles]"),
+        ("[grid]\nnx = abc\n", "option nx must be an integer, got 'abc'"),
     ])
     def test_unknown_config_file_key_exits_with_message(self, tmp_path, capsys, text, shown):
         path = tmp_path / "config.ini"
@@ -98,15 +108,22 @@ class TestBadConfig:
         assert not (tmp_path / "cli").exists()
 
 
-def test_manifest_reloads_as_the_runs_config(tmp_path):
+def test_manifest_reloads_as_the_runs_config(tmp_path, monkeypatch):
     config = experiments.ExperimentConfig(nx=8, ny=8, nz=8, steps=2, epochs=1, seed=3,
                                           k_nudge=0.7, out_dir=str(tmp_path / "run"))
     manifest = experiments.run_experiment(config) / "manifest.ini"
-    assert "[run]" in manifest.read_text()
+    assert "\n[run]\nkernel = compiled\nstatus = completed\n" in manifest.read_text()
     assert experiments.load_config(manifest) == config
+    # rerun on the NumPy stages, as after a failed build: the same CSVs, and
+    # the manifest says which kernel ran and why
+    monkeypatch.setattr(tumor, "_LIB", None)
+    monkeypatch.setattr(tumor, "_LIB_ERROR", "cc failed: no compiler")
     rerun = tmp_path / "rerun"
     assert main(["experiment", "--config", str(manifest), "--out", str(rerun)]) == 0
-    for name in ("training.csv", "before_after.csv"):
+    assert "kernel = numpy (cc failed: no compiler)\n" in (rerun / "manifest.ini").read_text()
+    names = sorted(path.name for path in (tmp_path / "run").glob("*.csv"))
+    assert "training.csv" in names and "before_after.csv" in names
+    for name in names:
         assert (rerun / name).read_bytes() == (tmp_path / "run" / name).read_bytes(), name
 
 

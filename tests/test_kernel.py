@@ -1,19 +1,22 @@
-"""The buffer-reusing tendency kernel against the plain numpy formula."""
+"""The tendency kernel, compiled and NumPy, against the plain numpy formula."""
 
 import dataclasses
+import subprocess
+import sysconfig
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from supermodeling import tumor
 from supermodeling.experiments import ExperimentConfig, instantiate_submodels
 from supermodeling.fields import GridSpec
 from supermodeling.tumor import (
     FIELD_NAMES,
     TumorParams,
     TumorSystem,
-    _scale,
+    _scaling,
     _Work,
     gaussian_bump_state,
     tumor_tendency,
@@ -73,21 +76,24 @@ def random_state(spec, rng, b_M=2.0):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    cells=st.tuples(*(st.integers(3, 9) for _ in range(3))),
+    # non-cubic grids of 3 to 17 cells per axis: the compiled loops do two
+    # cells at a time, and an odd count leaves a lone cell at the end of a row
+    cells=st.tuples(*(st.integers(3, 17) for _ in range(3))),
     # 0.7: x / h and x * (1 / h) often differ; the others are powers of two
     h=st.sampled_from([1.0, 0.5, 0.7, 0.25, 2.0]),
     seed=st.integers(0, 2**32 - 1),
     masked=st.booleans(),
-    planes=st.integers(1, 9),  # z-planes per slab; nz or more is one slab
     # (b_norm, b_M): b_M - b_norm is 1 by default, 2 (a power of two) or 1.5
     levels=st.sampled_from([None, (1.0, 3.0), (0.5, 2.0)]),
 )
-@example(cells=(4, 5, 7), h=0.7, seed=1, masked=True, planes=3, levels=None)  # slabs 3, 3, 1
-@example(cells=(5, 3, 6), h=0.5, seed=2, masked=False, planes=1, levels=None)  # one plane each
-@example(cells=(3, 4, 9), h=1.0, seed=3, masked=True, planes=4, levels=None)  # 4, 4 and 1
-@example(cells=(6, 4, 5), h=0.25, seed=4, masked=True, planes=2, levels=(1.0, 3.0))
-@example(cells=(5, 6, 4), h=2.0, seed=5, masked=False, planes=3, levels=(0.5, 2.0))
-def test_kernel_matches_numpy_formula(cells, h, seed, masked, planes, levels):
+@example(cells=(4, 5, 7), h=0.7, seed=1, masked=True, levels=None)
+@example(cells=(5, 3, 6), h=0.5, seed=2, masked=False, levels=None)
+@example(cells=(3, 4, 9), h=1.0, seed=3, masked=True, levels=None)
+@example(cells=(6, 4, 5), h=0.25, seed=4, masked=True, levels=(1.0, 3.0))
+@example(cells=(5, 6, 4), h=2.0, seed=5, masked=False, levels=(0.5, 2.0))
+@example(cells=(3, 3, 3), h=1.0, seed=6, masked=True, levels=None)
+@example(cells=(17, 16, 15), h=0.7, seed=7, masked=True, levels=None)
+def test_kernel_matches_numpy_formula(cells, h, seed, masked, levels):
     spec = GridSpec(*cells, h=h)
     rng = np.random.default_rng(seed)
     # one V2 draw: sensitive parameters +-40%, all other rates +-30%
@@ -97,30 +103,109 @@ def test_kernel_matches_numpy_formula(cells, h, seed, masked, planes, levels):
         params = dataclasses.replace(params, b_norm=levels[0], b_M=levels[1])
     mask = (rng.random(spec.shape) < 0.5).astype(np.float64) if masked else None
     first, second = random_state(spec, rng, params.b_M), random_state(spec, rng, params.b_M)
+    expected = [reference_tendency(state, params, h, mask) for state in (first, second)]
 
-    system = TumorSystem(spec, oxygen_source_mask=mask)
-    got_first = system.tendency(first, params)
-    kept = got_first.copy()
-    # the second call reuses the work arrays the first one allocated
-    got_second = system.tendency(second, params)
+    assert tumor._LIB is not None, tumor._LIB_ERROR
+    # the compiled stages, then the NumPy ones, as a failed build leaves them
+    for lib in (tumor._LIB, None):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tumor, "_LIB", lib)
+            system = TumorSystem(spec, oxygen_source_mask=mask)
+            got_first = system.tendency(first, params)
+            kept = got_first.copy()
+            # the second call reuses the work arrays the first one allocated
+            got_second = system.tendency(second, params)
 
-    for got, state in ((got_first, first), (got_second, second)):
-        expected = reference_tendency(state, params, h, mask)
-        for name, field, want in zip(FIELD_NAMES, got, expected):
-            assert np.array_equal(field, want, equal_nan=True), name
-    assert np.array_equal(got_first, kept)
-    # without a system the kernel runs on work arrays of its own
-    assert np.array_equal(tumor_tendency(first, params, h, mask), kept)
-    # slabs of any height give the same bits, written into a given array or not
-    work = _Work(spec.shape, planes)
-    out = np.full(first.shape, np.nan)
-    assert tumor_tendency(first, params, h, mask, work, out) is out
-    assert np.array_equal(out, kept)
-    assert np.array_equal(tumor_tendency(second, params, h, mask, work), got_second)
-    # a system writes into a given array what a fresh call returns
-    out = np.full(first.shape, np.nan)
-    assert system.tendency(first, params, out=out) is out
-    assert np.array_equal(out, kept)
+            for got, want in zip((got_first, got_second), expected):
+                for name, field, want_field in zip(FIELD_NAMES, got, want):
+                    assert np.array_equal(field, want_field, equal_nan=True), (lib, name)
+            assert np.array_equal(got_first, kept)
+            # without a system the kernel runs on work arrays of its own
+            assert np.array_equal(tumor_tendency(first, params, h, mask), kept)
+            # the same bits written into a given array, with given work arrays
+            work = _Work(spec.shape)
+            out = np.full(first.shape, np.nan)
+            assert tumor_tendency(first, params, h, mask, work, out) is out
+            assert np.array_equal(out, kept)
+            assert np.array_equal(tumor_tendency(second, params, h, mask, work), got_second)
+            # a system writes into a given array what a fresh call returns
+            out = np.full(first.shape, np.nan)
+            assert system.tendency(first, params, out=out) is out
+            assert np.array_equal(out, kept)
+
+
+def bump_case():
+    """A grid, parameters, a tumor bump and an oxygen mask."""
+    spec = GridSpec(7, 6, 5, 0.7)
+    params = TumorParams()
+    return (spec, params, gaussian_bump_state(spec, params, core_oxygen=1.0),
+            tumor.vessel_free_mask(spec, 0.2))
+
+
+def test_build_caches_the_library(tmp_path, monkeypatch):
+    lib, error = tumor._load_kernel(tmp_path)
+    assert lib is not None, error
+    built = list(tmp_path.iterdir())
+    assert len(built) == 1 and built[0].suffix == ".so"  # no temporary file is left
+    # a second load finds the library and compiles nothing
+
+    def no_compiler(*args, **kwargs):
+        raise AssertionError("compiled again")
+
+    monkeypatch.setattr(subprocess, "run", no_compiler)
+    lib, error = tumor._load_kernel(tmp_path)
+    assert lib is not None, error
+    assert list(tmp_path.iterdir()) == built
+
+
+def test_failed_build_falls_back_to_the_same_bits(tmp_path, monkeypatch):
+    spec, params, state, mask = bump_case()
+    compiled = tumor_tendency(state, params, spec.h, mask)
+    monkeypatch.setattr(sysconfig, "get_config_var", lambda name: "/nonexistent/cc -O1")
+    lib, error = tumor._load_kernel(tmp_path)
+    assert lib is None and "/nonexistent/cc" in error
+    assert not list(tmp_path.iterdir())
+    monkeypatch.setattr(tumor, "_LIB", lib)
+    monkeypatch.setattr(tumor, "_LIB_ERROR", error)
+    assert tumor.kernel_in_use() == f"numpy ({error})"
+    assert np.array_equal(tumor_tendency(state, params, spec.h, mask), compiled)
+
+
+def test_read_only_inputs_give_the_same_bits():
+    spec, params, state, mask = bump_case()
+    want = tumor_tendency(state, params, spec.h, mask)
+    state.flags.writeable = mask.flags.writeable = False
+    assert np.array_equal(tumor_tendency(state, params, spec.h, mask), want)
+
+
+UNSAFE = {  # a state and an out array -> the kernel's complaint about them
+    "float32": (lambda s, o: (s.astype(np.float32), o), "float64"),
+    "fortran": (lambda s, o: (np.asfortranarray(s), o), "C-contiguous"),
+    "strided": (lambda s, o: (np.concatenate([s, s], axis=3)[..., ::2], o), "C-contiguous"),
+    "out shape": (lambda s, o: (s, np.empty(s.shape[:3] + (s.shape[3] + 1,))), "shape"),
+    "out is state": (lambda s, o: (s, s), "overlap"),
+    "two cells": (lambda s, o: (np.ascontiguousarray(s[:, :, :2]), o[:, :, :2].copy()),
+                  "at least 3 cells"),
+}
+
+
+@pytest.mark.parametrize("case", list(UNSAFE))
+def test_kernel_rejects_unsafe_arrays_before_any_foreign_call(monkeypatch, case):
+    spec = GridSpec(6, 5, 4, 1.0)
+    params = TumorParams()
+    bend, complaint = UNSAFE[case]
+    state = gaussian_bump_state(spec, params, core_oxygen=1.0)
+    state, out = bend(state, np.empty_like(state))
+    calls = []
+
+    class Recorder:
+        def __getattr__(self, name):
+            return lambda *args: calls.append(name)
+
+    monkeypatch.setattr(tumor, "_LIB", Recorder())
+    with pytest.raises(ValueError, match=complaint):
+        tumor_tendency(state, params, spec.h, out=out)
+    assert calls == []
 
 
 def test_tendency_calls_return_independent_arrays():
@@ -149,12 +234,10 @@ SPECIAL = np.concatenate([SPECIAL, -SPECIAL])
     3.0, 0.7, 1.5, 0.2, -6.0, 1e-300, 1e300, 0.0, -0.0, np.inf, np.nan,
 ])
 def test_scaling_is_division_bit_for_bit(divisor):
+    by, multiply = _scaling(divisor)
     with np.errstate(all="ignore"):
         want = np.divide(SPECIAL, divisor)
-        got = _scale(SPECIAL, divisor, np.empty_like(SPECIAL))
-        in_place = SPECIAL.copy()
-        assert _scale(in_place, divisor, in_place) is in_place
-    for result in (got, in_place):
-        nan = np.isnan(want)
-        assert np.array_equal(np.isnan(result), nan)
-        assert np.array_equal(result[~nan].view(np.uint64), want[~nan].view(np.uint64))
+        got = SPECIAL * by if multiply else SPECIAL / by
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
