@@ -4,8 +4,7 @@ An ensemble of imperfect sub-models is stepped in lockstep, coupled to each
 other through trainable coefficients on one dynamic variable and nudged
 toward reference data.  The trained ensemble average tracks the reference
 better than any single member.  A 3-D tumor progression model serves as the
-reference dynamical system, and contraction diagnostics report whether a
-configuration sits in the provably convergent regime.
+reference dynamical system.
 
 Importing the package sets ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
 ``MKL_NUM_THREADS`` to 1 where the environment does not set them, before
@@ -37,7 +36,6 @@ from .dynamics import (
     LinearSystem,
     LogisticParams,
     LogisticSystem,
-    estimate_lipschitz,
     explicit_step,
     logistic_tendency,
 )
@@ -46,7 +44,6 @@ from .tumor import (
     TumorSystem,
     compute_flux,
     gaussian_bump_state,
-    stability_monitor,
     tumor_tendency,
     tumor_volumes,
     vessel_free_mask,
@@ -63,22 +60,8 @@ from .engine import (
     update_coupling,
 )
 from .groundtruth import GroundTruth, error_metrics, generate_gt, gt_at, load_gt, save_gt
-from .theory import (
-    ContractionReport,
-    alpha_const,
-    beta_const,
-    cij_update_max_form,
-    empirical_contraction_ratio,
-    gamma_const,
-    make_contraction_report,
-    rate_bound,
-)
-from .experiments import (
-    ExperimentConfig,
-    cfl_sweep,
-    instantiate_submodels,
-    run_experiment,
-)
+from .theory import empirical_contraction_ratio
+from .experiments import ExperimentConfig, instantiate_submodels, run_experiment
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -1,9 +1,8 @@
 """Command-line front end for the experiment harness.
 
-Subcommands: generate-gt, train, simulate, cfl-sweep, experiment.  Each
-takes --config (an INI file of experiment settings), optional --seed and
---out overrides, and repeated --set key=value overrides for any other
-config field.
+Subcommands: generate-gt, train, simulate, experiment.  Each takes --config
+(an INI file of experiment settings), optional --seed and --out overrides,
+and repeated --set key=value overrides for any other config field.
 """
 
 from __future__ import annotations
@@ -117,26 +116,6 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_cfl_sweep(args) -> int:
-    config = _load(args)
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    dts = [float(v) for v in args.dts.split(",") if v]
-    spec, reference, system, initial = experiments.build_setup(config)
-    results = experiments.cfl_sweep(
-        spec, dts, steps=args.steps, params=reference, initial=initial,
-        oxygen_source_mask=system.oxygen_source_mask,
-    )
-    experiments.write_cfl_csv(results, out / "cfl_sweep.csv")
-    for r in results:
-        print(f"dt={r.dt:g}: {r.verdict} ({r.steps_completed} steps, "
-              f"final |b| = {r.final_norm:.6g})")
-    threshold = experiments.stability_threshold(results)
-    if threshold is not None:
-        print(f"largest stable dt in sweep: {threshold:g}")
-    return 0
-
-
 def cmd_experiment(args) -> int:
     config = _load(args)
     out = experiments.run_experiment(config)
@@ -167,13 +146,6 @@ def main(argv=None) -> int:
     p.add_argument("--coupling", type=Path, default=None,
                    help="trained coefficients JSON (default: <out>/trained_coupling.json)")
     p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("cfl-sweep", help="classify stability across time-step sizes")
-    _add_common(p)
-    p.add_argument("--dts", type=str, default="0.025,0.05,0.1,0.2,0.5,1.0,2.0",
-                   help="comma-separated dt values")
-    p.add_argument("--steps", type=int, default=200, help="steps per dt")
-    p.set_defaults(func=cmd_cfl_sweep)
 
     p = sub.add_parser("experiment", help="full pipeline: reference, training, prediction")
     _add_common(p)

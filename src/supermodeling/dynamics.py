@@ -1,9 +1,9 @@
-"""Dynamical-system contract, explicit stepping, and Lipschitz estimation.
+"""Dynamical-system contract and explicit stepping.
 
 A system supplies the tendency (time derivative) of a state for a given
 parameter set.  A member state is a float64 array whose leading axis runs
 over the system's ``variables`` (one value for the toy systems, five fields
-for the tumor model); stepping and the Lipschitz estimate also take numbers.
+for the tumor model); stepping also takes numbers.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import BlowUpError, GridSpec, l2_norm
+from .fields import BlowUpError, GridSpec
 
 
 class DynamicalSystem:
@@ -53,23 +53,6 @@ class DynamicalSystem:
         where = f" during {context}" if context else ""
         raise BlowUpError(f"non-finite value in variable '{name}'{where}")
 
-    # -- sampling support for the Lipschitz estimator ---------------------
-
-    def random_state(self, params, rng: np.random.Generator):
-        """Draw a state from physically plausible per-variable ranges."""
-        raise NotImplementedError
-
-    def noise_like(self, state, rng: np.random.Generator):
-        """A random perturbation direction with the shape of ``state``."""
-        raise NotImplementedError
-
-    def lipschitz_scale(self, params) -> float:
-        """Default pair separation: 1e-2 of the variable range."""
-        raise NotImplementedError
-
-    def state_norm(self, state) -> float:
-        return l2_norm(state, self.cell_volume)
-
 
 def explicit_step(system: DynamicalSystem, state, params, dt: float, out=None, tendency=None):
     """Forward Euler: state + dt * tendency, into a new array or number, or
@@ -84,51 +67,6 @@ def explicit_step(system: DynamicalSystem, state, params, dt: float, out=None, t
         new = np.add(state, tend, out=out)
     system.validate_state(new, context="explicit step")
     return new
-
-
-def estimate_lipschitz(
-    system: DynamicalSystem,
-    params,
-    samples: int,
-    scale: float | None = None,
-    seed: int = 0,
-) -> float:
-    """Empirical Lipschitz constant of the tendency operator.
-
-    Samples random state pairs (B, D) with ||B - D|| <= scale and returns
-    the largest observed ratio ||S(B) - S(D)|| / ||B - D||.  As a finite
-    sample this is a lower bound on the true constant.  Deterministic for a
-    fixed seed.
-    """
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    if scale is None:
-        scale = system.lipschitz_scale(params)
-    if not scale > 0:
-        raise ValueError("scale must be positive")
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    tendencies = None  # S(B) and S(D), allocated on the first sample
-    for _ in range(samples):
-        for _attempt in range(100):
-            base = system.random_state(params, rng)
-            direction = system.noise_like(base, rng)
-            dnorm = system.state_norm(direction)
-            if dnorm > 0:
-                break
-        else:
-            raise RuntimeError("could not draw a non-degenerate state pair")
-        separation = float(rng.uniform(0.1, 1.0)) * scale
-        # D = B + direction * (separation / dnorm), in the direction's array
-        direction *= separation / dnorm
-        direction += base
-        if tendencies is None:
-            tendencies = np.empty((2,) + np.shape(base))
-        # [k, ...] is a view even of a number's (2,) array, which [k] is not
-        diff = system.tendency(base, params, out=tendencies[0, ...])
-        diff -= system.tendency(direction, params, out=tendencies[1, ...])
-        best = max(best, system.state_norm(diff) / separation)
-    return best
 
 
 # -- toy systems -------------------------------------------------------------
@@ -166,18 +104,9 @@ class LogisticSystem(DynamicalSystem):
     def tendency(self, state, params: LogisticParams, out=None):
         return _into(out, logistic_tendency(state, params))
 
-    def random_state(self, params: LogisticParams, rng):
-        return float(rng.uniform(0.0, params.cap))
-
-    def noise_like(self, state, rng):
-        return float(rng.standard_normal())
-
-    def lipschitz_scale(self, params: LogisticParams) -> float:
-        return 0.01 * params.cap
-
 
 class LinearSystem(DynamicalSystem):
-    """S(u) = lam * u; its exact Lipschitz constant is |lam|."""
+    """S(u) = lam * u."""
 
     couplable = ("b",)
 
@@ -186,12 +115,3 @@ class LinearSystem(DynamicalSystem):
 
     def tendency(self, state, params=None, out=None):
         return _into(out, self.lam * state)
-
-    def random_state(self, params, rng):
-        return float(rng.uniform(-1.0, 1.0))
-
-    def noise_like(self, state, rng):
-        return float(rng.standard_normal())
-
-    def lipschitz_scale(self, params) -> float:
-        return 0.02

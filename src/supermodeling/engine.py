@@ -37,7 +37,7 @@ tolerance.
 
 Each member's free step, followed by adding its row of the correction, runs
 in one of P = min(N, usable CPUs) processes: the caller and workers forked
-from it on first use, which live as long as the ensemble.
+from it on its first coupled step, which live as long as the ensemble.
 Member i runs in process (i + 1) mod P, where process 0 is the caller, so the
 caller, which also has the serial work of every step, steps the smaller
 share: floor(N/P) members.  The states sit in shared memory and the caller
@@ -46,15 +46,6 @@ per worker: a command down a pipe and a reply back.  A process waiting on
 its pipe polls it for up to ``_POLL_S`` before it blocks, so within an epoch
 a worker takes its next command without waiting to be woken, while an idle
 one sleeps.
-
-The same processes evaluate per-member work other than steps:
-``map_members`` runs a module-level ``fn(system, params_i, i, *args)`` for
-every member i on process (i + 1) mod P, the call going down the command
-pipe and the pickled results coming back with the reply.  Its first use
-forks the workers like a first coupled step would: ``run_experiment`` maps
-the members' Lipschitz estimates before training, so the workers exist
-before its first epoch.  A map fails as a loop over the members would, with
-the exception of the lowest failing member index.
 
 The loops of ``train`` and ``simulate`` promise, on every step but the last
 and when dt > 0, that the next call is a coupled step of the same ensemble
@@ -68,11 +59,10 @@ tendency reads only its member's state, which nothing writes in between, so
 it has the same bits either way; one that raises is reported by the step it
 belongs to.  Every other step (the first of a loop, a public ``coupled_step``
 call, a step after a failure) computes its tendencies afresh, so a loop that
-ends early leaves nothing stale behind, and a map drops the tendencies
-computed ahead.  Each member is computed by the same operations in the same
-order either way, so results are bit-identical to a sequential run.
-The caller steps and maps every member itself, in member order, when only
-one CPU is usable and when a member's field has fewer than
+ends early leaves nothing stale behind.  Each member is computed by the
+same operations in the same order either way, so results are bit-identical
+to a sequential run.  The caller steps every member itself, in member
+order, when only one CPU is usable and when a member's field has fewer than
 ``PARALLEL_MIN_CELLS`` cells (where the handoff costs more than the second
 core saves).  A process forked from the caller, other than a worker, gets a
 private copy of the states at the fork and does the same.  Workers step
@@ -291,11 +281,9 @@ PARALLEL_MIN_CELLS = 16 ** 3
 _CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
          else os.cpu_count() or 1)
 # dt; whether a correction is added; whether the step applies the tendencies
-# its worker computed ahead; whether the worker computes the next ones ahead;
-# the length of the pickled map call that follows, 0 for a coupled step
-_COMMAND = struct.Struct("=d???I")
-# the length of the pickled reply that follows: a step's failure (0 if none)
-# or a map's results and failure
+# its worker computed ahead; whether the worker computes the next ones ahead
+_COMMAND = struct.Struct("=d???")
+# the length of the pickled failure that follows, 0 if the step succeeded
 _REPLY = struct.Struct("=I")
 
 # How long a process waiting on a worker pipe polls it before it blocks (see
@@ -381,19 +369,6 @@ def _look_ahead(ens: SubModelEnsemble, members) -> dict:
     return ahead
 
 
-def _map_members(ens: SubModelEnsemble, members, fn, args):
-    """``fn(system, params_i, i, *args)`` for the listed members, by member, up
-    to the first that raises; returns the results and (member, exception) for
-    that one, or None."""
-    results = {}
-    for i in members:
-        try:
-            results[i] = fn(ens.system, ens.params[i], i, *args)
-        except Exception as exc:
-            return results, (i, exc)
-    return results, None
-
-
 def _first_failure(failures):
     """The failure of the lowest member index among (member, exception) pairs
     and Nones, or None."""
@@ -407,10 +382,9 @@ class _MemberWorkers:
     the caller, so the caller steps no more members than any worker.  The
     workers step their members in the ensemble's shared states array and
     read the corrections from a shared buffer, so a coupled step costs one
-    command byte-string and one reply per worker.  A map costs one command
-    with the pickled call and one reply with the pickled results.  Workers
-    exit on end-of-file on their command pipe, that is when this object
-    closes or the caller dies; closing also kills and reaps them.
+    command byte-string and one reply per worker.  Workers exit on
+    end-of-file on their command pipe, that is when this object closes or
+    the caller dies; closing also kills and reaps them.
     """
 
     def __init__(self, ens: SubModelEnsemble):
@@ -461,7 +435,7 @@ class _MemberWorkers:
         """Advance every member as ``_advance_members`` does; returns the
         failure of the lowest member index, or None.  The flags are those of
         ``coupled_step``."""
-        command = _COMMAND.pack(dt, corrections is not None, reuse_ahead, look_ahead, 0)
+        command = _COMMAND.pack(dt, corrections is not None, reuse_ahead, look_ahead)
         try:
             self._send(command)
             failures = [_advance_members(ens, self.members, dt, corrections)]
@@ -470,26 +444,6 @@ class _MemberWorkers:
             self.close()  # replies may be pending: these workers are out of step
             raise
         return _first_failure(failures)
-
-    def map(self, ens: SubModelEnsemble, fn, args: tuple, meanwhile):
-        """Every member's ``fn(system, params_i, i, *args)`` by member, and
-        ``meanwhile()``, which the caller runs after its own members unless
-        one of them failed; the failure of the lowest member index replaces
-        the results (see ``map_members``)."""
-        call = pickle.dumps((fn, args))  # a call that cannot be pickled sends nothing
-        try:
-            self._send(_COMMAND.pack(0.0, False, False, False, len(call)) + call)
-            results, failure = _map_members(ens, self.members, fn, args)
-            failures = [failure]
-            extra = meanwhile() if failure is None and meanwhile is not None else None
-            for k in range(len(self.replies)):
-                worker_results, failure = self._reply(k)
-                results.update(worker_results)
-                failures.append(failure)
-        except BaseException:
-            self.close()  # replies may be pending: these workers are out of step
-            raise
-        return results, _first_failure(failures), extra
 
     def _send(self, command: bytes) -> None:
         for k, fd in enumerate(self.commands):
@@ -543,10 +497,9 @@ def _write(fd: int, data: bytes) -> None:
 
 
 def _serve(ens, members, corrections, commands: int, replies: int) -> int:
-    """A worker's loop: one step or map of ``members`` per command until
-    end-of-file.  A step is followed, when the command asks for it, by the
-    members' next tendencies, which only the next command may apply: a map
-    drops them."""
+    """A worker's loop: one step of ``members`` per command until end-of-file,
+    followed, when the command asks for it, by the members' next tendencies,
+    which only the next command may apply."""
     import signal
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller handles interrupts
@@ -567,21 +520,12 @@ def _serve(ens, members, corrections, commands: int, replies: int) -> int:
         command = _read(commands, _COMMAND.size)
         if len(command) < _COMMAND.size:
             return 0
-        dt, corrected, reuse_ahead, look_ahead, call_size = _COMMAND.unpack(command)
-        if call_size:
-            call = _read(commands, call_size)
-            if len(call) < call_size:
-                return 0
-            fn, args = pickle.loads(call)
-            reply = pickle.dumps(_map_members(ens, members, fn, args))
-            look_ahead = False
-        else:
-            failure = _advance_members(ens, members, dt, corrections if corrected else None,
-                                       ahead if reuse_ahead else None)
-            reply = b"" if failure is None else pickle.dumps(failure)
-            look_ahead = look_ahead and failure is None
+        dt, corrected, reuse_ahead, look_ahead = _COMMAND.unpack(command)
+        failure = _advance_members(ens, members, dt, corrections if corrected else None,
+                                   ahead if reuse_ahead else None)
+        reply = b"" if failure is None else pickle.dumps(failure)
         _write(replies, _REPLY.pack(len(reply)) + reply)
-        ahead = _look_ahead(ens, members) if look_ahead else None
+        ahead = _look_ahead(ens, members) if look_ahead and failure is None else None
 
 
 def _stop_workers(owner: int, pids: list, commands: list, replies: list) -> None:
@@ -606,32 +550,6 @@ def _member_workers(ens: SubModelEnsemble):
     if workers is None or workers.closed:  # not forked yet, or a worker died
         workers = ens._workers = _MemberWorkers(ens)
     return workers
-
-
-def map_members(ens: SubModelEnsemble, fn, *args, meanwhile=None):
-    """Every member's ``fn(ens.system, ens.params[i], i, *args)`` as a list in
-    member order, each evaluated by the process that steps member i, and
-    what ``meanwhile()`` returns (None without it).
-
-    ``fn`` must be a module-level function, and ``args`` and the results
-    picklable.  The caller evaluates its own members first, then runs
-    ``meanwhile`` while the workers finish theirs, then collects their
-    results.  If members fail, the exception of the lowest member index is
-    raised, as a loop over the members would raise it; ``meanwhile`` does
-    not run when one of the caller's members failed.  Without workers (see
-    ``_member_workers``) the caller evaluates every member in order, then
-    runs ``meanwhile``.  A map drops the tendencies a coupled step promised
-    to the next one.
-    """
-    workers = _member_workers(ens)
-    if workers is None:
-        results, failure = _map_members(ens, range(ens.n), fn, args)
-        extra = meanwhile() if failure is None and meanwhile is not None else None
-    else:
-        results, failure, extra = workers.map(ens, fn, args, meanwhile)
-    if failure is not None:
-        raise failure[1]
-    return [results[i] for i in range(ens.n)], extra
 
 
 def coupled_step(
@@ -788,7 +706,8 @@ def train(
     0 through ``steps_per_epoch``.
 
     With ``record_trajectories`` the per-step coupled-variable states of all
-    members are kept for every epoch, which contraction diagnostics need.
+    members are kept for every epoch, which ``theory.iterate_distances``
+    needs.
     """
     if not tol > 0:
         raise ValueError("tolerance must be positive")
@@ -908,16 +827,17 @@ def simulate(
 
 
 def export_training_csv(report: TrainingReport, path, n: int):
-    """Per-step CSV: epoch, step, flattened coefficients, error, volumes."""
+    """Per-step CSV: epoch, step, off-diagonal coefficients, error, volumes."""
+    offdiag = ~np.eye(n, dtype=bool).reshape(-1)
     header = ["epoch", "step"]
-    header += [f"c_{i + 1}{j + 1}" for i in range(n) for j in range(n)]
+    header += [f"c_{i + 1}{j + 1}" for i in range(n) for j in range(n) if i != j]
     header += ["l2_error", "total", "proliferating", "quiescent"]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for rec in report.step_records:
             row = [rec.epoch, rec.step]
-            row += [repr(float(v)) for v in rec.c_flat]
+            row += [repr(float(v)) for v in rec.c_flat[offdiag]]
             row.append(repr(float(rec.error)))
             if rec.volumes is not None:
                 row += [repr(float(v)) for v in rec.volumes]

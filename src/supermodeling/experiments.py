@@ -9,10 +9,9 @@ manifest, whose [run] section records which tendency kernel ran (see
 CSV byte for byte at one BLAS thread count.  The norms and the engine's
 coupling products go through BLAS, which may sum in another order with
 another number of threads: one and two OpenBLAS threads gave CSVs up to
-1.2e-15 apart (relative) at 32^3 with 8 members, and contraction.csv 4e-16
-apart at the default 16^3.  The package defaults to one BLAS thread (see
-``supermodeling``), as the benchmark runs it, so the CSVs of a CLI run
-equal the benchmark's.
+1.2e-15 apart (relative) at 32^3 with 8 members.  The package defaults to
+one BLAS thread (see ``supermodeling``), as the benchmark runs it, so the
+CSVs of a CLI run equal the benchmark's.
 
 Desk-scale defaults: a 16^3 unit-spacing grid with a hypoxic-core oxygen
 profile and a vessel-free central region, so the oxygen thresholds that the
@@ -30,27 +29,21 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import estimate_lipschitz, explicit_step
 from .engine import (
     CouplingMatrix,
     SubModelEnsemble,
     TrainingAborted,
     export_training_csv,
-    map_members,
     simulate,
     train,
 )
-from .fields import BlowUpError, GridSpec, l2_norm
+from .fields import GridSpec
 from .groundtruth import GroundTruth, generate_gt, gt_volumes_at, load_gt, save_gt, step_error
-from .theory import export_contraction_csv, make_contraction_report
 from .tumor import (
-    DIVERGING,
-    STABLE,
     TumorParams,
     TumorSystem,
     gaussian_bump_state,
     kernel_in_use,
-    stability_monitor,
     vessel_free_mask,
 )
 
@@ -283,83 +276,6 @@ def instantiate_submodels(
     return members
 
 
-# -- stability sweep -----------------------------------------------------------
-
-
-@dataclass
-class CflResult:
-    dt: float
-    steps_completed: int
-    min_norm: float
-    max_norm: float
-    final_norm: float
-    verdict: str
-
-
-def cfl_sweep(
-    spec: GridSpec,
-    dt_list,
-    steps: int = 200,
-    params: TumorParams | None = None,
-    initial=None,
-    oxygen_source_mask=None,
-    factor: float = 10.0,
-) -> list[CflResult]:
-    """Free-run the model at each dt and classify the norm history.
-
-    Divergence (including outright numerical blow-up) is a recorded
-    outcome, not an error; a run stops as soon as it is flagged.
-    """
-    if not list(dt_list):
-        raise ValueError("empty dt list")
-    if params is None:
-        params = TumorParams()
-    system = TumorSystem(spec, oxygen_source_mask=oxygen_source_mask)
-    results = []
-    for dt in dt_list:
-        state = np.array(initial if initial is not None else gaussian_bump_state(spec, params))
-        history = [l2_norm(system.get_variable(state, "b"), system.cell_volume)]
-        verdict = stability_monitor(history, factor)
-        completed = 0
-        for _n in range(steps):
-            try:
-                explicit_step(system, state, params, dt, out=state)
-                history.append(l2_norm(system.get_variable(state, "b"), system.cell_volume))
-            except BlowUpError:
-                verdict = DIVERGING
-                break
-            completed += 1
-            verdict = stability_monitor(history, factor)
-            if verdict == DIVERGING:
-                break
-        finite = [v for v in history if np.isfinite(v)]
-        results.append(CflResult(
-            dt=float(dt),
-            steps_completed=completed,
-            min_norm=min(finite),
-            max_norm=max(finite),
-            final_norm=history[-1],
-            verdict=verdict,
-        ))
-    return results
-
-
-def stability_threshold(results: list[CflResult]) -> float | None:
-    """Largest dt in the sweep that stayed stable, if any."""
-    stable = [r.dt for r in results if r.verdict == STABLE]
-    return max(stable) if stable else None
-
-
-def write_cfl_csv(results: list[CflResult], path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["dt", "steps_completed", "min_norm", "max_norm",
-                         "final_norm", "verdict"])
-        for r in results:
-            writer.writerow([repr(r.dt), r.steps_completed, repr(r.min_norm),
-                             repr(r.max_norm), repr(r.final_norm), r.verdict])
-
-
 # -- trained-coefficient persistence -------------------------------------------
 
 
@@ -455,7 +371,6 @@ def run_experiment(config: ExperimentConfig) -> Path:
     manifest and the partial artifacts are kept rather than raised.
     """
     _spec, reference, system, initial = build_setup(config)
-    n = config.n_submodels
     # everything a bad config can fail on comes before any work or output
     params_list = instantiate_submodels(reference, config)
     ensemble = SubModelEnsemble.identical_start(system, params_list, initial)
@@ -463,19 +378,7 @@ def run_experiment(config: ExperimentConfig) -> Path:
 
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    # contraction.csv's Lipschitz bound: each member's estimate runs in the
-    # process that steps the member, with its own seed, so the bound has the
-    # same bits whichever process computes it.  The caller generates the
-    # reference after its own share, while the workers finish theirs.
-    # Estimated after training instead, it raised the peak resident memory
-    # of a 64^3 run (N=3) from 169 to 182 MB; with the reference generated
-    # before the caller's share, whose temporaries then lived beside its
-    # snapshots, from 170 to 176 MB.
-    estimates, gt = map_members(
-        ensemble, _lipschitz_estimate, config.seed,
-        meanwhile=lambda: generate_gt(system, reference, initial, config.dt, config.steps,
-                                      config.keep_every))
-    lipschitz_max = max(estimates)
+    gt = generate_gt(system, reference, initial, config.dt, config.steps, config.keep_every)
     save_gt(gt, out / "gt")
 
     status = "completed"
@@ -489,9 +392,7 @@ def run_experiment(config: ExperimentConfig) -> Path:
         report = exc.report
         status = f"aborted at epoch {exc.epoch} step {exc.step}"
 
-    export_training_csv(report, out / "training.csv", n)
-    _write_coupling_trajectories(report, out / "coupling.csv", n, config.steps)
-    _write_contraction_csv(report, out / "contraction.csv", config, lipschitz_max)
+    export_training_csv(report, out / "training.csv", config.n_submodels)
 
     if trained is not None:
         save_coupling(trained, out / "trained_coupling.json")
@@ -502,11 +403,6 @@ def run_experiment(config: ExperimentConfig) -> Path:
     manifest = emit_config(config) + f"\n[run]\nkernel = {kernel_in_use()}\nstatus = {status}\n"
     (out / "manifest.ini").write_text(manifest)
     return out
-
-
-def _lipschitz_estimate(system, params, member: int, seed: int) -> float:
-    """One member's Lipschitz estimate for contraction.csv, with its own seed."""
-    return estimate_lipschitz(system, params, samples=4, seed=seed + 1000 + member)
 
 
 @dataclass
@@ -550,34 +446,6 @@ def predict(ensemble, cm, gt, config, out_dir: Path | None = None) -> Prediction
         _write_curves_csv(gt, run, out_dir / "curves.csv", config)
         _write_volume_diff_csv(run, out_dir / "volume_diff.csv", config)
     return run
-
-
-def _write_coupling_trajectories(report, path, n, steps_per_epoch):
-    header = ["global_step", "epoch", "step"]
-    header += [f"c_{i + 1}{j + 1}" for i in range(n) for j in range(n) if i != j]
-    offdiag = [(i, j) for i in range(n) for j in range(n) if i != j]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for rec in report.step_records:
-            c = rec.c_flat.reshape(n, n)
-            row = [rec.epoch * steps_per_epoch + rec.step, rec.epoch, rec.step]
-            row += [repr(float(c[i, j])) for i, j in offdiag]
-            writer.writerow(row)
-
-
-def _write_contraction_csv(report, path, config, l_max):
-    reports = []
-    for k, c_snapshot in enumerate(report.c_history):
-        mask = ~np.eye(c_snapshot.shape[0], dtype=bool)
-        spread = float(np.max(np.abs(c_snapshot[mask]))) if mask.any() else 0.0
-        dist = max(report.error_history[k]) if report.error_history[k] else 0.0
-        reports.append(make_contraction_report(
-            k_nudge=config.k_nudge, dt=config.dt, lipschitz_max=l_max,
-            coupling_spread=spread, a_rate=config.a_rate,
-            gt_dist_b=dist, gt_dist_d=dist,
-        ))
-    export_contraction_csv(reports, path)
 
 
 def _write_curves_csv(gt, run: Prediction, path, config):

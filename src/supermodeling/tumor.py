@@ -11,7 +11,7 @@ state first, then all five fields take one forward-Euler step.  Spatial
 derivatives are second-order centered differences (one-sided at the domain
 faces for first derivatives); Laplacians use mirrored ghost cells, which
 gives zero-flux walls.  Stability is the caller's job: pick dt small enough
-for the grid (see ``stability_monitor`` and the sweep in experiments).
+for the grid.
 
 A state is one C-contiguous (5, nz, ny, nx) float64 array holding b, c, o,
 M and A in that order (see FIELD_NAMES).  Arrays carry no grid: the kernel
@@ -50,6 +50,7 @@ the system, so each process keeps one set.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import ctypes
 import math
@@ -63,9 +64,6 @@ import numpy as np
 
 from .dynamics import DynamicalSystem
 from .fields import GridSpec, volume_integral
-
-STABLE = "stable"
-DIVERGING = "diverging"
 
 FIELD_NAMES = ("b", "c", "o", "M", "A")
 
@@ -144,7 +142,8 @@ def _load_kernel(cache: Path):
 
     The library is built from ``_SOURCE`` into ``cache`` on first use, named
     by a checksum of the source and the flags, so a later import only reads
-    the source and loads the library.
+    the source and loads the library.  A build removes the libraries that
+    earlier versions of the source or flags left in ``cache``.
     """
     try:
         key = zlib.crc32(" ".join(_FLAGS).encode(), zlib.crc32(_SOURCE.read_bytes()))
@@ -153,6 +152,11 @@ def _load_kernel(cache: Path):
             error = _build(library)
             if error is not None:
                 return None, error
+            for stale in cache.glob("_tendency-*.so"):
+                if stale != library:
+                    # a process that loaded it keeps its mapping
+                    with contextlib.suppress(OSError):
+                        stale.unlink()
         lib = ctypes.CDLL(str(library))
     except OSError as exc:
         return None, " ".join(str(exc).split())
@@ -353,24 +357,6 @@ def tumor_tendency(
     return out
 
 
-def stability_monitor(history, factor: float = 10.0) -> str:
-    """Classify a norm history as stable or diverging.
-
-    Diverging means the latest norm exceeds ``factor`` times the smallest
-    norm seen, or any entry stopped being finite.
-    """
-    if not factor > 1:
-        raise ValueError("factor must exceed 1")
-    seq = [float(v) for v in history]
-    if not seq:
-        raise ValueError("empty norm history")
-    if not all(math.isfinite(v) for v in seq):
-        return DIVERGING
-    if seq[-1] > factor * min(seq):
-        return DIVERGING
-    return STABLE
-
-
 def tumor_volumes(b: np.ndarray, o: np.ndarray, p: TumorParams,
                   cell_volume: float) -> VolumeTriple:
     """Total, proliferating, and quiescent tumor volume from density b and oxygen o.
@@ -482,21 +468,6 @@ class TumorSystem(DynamicalSystem):
         ``variables`` (b and o among them)."""
         b, o = (state[variables.index(name)] for name in self.volume_variables)
         return tumor_volumes(b, o, self.metric_params, self.cell_volume)
-
-    def random_state(self, params: TumorParams, rng) -> np.ndarray:
-        ranges = (params.b_M, 1.0, params.o_max, 1.0, 1.0)  # b, c, o, M, A
-        # one field at a time: a state and a field at most, not two states
-        state = np.empty((len(ranges),) + self.spec.shape)
-        for field, hi in zip(state, ranges):
-            field[...] = rng.uniform(0.0, hi, size=self.spec.shape)
-        return state
-
-    def noise_like(self, state: np.ndarray, rng) -> np.ndarray:
-        return rng.standard_normal(state.shape)
-
-    def lipschitz_scale(self, params: TumorParams) -> float:
-        # 1e-2 of the coupled variable's range
-        return 0.01 * (params.b_M - params.b_m)
 
 
 # -- series output ------------------------------------------------------------

@@ -4,7 +4,15 @@ import gc
 import glob
 import os
 
+import numpy as np
 import pytest
+
+
+def random_state(spec, rng, b_M=2.0):
+    """A random tumor state on ``spec``: b straddles the pressure gate
+    [b_norm, b_M] and o both oxygen thresholds."""
+    highs = (1.2 * b_M, 1.0, 60.0, 1.0, 1.0)
+    return np.stack([rng.uniform(0.0, hi, spec.shape) for hi in highs])
 
 
 def _children():

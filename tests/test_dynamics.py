@@ -1,16 +1,13 @@
-import numpy as np
 import pytest
 
 from supermodeling.dynamics import (
     LinearSystem,
     LogisticParams,
     LogisticSystem,
-    estimate_lipschitz,
     explicit_step,
     logistic_tendency,
 )
-from supermodeling.fields import BlowUpError, GridSpec
-from supermodeling.tumor import TumorParams, TumorSystem
+from supermodeling.fields import BlowUpError
 
 
 class TestLogistic:
@@ -56,46 +53,3 @@ class TestExplicitStep:
 
         with pytest.raises(BlowUpError):
             explicit_step(Exploding(1.0), 1.0, None, 0.1)
-
-
-class TestLipschitzEstimate:
-    @pytest.mark.parametrize("lam", [0.5, 2.0, -3.0])
-    @pytest.mark.parametrize("seed", [0, 7, 123])
-    def test_linear_system_exact(self, lam, seed):
-        est = estimate_lipschitz(LinearSystem(lam), None, samples=1, seed=seed)
-        assert est == pytest.approx(abs(lam), abs=1e-6)
-
-    def test_zero_system(self):
-        assert estimate_lipschitz(LinearSystem(0.0), None, samples=5, seed=1) == 0.0
-
-    def test_deterministic_given_seed(self):
-        sys = LogisticSystem()
-        p = LogisticParams(r=1.2, cap=2.0)
-        a = estimate_lipschitz(sys, p, samples=20, seed=42)
-        b = estimate_lipschitz(sys, p, samples=20, seed=42)
-        assert a == b
-
-    def test_logistic_bounded_by_true_constant(self):
-        # |S'(b)| = |r (1 - 2 b / cap)| <= r on [0, cap]; perturbed pairs can
-        # poke at most one separation scale outside, hence the small headroom
-        p = LogisticParams(r=1.5, cap=2.0)
-        scale = 0.01 * p.cap
-        est = estimate_lipschitz(LogisticSystem(), p, samples=200, seed=3)
-        assert 0.0 < est <= p.r * (1.0 + 2.0 * scale / p.cap) + 1e-9
-
-    def test_requires_samples(self):
-        with pytest.raises(ValueError):
-            estimate_lipschitz(LinearSystem(1.0), None, samples=0, seed=0)
-
-    def test_tumor_regression_baseline(self):
-        # sampling oracle on a desk grid, value pinned once generated
-        spec = GridSpec(8, 8, 8, 1.0)
-        system = TumorSystem(spec)
-        est = estimate_lipschitz(system, TumorParams(), samples=8, seed=2024)
-        assert np.isfinite(est) and est > 0.0
-        assert est == pytest.approx(PINNED_TUMOR_LIPSCHITZ, rel=1e-9)
-
-
-# Generated once from the sampling estimator above; guards against silent
-# changes in the tendency assembly or the sampling scheme.
-PINNED_TUMOR_LIPSCHITZ = 0.39065601762894003

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_state
 from supermodeling.dynamics import LinearSystem, LogisticParams, LogisticSystem, explicit_step
 from supermodeling.engine import (
     CouplingMatrix,
@@ -288,7 +289,7 @@ class TestSupermodelOutput:
         config = ExperimentConfig(nx=5, ny=4, nz=3, n_submodels=n_submodels)
         _spec, reference, system, _initial = build_setup(config)
         rng = np.random.default_rng(n_submodels)
-        states = np.stack([system.random_state(reference, rng) for _ in range(n_submodels)])
+        states = np.stack([random_state(system.spec, rng) for _ in range(n_submodels)])
         ens = SubModelEnsemble(system=system, params=[reference] * n_submodels,
                                states=states, coupled_variable="b")
         full = supermodel_output(ens)
@@ -505,5 +506,5 @@ class TestCsvExport:
         export_training_csv(report, b, n=2)
         assert a.read_bytes() == b.read_bytes()
         lines = a.read_text().splitlines()
-        assert lines[0].startswith("epoch,step,c_11")
+        assert lines[0] == "epoch,step,c_12,c_21,l2_error,total,proliferating,quiescent"
         assert len(lines) == 1 + 12  # header + 2 epochs of 6 steps

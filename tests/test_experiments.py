@@ -220,7 +220,7 @@ def test_prediction_streams_the_errors_of_its_b_trajectory(nudge):
 
 
 # training.csv of the run above: every step's l2_error, and the full row
-# (coefficients c_11..c_33, l2_error, total, proliferating, quiescent) that
+# (coefficients c_12..c_32, l2_error, total, proliferating, quiescent) that
 # ends each epoch; before_after.csv: l2 and volume differences per step;
 # volume_diff.csv of the trained prediction; curves.csv: the reference's and
 # the trained supermodel's volume triples (total, proliferating, quiescent).
@@ -231,11 +231,11 @@ TRAINING_L2_ERROR = [
     0.005348406521389362, 0.005368670751049792, 0.005391327089542931,
 ]
 TRAINING_FINAL_ROWS = [
-    [0.0, 0.49974738145892883, 0.49940180545189855, 0.49986311192612004, 0.0,
-     0.49951697827234715, 0.49690043251400245, 0.49689987486725984, 0.0,
+    [0.49974738145892883, 0.49940180545189855, 0.49986311192612004,
+     0.49951697827234715, 0.49690043251400245, 0.49689987486725984,
      0.005373911754810491, 22.624926937309553, 8.64727407094672, 13.977652866362833],
-    [0.0, 0.49949450715516375, 0.4988000718287656, 0.49972614623508843, 0.0,
-     0.49903090530498356, 0.49378225583837587, 0.49378145023466924, 0.0,
+    [0.49949450715516375, 0.4988000718287656, 0.49972614623508843,
+     0.49903090530498356, 0.49378225583837587, 0.49378145023466924,
      0.005391327089542931, 22.62500763348212, 8.647267714615454, 13.977739918866666],
 ]
 BEFORE_AFTER = [
@@ -283,8 +283,8 @@ BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def test_csvs_do_not_depend_on_the_blas_settings(tmp_path):
-    # with one BLAS thread per CPU, contraction.csv's Lipschitz norms came out
-    # 4e-16 (relative) apart from a run with one BLAS thread
+    # with one BLAS thread per CPU, the norms and coupling products may sum in
+    # another order than with one BLAS thread
     src = Path(supermodeling.__file__).resolve().parent.parent
     unset = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
     envs = {"unset": unset, "one": {**unset, **dict.fromkeys(BLAS_THREADS, "1")}}
@@ -294,7 +294,7 @@ def test_csvs_do_not_depend_on_the_blas_settings(tmp_path):
                        env={**env, "PYTHONPATH": str(src)}, capture_output=True, timeout=120,
                        check=True)
     names = sorted(path.name for path in (tmp_path / "one").glob("*.csv"))
-    assert "contraction.csv" in names
+    assert "training.csv" in names
     assert names == sorted(path.name for path in (tmp_path / "unset").glob("*.csv"))
     for name in names:
         assert (tmp_path / "unset" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()

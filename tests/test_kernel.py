@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import random_state
 from supermodeling import tumor
 from supermodeling.experiments import ExperimentConfig, instantiate_submodels
 from supermodeling.fields import GridSpec
@@ -66,12 +67,6 @@ def reference_tendency(state, p, h, oxygen_source_mask=None):
         dM = -p.beta_M * M * b
         dA = p.gamma_A * M * b + p.chi_aA * laplacian(A) - p.gamma_oA * A
     return [db, dc, do, dM, dA]
-
-
-def random_state(spec, rng, b_M=2.0):
-    # b straddles the pressure gate [b_norm, b_M] and o both oxygen thresholds
-    highs = (1.2 * b_M, 1.0, 60.0, 1.0, 1.0)
-    return np.stack([rng.uniform(0.0, hi, spec.shape) for hi in highs])
 
 
 @settings(max_examples=60, deadline=None)
@@ -156,6 +151,18 @@ def test_build_caches_the_library(tmp_path, monkeypatch):
     lib, error = tumor._load_kernel(tmp_path)
     assert lib is not None, error
     assert list(tmp_path.iterdir()) == built
+
+
+def test_build_removes_the_libraries_of_earlier_sources(tmp_path):
+    stale = tmp_path / "_tendency-00000000.so"
+    stale.write_bytes(b"built from an earlier source")
+    other = tmp_path / "unrelated.so"
+    other.write_bytes(b"")
+    lib, error = tumor._load_kernel(tmp_path)
+    assert lib is not None, error
+    left = sorted(path.name for path in tmp_path.iterdir())
+    assert len(left) == 2 and "unrelated.so" in left
+    assert left[0].startswith("_tendency-") and left[0] != stale.name
 
 
 def test_failed_build_falls_back_to_the_same_bits(tmp_path, monkeypatch):

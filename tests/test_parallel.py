@@ -1,5 +1,5 @@
-"""Members stepped and mapped by the engine's worker processes against the
-same steps and maps inline.
+"""Members stepped by the engine's worker processes against the same steps
+inline.
 
 Workers only step grids of at least ``engine.PARALLEL_MIN_CELLS`` cells per
 field; most of these tests lower that floor, and claim two usable CPUs,
@@ -12,7 +12,6 @@ import contextlib
 import dataclasses
 import gc
 import os
-import pickle
 import signal
 import sys
 import threading
@@ -21,6 +20,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import random_state
 from supermodeling import engine
 from supermodeling.dynamics import DynamicalSystem
 from supermodeling.engine import (
@@ -28,12 +28,10 @@ from supermodeling.engine import (
     SubModelEnsemble,
     TrainingAborted,
     coupled_step,
-    map_members,
     simulate,
     train,
     update_coupling,
 )
-from supermodeling.dynamics import estimate_lipschitz
 from supermodeling.experiments import (
     ExperimentConfig,
     build_setup,
@@ -211,7 +209,7 @@ def test_concurrent_tendencies_equal_sequential():
     params = TumorParams()
     system = TumorSystem(spec)
     rng = np.random.default_rng(3)
-    states = [system.random_state(params, rng) for _ in range(6)]
+    states = [random_state(spec, rng) for _ in range(6)]
     expected = [system.tendency(s, params) for s in states]
     results = {}
     start = threading.Barrier(len(states))
@@ -531,81 +529,22 @@ def test_worker_exits_when_its_caller_dies(monkeypatch):
             time.sleep(0.01)
 
 
-EVALUATED = []  # what this process ran of ``lipschitz_of`` and ``meanwhile``
-
-
-def lipschitz_of(system, params, member, seed):
-    EVALUATED.append(member)
-    return member, estimate_lipschitz(system, params, samples=1, seed=seed + member)
-
-
-def meanwhile():
-    EVALUATED.append("meanwhile")
-    return "reference"
-
-
-@pytest.mark.parametrize("n_submodels", [2, 3, 5])
-def test_map_equals_inline_and_the_caller_takes_its_own_share(monkeypatch, n_submodels):
-    ens = make_training(n_submodels)[0]
-    expected = [lipschitz_of(ens.system, p, i, 7) for i, p in enumerate(ens.params)]
-    EVALUATED.clear()
-    assert map_members(ens, lipschitz_of, 7, meanwhile=meanwhile) == (expected, "reference")
-    assert EVALUATED == [*range(n_submodels), "meanwhile"]
-    force_workers(monkeypatch)
-    ens = make_training(n_submodels)[0]
-    EVALUATED.clear()
-    assert map_members(ens, lipschitz_of, 7, meanwhile=meanwhile) == (expected, "reference")
-    size = ens._workers.size
-    # the caller's floor(N/P) members, then what it does while the workers finish
-    assert EVALUATED == [*range(size - 1, n_submodels, size), "meanwhile"]
-    assert len(EVALUATED) - 1 == n_submodels // size
-
-
-def fail_for(_system, _params, member, failing):
-    if member in failing:
-        raise ValueError(f"member {member} failed")
-    return member
-
-
-def map_failure(ens, failing):
-    with pytest.raises(ValueError) as err:
-        map_members(ens, fail_for, failing)
-    return str(err.value)
-
-
-# with two processes member 1 is the caller's and members 0 and 2 the worker's,
-# so the first two cases fail in both processes and the third in the worker
-@pytest.mark.parametrize("failing", [{0, 1}, {1, 2}, {0, 2}])
-def test_failing_map_raises_the_lowest_member_and_keeps_the_workers_in_step(
-        monkeypatch, failing):
-    expected = run_loops(*make_training(3))
-    with pytest.raises(ValueError) as inline:
-        [fail_for(None, None, i, failing) for i in range(3)]
-    force_workers(monkeypatch)
-    ens, cm, gt = make_training(3)
-    # the worker computes its members' next tendencies, which the map drops
-    coupled_step(ens, cm, gt_now=gt.snapshots[0], dt=0.1, look_ahead=True)
-    pids = list(ens._workers.pids)
-    assert map_failure(ens, failing) == str(inline.value)
-    # a call that cannot be pickled sends nothing
-    with pytest.raises((pickle.PicklingError, AttributeError)):
-        map_members(ens, lambda *_args: None)
-    assert ens._workers.pids == pids and all(alive(pid) for pid in pids)
-    with deadline(30):
-        assert_same_arrays(run_loops(ens, cm, gt), expected)
-
-
 def test_failure_while_replies_are_pending_closes_the_workers(monkeypatch):
     expected = run_loops(*make_training(3))
     force_workers(monkeypatch)
     ens, cm, gt = make_training(3)
+    coupled_step(ens, cm, gt.snapshots[0], 0.1)  # forks the worker
+    pids = list(ens._workers.pids)
 
-    def interrupted():
+    def interrupted(state, params, out=None):
         raise KeyboardInterrupt
 
-    with deadline(30), pytest.raises(KeyboardInterrupt):
-        map_members(ens, lipschitz_of, 7, meanwhile=interrupted)
-    pids = list(ens._workers.pids)
+    # only the caller's copy of the system raises: the worker steps its
+    # members and replies, and the caller never reads that reply
+    with monkeypatch.context() as patch:
+        patch.setattr(ens.system, "tendency", interrupted)
+        with deadline(30), pytest.raises(KeyboardInterrupt):
+            coupled_step(ens, cm, gt.snapshots[0], 0.1)
     assert ens._workers.closed and not any(alive(pid) for pid in pids)
     # the next use forks new workers
     with deadline(30):
@@ -620,18 +559,19 @@ def test_experiment_csvs_equal_inline(monkeypatch, tmp_path):
         patch.setattr(engine, "_CPUS", 1)
         inline = run_experiment(dataclasses.replace(config, out_dir=str(tmp_path / "inline")))
     force_workers(monkeypatch)
-    maps = []
-    worker_map = engine._MemberWorkers.map
+    steps = []
+    worker_step = engine._MemberWorkers.step
 
     def spy(workers, *args):
-        maps.append(None)
-        return worker_map(workers, *args)
+        steps.append(None)
+        return worker_step(workers, *args)
 
-    monkeypatch.setattr(engine._MemberWorkers, "map", spy)
+    monkeypatch.setattr(engine._MemberWorkers, "step", spy)
     forked = run_experiment(dataclasses.replace(config, out_dir=str(tmp_path / "workers")))
-    assert len(maps) == 1
-    names = sorted(path.name for path in inline.glob("*.csv"))
-    assert "contraction.csv" in names
-    assert names == sorted(path.name for path in forked.glob("*.csv"))
+    # two epochs and two predictions of six steps each
+    assert len(steps) == 4 * 6
+    names = {"before_after.csv", "curves.csv", "training.csv", "volume_diff.csv"}
+    for out in (inline, forked):
+        assert {path.name for path in out.glob("*.csv")} == names
     for name in names:
         assert (forked / name).read_bytes() == (inline / name).read_bytes(), name

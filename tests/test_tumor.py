@@ -6,15 +6,12 @@ import pytest
 from supermodeling.dynamics import explicit_step
 from supermodeling.fields import BlowUpError, GridSpec, l2_norm
 from supermodeling.tumor import (
-    DIVERGING,
     FIELD_NAMES,
-    STABLE,
     TumorParams,
     TumorSystem,
     _laplacian,
     compute_flux,
     gaussian_bump_state,
-    stability_monitor,
     tumor_tendency,
     tumor_volumes,
     vessel_free_mask,
@@ -220,21 +217,6 @@ class TestConservationAndBoundaries:
         u = xx ** 2 + 2.0 * yy ** 2 + 3.0 * zz ** 2
         lap = _laplacian(u, spec.h)
         assert np.allclose(lap[1:-1, 1:-1, 1:-1], 12.0, rtol=1e-11)
-
-
-class TestStabilityMonitor:
-    def test_bounded_history_stable(self):
-        assert stability_monitor([1.0, 1.1, 1.2, 1.3]) == STABLE
-
-    def test_threshold_crossing(self):
-        assert stability_monitor([1.0, 1.0, 50.0], factor=10.0) == DIVERGING
-
-    def test_nonfinite_diverges(self):
-        assert stability_monitor([1.0, float("nan")]) == DIVERGING
-
-    def test_factor_must_exceed_one(self):
-        with pytest.raises(ValueError):
-            stability_monitor([1.0], factor=1.0)
 
 
 class TestVolumes:
