@@ -77,7 +77,7 @@ def cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     gt_dir = args.gt if args.gt is not None else out / "gt"
     if Path(gt_dir).exists():
-        gt = experiments.load_reference(gt_dir, config)
+        gt = experiments.load_reference(gt_dir, config, system, initial)
     else:
         gt = generate_gt(system, reference, initial, config.dt, config.steps,
                          config.keep_every)
@@ -105,7 +105,7 @@ def cmd_simulate(args) -> int:
     _require(gt_dir, "reference archive")
     out.mkdir(parents=True, exist_ok=True)
     _spec, reference, system, initial = experiments.build_setup(config)
-    gt = experiments.load_reference(gt_dir, config)
+    gt = experiments.load_reference(gt_dir, config, system, initial)
     coupling_path = args.coupling if args.coupling is not None else out / "trained_coupling.json"
     _require(coupling_path, "trained coupling")
     cm = experiments.load_coupling(coupling_path)

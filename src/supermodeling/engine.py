@@ -47,26 +47,28 @@ its pipe polls it for up to ``_POLL_S`` before it blocks, so within an epoch
 a worker takes its next command without waiting to be woken, while an idle
 one sleeps.
 
-The loops of ``train`` and ``simulate`` promise, on every step but the last
-and when dt > 0, that the next call is a coupled step of the same ensemble
-and that nothing writes the states before it.  Given that promise, a worker
-computes its members' next tendencies right after its reply, while the
-caller runs its serial phase (coefficient update, average, error), and the
-promised step applies them instead of computing them.  The worker writes
-them into one array per member that it keeps (``tendency``'s ``out``), so
-it allocates none after the first step; the caller keeps no such array.  A
-tendency reads only its member's state, which nothing writes in between, so
-it has the same bits either way; one that raises is reported by the step it
-belongs to.  Every other step (the first of a loop, a public ``coupled_step``
-call, a step after a failure) computes its tendencies afresh, so a loop that
-ends early leaves nothing stale behind.  Each member is computed by the
-same operations in the same order either way, so results are bit-identical
-to a sequential run.  The caller steps every member itself, in member
-order, when only one CPU is usable and when a member's field has fewer than
-``PARALLEL_MIN_CELLS`` cells (where the handoff costs more than the second
-core saves).  A process forked from the caller, other than a worker, gets a
-private copy of the states at the fork and does the same.  Workers step
-with the system and parameter sets as they were when they were forked.
+Training and prediction run on one loop of steps, ``_run_steps``, which
+promises, on every step but the last and when dt > 0, that the next call is
+a coupled step of the same ensemble and that nothing writes the states
+before it.  Given that promise, a worker computes its members' next
+tendencies right after its reply, while the caller runs its serial phase
+(coefficient update, average, error), and the promised step applies them
+instead of computing them.  The worker writes them into one array per member
+that it keeps (``tendency``'s ``out``), so it allocates none after the first
+step; the caller keeps no such array.  A tendency reads only its member's
+state, which nothing writes in between, so it has the same bits either way.
+Looking ahead stops at a tendency that raises, which the promised step then
+computes afresh, so it raises at its own step.  Every other step (the first
+of a loop, a public ``coupled_step`` call, a step after a failure) computes
+its tendencies afresh, so a loop that ends early leaves nothing stale
+behind.  Each member is computed by the same operations in the same order
+either way, so results are bit-identical to a sequential run.  The caller
+steps every member itself, in member order, when only one CPU is usable
+and when a member's field has fewer than ``PARALLEL_MIN_CELLS`` cells
+(where the handoff costs more than the second core saves).  A process forked
+from the caller, other than a worker, gets a private copy of the states at
+the fork and does the same.  Workers step with the system and parameter sets
+as they were when they were forked.
 """
 
 from __future__ import annotations
@@ -87,8 +89,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import DynamicalSystem, explicit_step
-from .fields import BlowUpError, l2_norm
-from .groundtruth import GroundTruth, gt_at
+from .fields import BlowUpError
+from .groundtruth import GroundTruth, gt_at, step_error
 
 
 @dataclass
@@ -244,9 +246,7 @@ class StepRecord:
 class TrainingReport:
     """Everything a training run produced, epoch by epoch and step by step."""
 
-    initial_c: np.ndarray
     c_history: list[np.ndarray] = field(default_factory=list)
-    error_history: list[list[float]] = field(default_factory=list)
     step_records: list[StepRecord] = field(default_factory=list)
     converged: bool = False
     iterations_used: int = 0
@@ -334,17 +334,16 @@ def _shared_zeros(shape) -> np.ndarray:
 def _advance_members(ens: SubModelEnsemble, members, dt: float, corrections, ahead=None):
     """Step the listed members in place, each followed by adding its row of
     ``corrections`` (None: no correction).  ``ahead`` maps members to their
-    tendencies from ``_look_ahead``, which the steps use (and overwrite).
-    Returns (member, exception) for the first member that fails, or None."""
+    tendencies from ``_look_ahead``, which the steps use (and overwrite), and
+    the others' are computed.  Returns (member, exception) for the first
+    member that fails, or None."""
     values = ens.coupled_values()
     for i in members:
         try:
             if dt > 0:
-                tendency = None if ahead is None else ahead.get(i)
-                if isinstance(tendency, Exception):
-                    raise tendency
                 explicit_step(ens.system, ens.states[i], ens.params[i], dt,
-                              out=ens.states[i], tendency=tendency)
+                              out=ens.states[i],
+                              tendency=None if ahead is None else ahead.get(i))
             if corrections is not None:
                 values[i] += corrections[i]
         except Exception as exc:
@@ -354,8 +353,8 @@ def _advance_members(ens: SubModelEnsemble, members, dt: float, corrections, ahe
 
 def _look_ahead(ens: SubModelEnsemble, members) -> dict:
     """The listed members' tendencies at their current states, by member, up
-    to the first that raises, which maps to its exception instead.  Each is
-    written into an array this process keeps for its member, so only the
+    to the first that raises, which is left out with the ones after it.  Each
+    is written into an array this process keeps for its member, so only the
     first look-ahead allocates them."""
     ahead = {}
     for i in members:
@@ -363,8 +362,7 @@ def _look_ahead(ens: SubModelEnsemble, members) -> dict:
         try:
             ahead[i] = ens.system.tendency(state, ens.params[i],
                                            out=ens._buffer(f"ahead{i}", state.shape))
-        except Exception as exc:
-            ahead[i] = exc
+        except Exception:
             break
     return ahead
 
@@ -562,12 +560,12 @@ def coupled_step(
     the coupling and nudging corrections (the training escape hatch for
     ensembles that drift apart).  Returns ``ens``.
 
-    The flags are for loops of steps, such as ``train``'s.  ``look_ahead``
+    The flags belong to the step loop, ``_run_steps``.  ``look_ahead``
     promises that the next call is a coupled step of this ensemble with
     ``reuse_ahead`` set, and that nothing writes the states before it: the
     worker processes, if any, then compute their members' next tendencies
     while the caller goes on, and that next step applies them.  A step
-    without ``reuse_ahead`` computes every tendency afresh.
+    without ``reuse_ahead``, as any other call is, computes them afresh.
     """
     if dt < 0:
         raise ValueError("dt must be nonnegative")
@@ -685,6 +683,32 @@ def supermodel_output(ens: SubModelEnsemble, variables=None) -> np.ndarray:
     return out
 
 
+def _run_steps(
+    ens: SubModelEnsemble, cm: CouplingMatrix, gt: GroundTruth | None, dt: float,
+    steps: int, after_step,
+) -> CouplingMatrix:
+    """Run ``steps`` coupled steps from the current states; returns the
+    coefficients after the last.
+
+    ``after_step(step, cm, ref)`` runs at step 0 and after each step: ``cm``
+    is the coefficients in use and ``ref`` the reference at ``step`` (None
+    without one), and it returns the next step's coefficients.  It must not
+    write the states, for the loop promises each step but the last to the
+    workers (see ``coupled_step``).  Each reference step is fetched once and
+    nudges the step that starts from it; a reference must cover ``steps``.
+    """
+    if gt is not None and gt.final_index < steps:
+        raise ValueError(f"reference covers steps up to {gt.final_index}, need {steps}")
+    ref = None if gt is None else gt_at(gt, 0)
+    cm = after_step(0, cm, ref)
+    for step in range(steps):
+        coupled_step(ens, cm, ref, dt, reuse_ahead=step > 0,
+                     look_ahead=dt > 0 and step + 1 < steps)
+        ref = None if gt is None else gt_at(gt, step + 1)
+        cm = after_step(step + 1, cm, ref)
+    return cm
+
+
 def train(
     ens: SubModelEnsemble,
     cm: CouplingMatrix,
@@ -711,12 +735,8 @@ def train(
     """
     if not tol > 0:
         raise ValueError("tolerance must be positive")
-    if gt.final_index < steps_per_epoch:
-        raise ValueError(
-            f"reference covers steps up to {gt.final_index}, need {steps_per_epoch}"
-        )
     cm = cm.copy()
-    report = TrainingReport(initial_c=cm.c.copy())
+    report = TrainingReport()
     if record_trajectories:
         report.trajectory_history = []
     has_volumes = hasattr(ens.system, "volumes")
@@ -727,38 +747,30 @@ def train(
         averaged += tuple(v for v in ens.system.volume_variables if v not in averaged)
     prev_c = cm.c.copy()
 
+    def after_step(step, cm, ref):
+        if step > 0:
+            cm = update_coupling(cm, ens, ref)
+            output = supermodel_output(ens, averaged)
+            error, _ = step_error(ref, output[0], ens.system.cell_volume)
+            volumes = tuple(ens.system.volumes(output, averaged)) if has_volumes else None
+            report.step_records.append(
+                StepRecord(epoch, step, cm.c.copy().reshape(-1), error, volumes))
+        if record_trajectories:
+            trajectory.append(ens.coupled_values().copy())
+        return cm
+
     try:
         for epoch in range(max_epochs):
             ens.reset()
-            errors: list[float] = []
-            trajectory = [ens.coupled_values().copy()] if record_trajectories else None
-            gt_now = gt_at(gt, 0)
-            for step in range(steps_per_epoch):
-                gt_next = gt_at(gt, step + 1)
-                try:
-                    # nothing below writes the states, so the next step may
-                    # use tendencies computed meanwhile
-                    coupled_step(ens, cm, gt_now, dt, reuse_ahead=step > 0,
-                                 look_ahead=dt > 0 and step + 1 < steps_per_epoch)
-                    cm = update_coupling(cm, ens, gt_next)
-                    output = supermodel_output(ens, averaged)
-                    error = l2_norm(gt_next - output[0], ens.system.cell_volume)
-                    volumes = tuple(ens.system.volumes(output, averaged)) if has_volumes else None
-                except BlowUpError as exc:
-                    report.iterations_used = epoch
-                    raise TrainingAborted(epoch, step, report, str(exc)) from exc
-                gt_now = gt_next
-                if record_trajectories:
-                    trajectory.append(ens.coupled_values().copy())
-                errors.append(error)
-                report.step_records.append(StepRecord(
-                    epoch=epoch,
-                    step=step + 1,
-                    c_flat=cm.c.copy().reshape(-1),
-                    error=error,
-                    volumes=volumes,
-                ))
-            report.error_history.append(errors)
+            trajectory = []
+            recorded = len(report.step_records)
+            try:
+                cm = _run_steps(ens, cm, gt, dt, steps_per_epoch, after_step)
+            except BlowUpError as exc:
+                report.iterations_used = epoch
+                # every step before the failing one was recorded
+                step = len(report.step_records) - recorded
+                raise TrainingAborted(epoch, step, report, str(exc)) from exc
             report.c_history.append(cm.c.copy())
             if record_trajectories:
                 report.trajectory_history.append(trajectory)
@@ -785,44 +797,35 @@ def simulate(
     dt: float,
     steps: int,
     nudge_in_prediction: bool = True,
-    observer=None,
-    record=None,
-    variables=None,
+    each_step=None,
 ) -> list:
     """Run the trained supermodel from the ensemble's current states.
 
     The coefficient matrix stays frozen and the ensemble advances in place.
     By default the reference keeps nudging the ensemble during prediction
     (as in training); pass ``nudge_in_prediction=False`` for a free
-    forecast, in which case no reference data is needed.  Returns steps+1
-    entries including the averaged initial state: ``record(output)`` of
-    every averaged output, or the output itself.  The output averages the
-    named ``variables``, or every variable (see ``supermodel_output``).
-    ``observer(step, ens)`` is called after every step for callers that want
-    per-member data.  ``observer`` and ``record`` must not write the states:
-    each step but the last lets the workers compute the next step's
-    tendencies from them (see ``coupled_step``).
+    forecast, in which case no reference data is needed.  A reference that
+    is given must cover ``steps``, which is checked before the first step.
+    Returns ``each_step(step, ens, ref)`` for steps 0 (the initial states)
+    through ``steps``, where ``ref`` is the reference at that step, or None
+    without one; by default that is the averaged state (see
+    ``supermodel_output``).  ``each_step`` must not write the states: it
+    runs as ``_run_steps``'s ``after_step``.
     """
     if not nudge_in_prediction:
         cm = dataclasses.replace(cm.copy(), k_nudge=0.0)
-    if cm.k_nudge != 0.0:
-        if gt is None:
-            raise ValueError("nudged prediction needs reference data")
-        if gt.final_index < steps:
-            raise ValueError(
-                f"reference covers steps up to {gt.final_index}, need {steps}"
-            )
-    if record is None:
-        def record(output):
-            return output
-    outputs = [record(supermodel_output(ens, variables))]
-    for step in range(steps):
-        gt_now = gt_at(gt, step) if cm.k_nudge != 0.0 else None
-        coupled_step(ens, cm, gt_now, dt, reuse_ahead=step > 0,
-                     look_ahead=dt > 0 and step + 1 < steps)
-        outputs.append(record(supermodel_output(ens, variables)))
-        if observer is not None:
-            observer(step + 1, ens)
+    if gt is None and cm.k_nudge != 0.0:
+        raise ValueError("nudged prediction needs reference data")
+    if each_step is None:
+        def each_step(_step, ens, _ref):
+            return supermodel_output(ens)
+    outputs = []
+
+    def after_step(step, cm, ref):
+        outputs.append(each_step(step, ens, ref))
+        return cm
+
+    _run_steps(ens, cm, gt, dt, steps, after_step)
     return outputs
 
 
@@ -830,7 +833,7 @@ def export_training_csv(report: TrainingReport, path, n: int):
     """Per-step CSV: epoch, step, off-diagonal coefficients, error, volumes."""
     offdiag = ~np.eye(n, dtype=bool).reshape(-1)
     header = ["epoch", "step"]
-    header += [f"c_{i + 1}{j + 1}" for i in range(n) for j in range(n) if i != j]
+    header += [f"c_{i + 1}_{j + 1}" for i in range(n) for j in range(n) if i != j]
     header += ["l2_error", "total", "proliferating", "quiescent"]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

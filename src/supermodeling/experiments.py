@@ -35,6 +35,7 @@ from .engine import (
     TrainingAborted,
     export_training_csv,
     simulate,
+    supermodel_output,
     train,
 )
 from .fields import GridSpec
@@ -337,9 +338,9 @@ def initial_coupling(config: ExperimentConfig) -> CouplingMatrix:
     )
 
 
-def load_reference(directory, config: ExperimentConfig) -> GroundTruth:
+def load_reference(directory, config: ExperimentConfig, system, initial) -> GroundTruth:
     """Load a reference archive, rejecting one made for another grid or dt, or
-    from another initial state.
+    from another initial state than the config's ``initial`` in ``system``.
 
     The initial state is compared at step 0, the only state both sides know:
     the archived b field and volume triple must equal the config's exactly.
@@ -352,7 +353,6 @@ def load_reference(directory, config: ExperimentConfig) -> GroundTruth:
             f"reference archive {directory} has grid {gt.spec} and dt {gt.step_dt!r}, "
             f"but the config has grid {config.grid} and dt {config.dt!r}"
         )
-    _spec, _reference, system, initial = build_setup(config)
     volumes = system.volumes(initial)
     if not (np.array_equal(gt.snapshots[0], system.get_variable(initial, "b"))
             and gt.volumes is not None and gt.volumes[0] == volumes):
@@ -421,27 +421,22 @@ def predict(ensemble, cm, gt, config, out_dir: Path | None = None) -> Prediction
     With ``out_dir`` the run's curves.csv and volume_diff.csv are written
     there.
     """
-    ens = ensemble.reset()
-    system = ens.system
+    system = ensemble.system
     averaged = system.volume_variables  # b, then o: the error reads output[0]
-    member_volumes = [[system.volumes(x) for x in ens.states]]
-    errors = []  # each step's error, taken as the step ends: no b is kept
 
-    def observer(_step, current):
-        member_volumes.append([system.volumes(x) for x in current.states])
+    def each_step(_step, ens, ref):
+        # each step's error is taken as the step ends: no b is kept
+        output = supermodel_output(ens, averaged)
+        return (system.volumes(output, averaged), [system.volumes(x) for x in ens.states],
+                *step_error(ref, output[0], gt.cell_volume))
 
-    def record(output):
-        errors.append(step_error(gt, len(errors), output[0]))
-        return system.volumes(output, averaged)
-
-    volumes = simulate(
-        ens, cm, gt, config.dt, config.steps,
-        nudge_in_prediction=config.nudge_in_prediction, observer=observer, record=record,
-        variables=averaged,
-    )
-    l2_error, volume_diff = np.array(errors, dtype=np.float64).T
-    run = Prediction(volumes=volumes, member_volumes=member_volumes, l2_error=l2_error,
-                     volume_diff=volume_diff)
+    volumes, member_volumes, l2_error, volume_diff = zip(*simulate(
+        ensemble.reset(), cm, gt, config.dt, config.steps,
+        nudge_in_prediction=config.nudge_in_prediction, each_step=each_step,
+    ))
+    run = Prediction(volumes=list(volumes), member_volumes=list(member_volumes),
+                     l2_error=np.array(l2_error, dtype=np.float64),
+                     volume_diff=np.array(volume_diff, dtype=np.float64))
     if out_dir is not None:
         _write_curves_csv(gt, run, out_dir / "curves.csv", config)
         _write_volume_diff_csv(run, out_dir / "volume_diff.csv", config)

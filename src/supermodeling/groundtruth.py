@@ -128,13 +128,12 @@ def gt_volumes_at(gt: GroundTruth, n: int) -> VolumeTriple:
     return VolumeTriple(*((1.0 - w) * np.array(a) + w * np.array(b)))
 
 
-def step_error(gt: GroundTruth, n: int, state) -> tuple[float, float]:
-    """L2 error and signed volume difference (reference minus ``state``) of a
-    coupled-variable state at step n, both weighted by the reference's cell
-    volume."""
-    ref = gt_at(gt, n)
-    vol = gt.cell_volume
-    return l2_norm(ref - state, vol), volume_integral(ref, vol) - volume_integral(state, vol)
+def step_error(ref, state, cell_volume: float) -> tuple[float, float]:
+    """L2 error and signed volume difference (``ref`` minus ``state``) of a
+    coupled-variable state against the reference value at its step, both
+    weighted by ``cell_volume``."""
+    return (l2_norm(ref - state, cell_volume),
+            volume_integral(ref, cell_volume) - volume_integral(state, cell_volume))
 
 
 def error_metrics(gt: GroundTruth, trajectory, start_step: int = 0):
@@ -144,7 +143,8 @@ def error_metrics(gt: GroundTruth, trajectory, start_step: int = 0):
     beginning at ``start_step``; the whole range must be covered by the
     ground truth.
     """
-    errors = [step_error(gt, start_step + k, state) for k, state in enumerate(trajectory)]
+    errors = [step_error(gt_at(gt, start_step + k), state, gt.cell_volume)
+              for k, state in enumerate(trajectory)]
     return (np.array([l2 for l2, _ in errors], dtype=np.float64),
             np.array([diff for _, diff in errors], dtype=np.float64))
 

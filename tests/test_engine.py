@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 
 import numpy as np
@@ -6,11 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_state
+from supermodeling import engine
 from supermodeling.dynamics import LinearSystem, LogisticParams, LogisticSystem, explicit_step
 from supermodeling.engine import (
     CouplingMatrix,
+    StepRecord,
     SubModelEnsemble,
     TrainingAborted,
+    TrainingReport,
     coupled_step,
     export_training_csv,
     simulate,
@@ -328,7 +332,7 @@ class TestTrain:
                                 max_epochs=0, tol=1e-6)
         assert np.array_equal(trained.c, cm.c)
         assert not report.converged
-        assert report.c_history == [] and report.error_history == []
+        assert report.c_history == [] and report.step_records == []
 
     def test_exact_ensemble_is_fixed_point(self):
         gt = self.make_toy_gt(b0=0.5)
@@ -337,8 +341,8 @@ class TestTrain:
         trained, report = train(ens, cm, gt, 0.1, steps_per_epoch=10,
                                 max_epochs=5, min_epochs=5, tol=1e-10)
         assert np.allclose(trained.c, cm.c, atol=1e-12)
-        for errors in report.error_history:
-            assert max(errors) < 1e-10
+        assert len(report.step_records) == 5 * 10
+        assert max(record.error for record in report.step_records) < 1e-10
 
     def test_insufficient_gt_coverage_rejected(self):
         gt = self.make_toy_gt(steps=3)
@@ -370,7 +374,7 @@ class TestTrain:
         trained, report = train(ens, cm, gt, 0.1, steps_per_epoch=10,
                                 max_epochs=50, tol=1e-4)
         assert report.iterations_used == len(report.c_history)
-        assert report.iterations_used == len(report.error_history)
+        assert report.iterations_used == len({r.epoch for r in report.step_records})
         if report.converged:
             assert report.iterations_used < 50
 
@@ -407,13 +411,42 @@ class TestSimulate:
         outputs = simulate(ens, cm, None, 0.1, steps=5, nudge_in_prediction=False)
         assert len(outputs) == 6
 
-    def test_observer_sees_every_step(self):
+    def test_each_step_sees_every_step(self):
         ens = toy_ensemble([0.4, 0.6])
         cm = CouplingMatrix.uniform(2, 0.5, k_nudge=0.0)
+        seen = simulate(ens, cm, None, 0.1, steps=7,
+                        each_step=lambda step, e, ref: (step, e is ens, ref))
+        assert seen == [(step, True, None) for step in range(8)]
+
+    def test_each_step_gets_the_reference_fetched_once_per_step(self, monkeypatch):
+        gt = generate_gt(LogisticSystem(), LogisticParams(1.0, 2.0), 0.5,
+                         0.1, steps=9, keep_every=3)
+        fetched = []
+
+        def counted(gt, n):
+            fetched.append(n)
+            return gt_at(gt, n)
+
+        monkeypatch.setattr(engine, "gt_at", counted)
+        cm = CouplingMatrix.uniform(3, 0.5, k_nudge=0.9)
+        refs = simulate(toy_ensemble([0.4, 0.5, 0.6]), cm, gt, 0.1, steps=9,
+                        each_step=lambda step, ens, ref: ref)
+        assert fetched == list(range(10))
+        assert len(refs) == 10
+        assert all(np.array_equal(ref, gt_at(gt, n)) for n, ref in enumerate(refs))
+
+    @pytest.mark.parametrize("nudge", [True, False])
+    def test_short_reference_rejected_before_any_step(self, nudge):
+        gt = generate_gt(LogisticSystem(), LogisticParams(1.0, 2.0), 0.5,
+                         0.1, steps=4, keep_every=1)
+        ens = toy_ensemble([0.4, 0.6])
+        cm = CouplingMatrix.uniform(2, 0.5, k_nudge=0.9)
         seen = []
-        simulate(ens, cm, None, 0.1, steps=7,
-                 observer=lambda step, e: seen.append(step))
-        assert seen == list(range(1, 8))
+        with pytest.raises(ValueError, match="covers steps up to 4, need 5"):
+            simulate(ens, cm, gt, 0.1, steps=5, nudge_in_prediction=nudge,
+                     each_step=lambda step, e, ref: seen.append(step))
+        assert seen == []
+        assert np.array_equal(ens.states, [[0.4], [0.6]])
 
 
 class TestOracleEquivalence:
@@ -506,5 +539,19 @@ class TestCsvExport:
         export_training_csv(report, b, n=2)
         assert a.read_bytes() == b.read_bytes()
         lines = a.read_text().splitlines()
-        assert lines[0] == "epoch,step,c_12,c_21,l2_error,total,proliferating,quiescent"
+        assert lines[0] == "epoch,step,c_1_2,c_2_1,l2_error,total,proliferating,quiescent"
         assert len(lines) == 1 + 12  # header + 2 epochs of 6 steps
+
+    def test_every_coefficient_column_has_its_own_name(self, tmp_path):
+        # from 11 members on, c_<i><j> without a separator named c_1,11 and
+        # c_11,1 alike
+        n = 11
+        report = TrainingReport(step_records=[StepRecord(
+            epoch=0, step=1, c_flat=np.arange(n * n, dtype=np.float64), error=0.0)])
+        path = tmp_path / "training.csv"
+        export_training_csv(report, path, n)
+        with open(path, newline="") as fh:
+            row, = csv.DictReader(fh)
+        names = [name for name in row if name.startswith("c_")]
+        assert len(names) == len(set(names)) == n * (n - 1)
+        assert row["c_1_11"] == repr(10.0) and row["c_11_1"] == repr(110.0)

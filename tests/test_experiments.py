@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 import supermodeling
-from supermodeling import experiments, tumor
+from supermodeling import engine, experiments, groundtruth, tumor
 from supermodeling.cli import main
-from supermodeling.engine import SubModelEnsemble, simulate
+from supermodeling.engine import SubModelEnsemble, simulate, supermodel_output
 from supermodeling.groundtruth import error_metrics, generate_gt
 
 
@@ -209,9 +209,12 @@ def test_prediction_streams_the_errors_of_its_b_trajectory(nudge):
     gt = generate_gt(system, reference, initial, config.dt, config.steps, config.keep_every)
     cm = experiments.initial_coupling(config)
     run = experiments.predict(ensemble, cm, gt, config)
+
+    def averaged_b(_step, ens, _ref):
+        return supermodel_output(ens, system.volume_variables)[0]
+
     trajectory = simulate(ensemble.reset(), cm, gt, config.dt, config.steps,
-                          nudge_in_prediction=nudge, record=lambda output: output[0].copy(),
-                          variables=system.volume_variables)
+                          nudge_in_prediction=nudge, each_step=averaged_b)
     l2_error, volume_diff = error_metrics(gt, trajectory)
     assert len(run.volumes) == len(trajectory) == config.steps + 1
     assert np.array_equal(run.l2_error, l2_error)
@@ -219,8 +222,29 @@ def test_prediction_streams_the_errors_of_its_b_trajectory(nudge):
     assert np.count_nonzero(l2_error) == config.steps  # only step 0 is exact
 
 
+def test_nudged_prediction_fetches_each_reference_step_once(monkeypatch):
+    config = experiments.ExperimentConfig(nx=8, ny=8, nz=8, steps=6, keep_every=3,
+                                          variant="V2")
+    _spec, reference, system, initial = experiments.build_setup(config)
+    ensemble = SubModelEnsemble.identical_start(
+        system, experiments.instantiate_submodels(reference, config), initial)
+    gt = generate_gt(system, reference, initial, config.dt, config.steps, config.keep_every)
+    fetched, gt_at = [], groundtruth.gt_at
+
+    def counted(gt, n):
+        fetched.append(n)
+        return gt_at(gt, n)
+
+    # every module that looks the reference up
+    for module in (engine, groundtruth, experiments):
+        if hasattr(module, "gt_at"):
+            monkeypatch.setattr(module, "gt_at", counted)
+    experiments.predict(ensemble, experiments.initial_coupling(config), gt, config)
+    assert sorted(fetched) == list(range(config.steps + 1))
+
+
 # training.csv of the run above: every step's l2_error, and the full row
-# (coefficients c_12..c_32, l2_error, total, proliferating, quiescent) that
+# (coefficients c_1_2..c_3_2, l2_error, total, proliferating, quiescent) that
 # ends each epoch; before_after.csv: l2 and volume differences per step;
 # volume_diff.csv of the trained prediction; curves.csv: the reference's and
 # the trained supermodel's volume triples (total, proliferating, quiescent).

@@ -78,8 +78,9 @@ def run_loops(ens, cm, gt):
     trained coefficients: every array they give, to compare bit for bit."""
     cm, report = train(ens, cm, gt, 0.1, STEPS, max_epochs=2, tol=1e-300, min_epochs=2,
                        record_trajectories=True)
-    arrays = [cm.c, ens.states.copy(), np.array(report.error_history), *report.c_history,
+    arrays = [cm.c, ens.states.copy(), *report.c_history,
               *map(np.array, report.trajectory_history),
+              np.array([record.error for record in report.step_records]),
               np.array([record.volumes for record in report.step_records])]
     for nudged in (True, False):
         arrays += simulate(ens.reset(), cm, gt, 0.1, STEPS, nudge_in_prediction=nudged)
@@ -364,6 +365,8 @@ def test_look_ahead_writes_into_arrays_it_keeps():
 
 def test_aborted_training_leaves_no_stale_tendency(monkeypatch):
     expected = run_loops(*make_training(3))
+    inline, cm, gt = make_training(3)
+    first_step = coupled_step(inline, cm, gt.snapshots[0], 0.1).states.copy()
     force_workers(monkeypatch)
     ens, cm, gt = make_training(3)
     counts = count_member_tendencies(ens)
@@ -388,6 +391,11 @@ def test_aborted_training_leaves_no_stale_tendency(monkeypatch):
         while any(counts[i] != 4 for i in set(range(ens.n)) - callers):
             time.sleep(0.001)
     assert all(counts[i] == 3 for i in callers)
+    # a public step from other states computes every tendency afresh
+    with deadline(30):
+        coupled_step(ens.reset(), cm, gt.snapshots[0], 0.1)
+    assert np.array_equal(ens.states, first_step)
+    assert all(counts[i] == (4 if i in callers else 5) for i in range(ens.n))
     with deadline(30):
         assert_same_arrays(run_loops(ens, cm, gt), expected)
 
@@ -408,6 +416,27 @@ class Ramp(DynamicalSystem):
         return out
 
 
+@pytest.mark.parametrize("dt, steps, flags", [
+    (0.1, 4, [(False, True), (True, True), (True, True), (True, False)]),
+    (0.1, 1, [(False, False)]),
+    (0.0, 3, [(False, False), (True, False), (True, False)]),
+])
+def test_the_loop_promises_every_step_but_the_last_when_dt_is_positive(
+        monkeypatch, dt, steps, flags):
+    ens, cm, gt = make_training(3)
+    seen = []
+    step = engine.coupled_step
+
+    def spy(*args, reuse_ahead, look_ahead):
+        seen.append((reuse_ahead, look_ahead))
+        return step(*args, reuse_ahead=reuse_ahead, look_ahead=look_ahead)
+
+    # replaced in its module, as the benchmark's tracer does
+    monkeypatch.setattr(engine, "coupled_step", spy)
+    engine._run_steps(ens, cm, gt, dt, steps, lambda _step, cm, _ref: cm)
+    assert seen == flags
+
+
 # with two processes members 0 and 2 are the worker's, whose tendencies at
 # b = 2 are computed ahead, during the second step
 @pytest.mark.parametrize("limits", [{0: 2}, {1: 2, 2: 2}, {0: 3, 2: 2}])
@@ -423,11 +452,11 @@ def test_failing_look_ahead_raises_at_its_own_step(monkeypatch, limits):
         seen = []
         with deadline(30), pytest.raises(BlowUpError) as err:
             simulate(ens, cm, None, 1.0, 6, nudge_in_prediction=False,
-                     observer=lambda step, _ens: seen.append(step))
+                     each_step=lambda step, _ens, _ref: seen.append(step))
         return seen, str(err.value)
 
     inline = failure(ramps())
-    assert inline[0] == [1, 2]
+    assert inline[0] == [0, 1, 2]
     force_workers(monkeypatch)
     ens = ramps()
     assert failure(ens) == inline

@@ -45,8 +45,7 @@ class TestEmpiricalContraction:
         # one member at 1 in both runs and one at 0 against the given
         # distance: the state norm is 1, so the floor is 1e3 * eps
         def pair(distances):
-            reports = [TrainingReport(initial_c=np.zeros((2, 2)),
-                                      c_history=[np.zeros((2, 2))] * len(distances),
+            reports = [TrainingReport(c_history=[np.zeros((2, 2))] * len(distances),
                                       trajectory_history=[]) for _ in range(2)]
             for d in distances:
                 reports[0].trajectory_history.append([np.array([1.0, 0.0])])
