@@ -28,7 +28,6 @@ from .fields import (
     l2_norm,
     max_over_time,
     taxi_ensemble_distance,
-    volume_inner,
     volume_integral,
 )
 from .dynamics import (
@@ -59,7 +58,7 @@ from .engine import (
     train,
     update_coupling,
 )
-from .groundtruth import GroundTruth, error_metrics, generate_gt, gt_at, load_gt, save_gt
+from .groundtruth import GroundTruth, generate_gt, gt_at, load_gt, save_gt
 from .theory import empirical_contraction_ratio
 from .experiments import ExperimentConfig, instantiate_submodels, run_experiment
 

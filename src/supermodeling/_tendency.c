@@ -1,10 +1,10 @@
 /* The stages of the tumor tendency as loops over the cells of a grid.
 
    tumor.py builds this file into a shared library and calls each stage
-   through ctypes; its NumPy expressions are the same stages and the
-   reference they are tested against.  Every cell goes through the
-   operations of those expressions in the same order, in double precision,
-   so the results are the same bits.  That takes a build without
+   through ctypes; it is the only code of the tendency.  The tests hold it
+   to a NumPy formula, reference_tendency in tests/test_kernel.py: every
+   cell goes through the operations of that formula in the same order, in
+   double precision, so the results are the same bits.  That takes a build without
    -ffast-math and with -ffp-contract=off, so that nothing is reordered,
    fused or re-rounded.
 

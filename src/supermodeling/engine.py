@@ -134,10 +134,6 @@ class CouplingMatrix:
     def copy(self) -> "CouplingMatrix":
         return dataclasses.replace(self, c=self.c.copy())
 
-    def offdiag_values(self) -> np.ndarray:
-        mask = ~np.eye(self.n, dtype=bool)
-        return self.c[mask]
-
 
 @dataclass
 class SubModelEnsemble:

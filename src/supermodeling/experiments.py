@@ -4,12 +4,11 @@ A run generates a synthetic reference trajectory, instantiates a perturbed
 sub-model ensemble, trains the coupling coefficients against the reference,
 then simulates with the frozen trained (and, for comparison, untrained)
 coefficients.  Everything lands in one output directory as CSV files plus a
-manifest, whose [run] section records which tendency kernel ran (see
-``tumor``) and how the run ended.  Identical config + seed reproduces every
-CSV byte for byte at one BLAS thread count.  The norms and the engine's
-coupling products go through BLAS, which may sum in another order with
-another number of threads: one and two OpenBLAS threads gave CSVs up to
-1.2e-15 apart (relative) at 32^3 with 8 members.  The package defaults to
+manifest, whose [run] section records how the run ended.  Identical config
++ seed reproduces every CSV byte for byte at one BLAS thread count.  The
+norms and the engine's coupling products go through BLAS, which may sum in
+another order with another number of threads: one and two OpenBLAS threads
+gave CSVs up to 1.2e-15 apart (relative) at 32^3 with 8 members.  The package defaults to
 one BLAS thread (see ``supermodeling``), as the benchmark runs it, so the
 CSVs of a CLI run equal the benchmark's.
 
@@ -44,7 +43,6 @@ from .tumor import (
     TumorParams,
     TumorSystem,
     gaussian_bump_state,
-    kernel_in_use,
     vessel_free_mask,
 )
 
@@ -173,7 +171,7 @@ def parse_config(text: str) -> ExperimentConfig:
     values = {}
     for section in parser.sections():
         if section == "run":
-            continue  # the kernel and status run_experiment adds to its manifest
+            continue  # what run_experiment adds to its manifest, old kernel lines too
         if section not in layout:
             raise ValueError(f"unknown config section [{section}]")
         for name in parser.options(section):
@@ -400,7 +398,7 @@ def run_experiment(config: ExperimentConfig) -> Path:
         before = predict(ensemble, cm_init, gt, config)
         _write_before_after_csv(before, after, out / "before_after.csv", config)
 
-    manifest = emit_config(config) + f"\n[run]\nkernel = {kernel_in_use()}\nstatus = {status}\n"
+    manifest = emit_config(config) + f"\n[run]\nstatus = {status}\n"
     (out / "manifest.ini").write_text(manifest)
     return out
 

@@ -91,13 +91,6 @@ def volume_integral(x, cell_volume: float = 1.0) -> float:
     return float(np.asarray(x, dtype=np.float64).sum() * cell_volume)
 
 
-def volume_inner(a, b, cell_volume: float = 1.0) -> float:
-    """Domain inner product: the sum of products times cell_volume."""
-    av = np.asarray(a, dtype=np.float64).reshape(-1)
-    bv = np.asarray(b, dtype=np.float64).reshape(-1)
-    return float(np.dot(av, bv) * cell_volume)
-
-
 # -- binary snapshot format ------------------------------------------------
 # One ASCII header line "nx ny nz h t", then raw little-endian float64 data
 # in x-fastest order.

@@ -136,19 +136,6 @@ def step_error(ref, state, cell_volume: float) -> tuple[float, float]:
             volume_integral(ref, cell_volume) - volume_integral(state, cell_volume))
 
 
-def error_metrics(gt: GroundTruth, trajectory, start_step: int = 0):
-    """Per-step ``step_error`` of a trajectory, as two arrays.
-
-    ``trajectory`` holds coupled-variable states at consecutive steps
-    beginning at ``start_step``; the whole range must be covered by the
-    ground truth.
-    """
-    errors = [step_error(gt_at(gt, start_step + k), state, gt.cell_volume)
-              for k, state in enumerate(trajectory)]
-    return (np.array([l2 for l2, _ in errors], dtype=np.float64),
-            np.array([diff for _, diff in errors], dtype=np.float64))
-
-
 # -- on-disk archive ----------------------------------------------------------
 
 

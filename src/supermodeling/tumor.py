@@ -21,24 +21,20 @@ TumorSystem supplies both from its GridSpec.
 The tendency runs in four stages: the flux, its divergence, the Laplacians
 of c, o and A, and the reaction terms, which turn the divergence and the
 Laplacians, written into the output array, into the tendency.  Each stage
-is one call into a small C library, ``_tendency.c``, which the first import
-builds with the interpreter's C compiler and caches in the package's
-``__pycache__``; later imports load it from there.  Its loops do each
+is one call into a small C library, ``_tendency.c``, the only code of the
+tendency.  The first import builds it with the interpreter's C compiler into
+the package's ``__pycache__``, which must be writable then; later imports
+load it from there.  A build or load that fails raises ImportError at
+import, with the compiler's or the loader's message.  The loops do each
 stage's arithmetic cell by cell, two cells at a time, in the order of the
-NumPy expressions beside each call, and the build allows no reordering or
-fused operations, so both give the same bits: every CSV is the same either
-way.  The loops multiply by the exact reciprocal of a power-of-two divisor
+NumPy formula that the tests hold them to (``reference_tendency``), and the
+build allows no reordering or fused operations, so both give the same bits.
+The loops multiply by the exact reciprocal of a power-of-two divisor
 (``_scaling``), since x / 2^k and x * 2^-k are the same correctly rounded
 number for every x; every other divisor, such as h = 0.7 or T_prol,
-divides.  Before a call the wrappers check every array it is
-given (C-contiguous float64 of the grid's shape, at least 3 cells per axis,
+divides.  Before a call the wrappers check every array it is given
+(C-contiguous float64 of the grid's shape, at least 3 cells per axis,
 outputs apart from inputs) and raise ValueError otherwise.
-
-The NumPy expressions run when the library cannot be built or loaded, for
-example without a compiler or with a read-only package directory; the tests
-compare both against the plain np.gradient / np.pad formula.
-``kernel_in_use`` says which ran and why, and a run's manifest records it.
-There is no setting to choose: the compiled stages run whenever they load.
 
 A TumorSystem keeps a free-list of work sets: a tendency takes one
 (allocating it when the list is empty) and puts it back when it returns.
@@ -120,8 +116,6 @@ class VolumeTriple(NamedTuple):
 
 
 # -- kernel -------------------------------------------------------------------
-# Each stage is one call into the compiled library when it loaded, and the
-# NumPy expression beside that call otherwise (see the module docstring).
 
 _SOURCE = Path(__file__).with_name("_tendency.c")
 # nothing that may reorder, fuse or re-round an operation: never
@@ -138,7 +132,7 @@ _SIGNATURES = {
 
 
 def _load_kernel(cache: Path):
-    """The compiled stages and None, or None and why they cannot be used.
+    """The compiled stages; raises ImportError with why they cannot be used.
 
     The library is built from ``_SOURCE`` into ``cache`` on first use, named
     by a checksum of the source and the flags, so a later import only reads
@@ -149,9 +143,7 @@ def _load_kernel(cache: Path):
         key = zlib.crc32(" ".join(_FLAGS).encode(), zlib.crc32(_SOURCE.read_bytes()))
         library = cache / f"_tendency-{key:08x}.so"
         if not library.exists():
-            error = _build(library)
-            if error is not None:
-                return None, error
+            _build(library)
             for stale in cache.glob("_tendency-*.so"):
                 if stale != library:
                     # a process that loaded it keeps its mapping
@@ -159,17 +151,19 @@ def _load_kernel(cache: Path):
                         stale.unlink()
         lib = ctypes.CDLL(str(library))
     except OSError as exc:
-        return None, " ".join(str(exc).split())
+        raise ImportError(f"cannot build or load the tendency kernel: {' '.join(str(exc).split())}"
+                          ) from exc
     for name, argtypes in _SIGNATURES.items():
         function = getattr(lib, name)
         function.argtypes, function.restype = argtypes, None
-    return lib, None
+    return lib
 
 
-def _build(library: Path) -> str | None:
-    """Compile ``_SOURCE`` into ``library`` with the interpreter's C compiler:
-    None, or why it failed.  The library is written under a temporary name
-    and renamed, so no process loads one that another is still writing."""
+def _build(library: Path) -> None:
+    """Compile ``_SOURCE`` into ``library`` with the interpreter's C compiler,
+    or raise ImportError with the compiler's message.  The library is written
+    under a temporary name and renamed, so no process loads one that another
+    is still writing."""
     # imported here: a run that finds the library built needs none of them,
     # and they take a few milliseconds of every run's set-up
     import shlex
@@ -183,21 +177,16 @@ def _build(library: Path) -> str | None:
         result = subprocess.run([*command, "-o", str(partial), str(_SOURCE)],
                                 capture_output=True, text=True, timeout=300)
         if result.returncode != 0:
-            return f"{command[0]} failed: {' '.join(result.stderr.split())[:300]}"
+            raise ImportError(f"cannot build the tendency kernel: {command[0]} failed:\n"
+                              f"{result.stderr.strip()}")
         os.replace(partial, library)
-    except (OSError, subprocess.SubprocessError) as exc:
-        return " ".join(str(exc).split())
+    except subprocess.SubprocessError as exc:  # a timeout; _load_kernel reports an OSError
+        raise ImportError(f"cannot build the tendency kernel: {exc}") from exc
     finally:
         partial.unlink(missing_ok=True)
-    return None
 
 
-_LIB, _LIB_ERROR = _load_kernel(_SOURCE.parent / "__pycache__")
-
-
-def kernel_in_use() -> str:
-    """Which path the tendency takes: "compiled", or "numpy" and why."""
-    return "compiled" if _LIB is not None else f"numpy ({_LIB_ERROR})"
+_LIB = _load_kernel(_SOURCE.parent / "__pycache__")
 
 
 def _scaling(divisor: float) -> tuple[float, bool]:
@@ -255,13 +244,6 @@ def _laplacian(data: np.ndarray, h: float, out: np.ndarray | None = None) -> np.
     """7-point Laplacian with mirrored (zero-flux) boundary cells of one
     field or a stack of fields, into ``out`` or a new array."""
     out = np.empty(data.shape) if out is None else out
-    if _LIB is None:
-        p_ = np.pad(data, [(0, 0)] * (data.ndim - 3) + [(1, 1)] * 3, mode="edge")
-        return np.divide(
-            p_[..., 2:, 1:-1, 1:-1] + p_[..., :-2, 1:-1, 1:-1]
-            + p_[..., 1:-1, 2:, 1:-1] + p_[..., 1:-1, :-2, 1:-1]
-            + p_[..., 1:-1, 1:-1, 2:] + p_[..., 1:-1, 1:-1, :-2]
-            - 6.0 * data, h * h, out=out)
     shape = _grid(data.shape[-3:])
     _LIB.laplacian(math.prod(data.shape[:-3]), *shape, _pointer(data, data.shape),
                    _pointer(out, data.shape, data), *_scaling(h * h))
@@ -278,14 +260,6 @@ def compute_flux(state: np.ndarray, p: TumorParams, h: float,
     """
     b, A = state[0], state[4]
     out = np.empty((3,) + b.shape) if out is None else out
-    if _LIB is None:
-        normalized = (b - p.b_norm) / (p.b_M - p.b_norm)
-        gate = ((b >= p.b_norm) & (b <= p.b_M)).astype(np.float64)
-        coeff = -p.d_b * b
-        for component, axis in enumerate((2, 1, 0)):  # x runs along the last axis
-            out[component] = coeff * (np.gradient(normalized, h, axis=axis) * gate
-                                      + p.r_b * np.gradient(A, h, axis=axis))
-        return out
     shape = _grid(b.shape)
     potential = np.empty(shape) if work is None else work.potential
     _LIB.flux(*shape, _pointer(b, shape), _pointer(A, shape), _pointer(potential, shape, state),
@@ -298,9 +272,6 @@ def _divergence(flux: np.ndarray, h: float, out: np.ndarray | None = None) -> np
     """dJx/dx + dJy/dy + dJz/dz of a (3, nz, ny, nx) flux array, one-sided
     at the walls, into ``out`` or a new array."""
     out = np.empty(flux.shape[1:]) if out is None else out
-    if _LIB is None:
-        return np.add(np.gradient(flux[0], h, axis=2) + np.gradient(flux[1], h, axis=1),
-                      np.gradient(flux[2], h, axis=0), out=out)
     shape = _grid(flux.shape[1:])
     _LIB.divergence(*shape, _pointer(flux, (3,) + shape), _pointer(out, shape, flux),
                     *_scaling(2.0 * h), *_scaling(h))
@@ -321,39 +292,21 @@ def tumor_tendency(
     """
     w = _Work(state.shape[1:]) if work is None else work
     out = np.empty(state.shape) if out is None else out
-    if _LIB is not None:  # every array is checked before the first foreign call
-        shape = _grid(state.shape[1:])
-        state_ptr = _pointer(state, (5,) + shape, out)
-        out_ptr = _pointer(out, (5,) + shape)
-        mask_ptr = (None if oxygen_source_mask is None
-                   else _pointer(oxygen_source_mask, shape, out))
+    # every array is checked before the first foreign call
+    shape = _grid(state.shape[1:])
+    state_ptr = _pointer(state, (5,) + shape, out)
+    out_ptr = _pointer(out, (5,) + shape)
+    mask_ptr = None if oxygen_source_mask is None else _pointer(oxygen_source_mask, shape, out)
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        # out holds div J and the Laplacians of c, o and A until the
-        # reaction terms replace them with the tendency
-        _divergence(compute_flux(state, p, h, out=w.flux, work=w), h, out=out[0])
-        _laplacian(state[1:3], h, out=out[1:3])
-        _laplacian(state[4], h, out=out[4])
-        if _LIB is None:
-            b, c, o, M, A = state
-            div, lap_c, lap_o, _, lap_a = out
-            hypoxic = (o < p.o_death).astype(np.float64)
-            proliferative = (o > p.o_prol).astype(np.float64)
-            mitosis_boost = 1.0 + (p.tau_b * A / (p.tau_b * A + 1.0)) * p.P_b
-            delivery = p.delta_o * (p.o_max - o)
-            if oxygen_source_mask is not None:
-                delivery = delivery * oxygen_source_mask
-            out[0] = (-div - (b / p.T_death) * hypoxic
-                      + (b / p.T_prol) * mitosis_boost * (1.0 - b / p.b_M) * proliferative)
-            out[1] = p.chi_c * lap_c - p.gamma_c * o * c + b * (1.0 - c) * hypoxic
-            out[2] = p.alpha_o * lap_o - p.gamma_o * b * o + delivery
-            out[3] = -p.beta_M * M * b
-            out[4] = p.gamma_A * M * b + p.chi_aA * lap_a - p.gamma_oA * A
-            return out
-        _LIB.reaction(math.prod(shape), state_ptr, mask_ptr, out_ptr, p.o_death, p.o_prol,
-                      p.tau_b, p.P_b, p.T_death, p.T_prol, *_scaling(p.b_M), p.chi_c,
-                      p.gamma_c, p.alpha_o, p.gamma_o, p.delta_o, p.o_max, -p.beta_M,
-                      p.gamma_A, p.chi_aA, p.gamma_oA)
+    # out holds div J and the Laplacians of c, o and A until the reaction
+    # terms replace them with the tendency
+    _divergence(compute_flux(state, p, h, out=w.flux, work=w), h, out=out[0])
+    _laplacian(state[1:3], h, out=out[1:3])
+    _laplacian(state[4], h, out=out[4])
+    _LIB.reaction(math.prod(shape), state_ptr, mask_ptr, out_ptr, p.o_death, p.o_prol,
+                  p.tau_b, p.P_b, p.T_death, p.T_prol, *_scaling(p.b_M), p.chi_c,
+                  p.gamma_c, p.alpha_o, p.gamma_o, p.delta_o, p.o_max, -p.beta_M,
+                  p.gamma_A, p.chi_aA, p.gamma_oA)
     return out
 
 

@@ -10,7 +10,6 @@ from supermodeling.fields import (
     max_over_time,
     read_field,
     taxi_ensemble_distance,
-    volume_inner,
     volume_integral,
     write_field,
 )
@@ -154,16 +153,6 @@ class TestIntegrals:
 
     def test_volume_integral_scalar(self):
         assert volume_integral(2.5) == 2.5
-
-    def test_volume_inner_matches_manual(self):
-        spec = GridSpec(4, 4, 4, 0.5)
-        rng = np.random.default_rng(3)
-        a, b = random_field(spec, rng), random_field(spec, rng)
-        manual = float((a * b).sum()) * 0.125
-        assert volume_inner(a, b, spec.cell_volume) == pytest.approx(manual, rel=1e-14)
-
-    def test_volume_inner_scalars(self):
-        assert volume_inner(0.5, 0.2) == pytest.approx(0.1)
 
 
 class TestStateNorm:

@@ -5,12 +5,12 @@ from supermodeling.dynamics import LogisticParams, LogisticSystem
 from supermodeling.fields import GridSpec
 from supermodeling.groundtruth import (
     GroundTruth,
-    error_metrics,
     generate_gt,
     gt_at,
     gt_volumes_at,
     load_gt,
     save_gt,
+    step_error,
 )
 from supermodeling.tumor import TumorParams, TumorSystem, gaussian_bump_state
 
@@ -107,10 +107,17 @@ class TestLookup:
         assert v.proliferating == pytest.approx(1.5)
 
 
+def trajectory_errors(gt, trajectory):
+    """``step_error`` of each state of a trajectory that starts at step 0."""
+    errors = [step_error(gt_at(gt, n), state, gt.cell_volume)
+              for n, state in enumerate(trajectory)]
+    return np.array([l2 for l2, _ in errors]), np.array([diff for _, diff in errors])
+
+
 class TestErrorMetrics:
     def test_exact_trajectory_gives_zeros(self, toy_gt):
         traj = [gt_at(toy_gt, n) for n in range(11)]
-        l2, voldiff = error_metrics(toy_gt, traj)
+        l2, voldiff = trajectory_errors(toy_gt, traj)
         assert np.all(l2 == 0.0)
         assert np.all(voldiff == 0.0)
 
@@ -121,7 +128,7 @@ class TestErrorMetrics:
                          reference_params=None, spec=spec)
         delta = 0.3
         traj = [np.full(spec.shape, 1.0 + delta)] * 2
-        l2, voldiff = error_metrics(gt, traj)
+        l2, voldiff = trajectory_errors(gt, traj)
         assert np.allclose(voldiff, -delta)  # reference minus run
         assert np.allclose(l2, delta)  # |delta| over a unit-volume domain
 
@@ -129,7 +136,7 @@ class TestErrorMetrics:
         gt = GroundTruth(snapshots={0: 0.0, 4: 0.0}, step_dt=0.1,
                          reference_params=None)
         traj = [0.1, -0.2, 0.3, -0.4, 0.5]
-        _l2, voldiff = error_metrics(gt, traj)
+        _l2, voldiff = trajectory_errors(gt, traj)
         assert np.array_equal(np.sign(voldiff), [-1, 1, -1, 1, -1])
 
 
