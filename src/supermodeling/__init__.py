@@ -26,8 +26,6 @@ from .fields import (
     BlowUpError,
     GridSpec,
     l2_norm,
-    max_over_time,
-    taxi_ensemble_distance,
     volume_integral,
 )
 from .dynamics import (

@@ -245,8 +245,11 @@ class TrainingReport:
     c_history: list[np.ndarray] = field(default_factory=list)
     step_records: list[StepRecord] = field(default_factory=list)
     converged: bool = False
-    iterations_used: int = 0
-    trajectory_history: list | None = None
+
+    @property
+    def iterations_used(self) -> int:
+        """Epochs completed: one coefficient matrix is recorded per epoch end."""
+        return len(self.c_history)
 
 
 # Worker processes step an ensemble only when a member's field has at least
@@ -714,7 +717,6 @@ def train(
     max_epochs: int,
     tol: float,
     min_epochs: int = 1,
-    record_trajectories: bool = False,
 ) -> tuple[CouplingMatrix, TrainingReport]:
     """Iterate coupled epochs against the reference until coefficients settle.
 
@@ -724,17 +726,11 @@ def train(
     between consecutive epoch ends fell below ``tol`` (checked only once
     ``min_epochs`` epochs have run).  Requires the reference to cover steps
     0 through ``steps_per_epoch``.
-
-    With ``record_trajectories`` the per-step coupled-variable states of all
-    members are kept for every epoch, which ``theory.iterate_distances``
-    needs.
     """
     if not tol > 0:
         raise ValueError("tolerance must be positive")
     cm = cm.copy()
     report = TrainingReport()
-    if record_trajectories:
-        report.trajectory_history = []
     has_volumes = hasattr(ens.system, "volumes")
     # only what the error (the coupled variable, first) and the volumes read
     # is averaged
@@ -751,26 +747,19 @@ def train(
             volumes = tuple(ens.system.volumes(output, averaged)) if has_volumes else None
             report.step_records.append(
                 StepRecord(epoch, step, cm.c.copy().reshape(-1), error, volumes))
-        if record_trajectories:
-            trajectory.append(ens.coupled_values().copy())
         return cm
 
     try:
         for epoch in range(max_epochs):
             ens.reset()
-            trajectory = []
             recorded = len(report.step_records)
             try:
                 cm = _run_steps(ens, cm, gt, dt, steps_per_epoch, after_step)
             except BlowUpError as exc:
-                report.iterations_used = epoch
                 # every step before the failing one was recorded
                 step = len(report.step_records) - recorded
                 raise TrainingAborted(epoch, step, report, str(exc)) from exc
             report.c_history.append(cm.c.copy())
-            if record_trajectories:
-                report.trajectory_history.append(trajectory)
-            report.iterations_used = epoch + 1
             delta = float(np.max(np.abs(cm.c - prev_c)))
             if epoch + 1 >= min_epochs and delta < tol:
                 report.converged = True

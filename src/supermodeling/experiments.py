@@ -185,13 +185,13 @@ def _convert_option(name: str, raw: str):
     if name not in _FIELD_TYPES:
         raise ValueError(f"unknown config key {name!r}")
     kind = _FIELD_TYPES[name]
-    if kind in (bool, "bool"):
+    if kind == "bool":
         lowered = raw.strip().lower()
         if lowered not in ("true", "false"):
             raise ValueError(f"option {name} must be true or false, got {raw!r}")
         return lowered == "true"
     for number, expected in ((int, "an integer"), (float, "a number")):
-        if kind in (number, number.__name__):
+        if kind == number.__name__:
             try:
                 return number(raw)
             except ValueError:

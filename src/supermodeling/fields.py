@@ -1,4 +1,4 @@
-"""Regular grids, domain norms and integrals, and ensemble distances.
+"""Regular grids, domain norms and integrals.
 
 A field is a plain float64 array of shape (nz, ny, nx) on a uniform GridSpec,
 C-ordered so the flat layout runs x fastest; a tumor state stacks its five
@@ -68,22 +68,6 @@ def l2_norm(x, cell_volume: float = 1.0) -> float:
     if not np.isfinite(sumsq):
         raise BlowUpError("non-finite values in norm")
     return float(np.sqrt(sumsq * cell_volume))
-
-
-def taxi_ensemble_distance(a, b) -> float:
-    """Sum over members (the leading axis) of the euclidean norm of their difference."""
-    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"ensembles differ in shape: {a.shape} vs {b.shape}")
-    return sum(l2_norm(diff) for diff in a - b)
-
-
-def max_over_time(d) -> float:
-    """Maximum of a non-empty sequence of per-step values."""
-    seq = list(d)
-    if not seq:
-        raise ValueError("empty sequence has no maximum")
-    return max(seq)
 
 
 def volume_integral(x, cell_volume: float = 1.0) -> float:

@@ -42,8 +42,9 @@ class GroundTruth:
         indices = sorted(self.snapshots)
         if not indices or indices[0] != 0:
             raise ValueError("ground truth must include step 0")
+        if self.volumes is not None and sorted(self.volumes) != indices:
+            raise ValueError("volume records must be stored at the snapshots' steps")
         self._indices = indices
-        self._volume_indices = sorted(self.volumes) if self.volumes is not None else None
 
     @property
     def stored_indices(self) -> list[int]:
@@ -97,13 +98,18 @@ def generate_gt(
                        volumes=volumes, spec=system.spec)
 
 
-def _bracket(indices: list[int], n: int) -> tuple[int, int, float]:
-    """Stored steps lo < n < hi around an unstored step n, and n's weight on hi."""
+def _interpolate(gt: GroundTruth, records: dict, n: int):
+    """``records[n]``, or the linear interpolation of the records at the
+    stored steps lo < n < hi around an unstored step n."""
+    if n in records:
+        return records[n]
+    indices = gt._indices
     if n < 0 or n > indices[-1]:
         raise ValueError(f"step {n} outside stored range [0, {indices[-1]}]")
     pos = bisect.bisect_left(indices, n)
     lo, hi = indices[pos - 1], indices[pos]
-    return lo, hi, (n - lo) / (hi - lo)
+    w = (n - lo) / (hi - lo)
+    return np.asarray(records[lo]) * (1.0 - w) + np.asarray(records[hi]) * w
 
 
 def gt_at(gt: GroundTruth, n: int):
@@ -111,21 +117,14 @@ def gt_at(gt: GroundTruth, n: int):
 
     No extrapolation: n must lie within [0, final stored index].
     """
-    if n in gt.snapshots:
-        return gt.snapshots[n]
-    lo, hi, w = _bracket(gt._indices, n)
-    return gt.snapshots[lo] * (1.0 - w) + gt.snapshots[hi] * w
+    return _interpolate(gt, gt.snapshots, n)
 
 
 def gt_volumes_at(gt: GroundTruth, n: int) -> VolumeTriple:
     """Recorded volume triple at step n, linearly interpolated when absent."""
     if gt.volumes is None:
         raise ValueError("this ground truth carries no volume records")
-    if n in gt.volumes:
-        return gt.volumes[n]
-    lo, hi, w = _bracket(gt._volume_indices, n)
-    a, b = gt.volumes[lo], gt.volumes[hi]
-    return VolumeTriple(*((1.0 - w) * np.array(a) + w * np.array(b)))
+    return VolumeTriple(*_interpolate(gt, gt.volumes, n))
 
 
 def step_error(ref, state, cell_volume: float) -> tuple[float, float]:

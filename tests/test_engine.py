@@ -513,16 +513,14 @@ class TestOracleEquivalence:
 
         ens = toy_ensemble([b0, b0], r_values=r_values, cap=cap)
         cm = CouplingMatrix.uniform(2, 0.5, k_nudge=K, a_rate=A)
-        trained, report = train(ens, cm, gt, dt, steps_per_epoch=M,
-                                max_epochs=epochs, min_epochs=epochs,
-                                tol=1e-300, record_trajectories=True)
+        trained, _report = train(ens, cm, gt, dt, steps_per_epoch=M,
+                                 max_epochs=epochs, min_epochs=epochs, tol=1e-300)
 
         expected_c, expected_b = self.reference_training(
             r_values, cap, b0, gt_values, dt, K, A,
             c_init=0.5, c_min=0.1, c_max=0.9, M=M, epochs=epochs,
         )
-        final_members = report.trajectory_history[-1][-1]
-        assert np.allclose(final_members, expected_b, atol=1e-12)
+        assert np.allclose(ens.coupled_values(), expected_b, atol=1e-12)
         assert np.allclose(trained.c, np.array(expected_c), atol=1e-12)
 
 

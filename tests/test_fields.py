@@ -7,9 +7,7 @@ from supermodeling.fields import (
     BlowUpError,
     GridSpec,
     l2_norm,
-    max_over_time,
     read_field,
-    taxi_ensemble_distance,
     volume_integral,
     write_field,
 )
@@ -17,11 +15,6 @@ from supermodeling.fields import (
 
 def random_field(spec, rng, lo=-1.0, hi=1.0):
     return rng.uniform(lo, hi, size=spec.shape)
-
-
-def ensemble(members):
-    """Member states (fields or numbers) stacked along a leading member axis."""
-    return np.stack([np.asarray(m, dtype=float) for m in members])
 
 
 class TestGridSpec:
@@ -85,65 +78,6 @@ class TestL2Norm:
         data = np.zeros(spec.shape)
         data[1, 1, 1] = 1e-150
         assert l2_norm(data, spec.cell_volume) > 0.0
-
-
-class TestTaxiDistance:
-    def test_identical_ensembles(self):
-        spec = GridSpec(4, 4, 4, 1.0)
-        rng = np.random.default_rng(0)
-        a = ensemble([random_field(spec, rng) for _ in range(3)])
-        assert taxi_ensemble_distance(a, a) == 0.0
-
-    def test_scalar_members_hand_value(self):
-        a = ensemble([1.0, 2.0])
-        b = ensemble([0.0, 0.0])
-        assert taxi_ensemble_distance(a, b) == 3.0
-
-    def test_single_member_reduces_to_norm(self):
-        spec = GridSpec(4, 4, 4, 1.0)
-        rng = np.random.default_rng(1)
-        f, g = random_field(spec, rng), random_field(spec, rng)
-        assert taxi_ensemble_distance(ensemble([f]), ensemble([g])) == l2_norm(f - g)
-
-    def test_mismatched_sizes_rejected(self):
-        with pytest.raises(ValueError):
-            taxi_ensemble_distance(ensemble([1.0]), ensemble([1.0, 2.0]))
-
-    def test_mismatched_grids_rejected(self):
-        a = ensemble([np.zeros(GridSpec(4, 4, 4, 1.0).shape)])
-        b = ensemble([np.zeros(GridSpec(5, 4, 4, 1.0).shape)])
-        with pytest.raises(ValueError):
-            taxi_ensemble_distance(a, b)
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_symmetry_and_triangle(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(1, 5))
-        spec = GridSpec(*(int(rng.integers(3, 9)) for _ in range(3)), h=0.5)
-        ens = [
-            ensemble([random_field(spec, rng) for _ in range(n)])
-            for _ in range(3)
-        ]
-        a, b, c = ens
-        assert taxi_ensemble_distance(a, b) == pytest.approx(taxi_ensemble_distance(b, a), rel=1e-14)
-        assert taxi_ensemble_distance(a, c) <= (
-            taxi_ensemble_distance(a, b) + taxi_ensemble_distance(b, c) + 1e-12
-        )
-
-
-class TestMaxOverTime:
-    def test_singleton(self):
-        assert max_over_time([0.0]) == 0.0
-
-    def test_simple_max(self):
-        assert max_over_time([1.0, 5.0, 3.0]) == 5.0
-
-    def test_constant_sequence(self):
-        assert max_over_time([2.5] * 7) == 2.5
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            max_over_time([])
 
 
 class TestIntegrals:

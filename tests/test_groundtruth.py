@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,20 @@ class TestArchive:
         for n in gt.stored_indices:
             assert np.array_equal(loaded.snapshots[n], gt.snapshots[n])
             assert loaded.volumes[n] == pytest.approx(tuple(gt.volumes[n]))
+
+    def test_volume_steps_must_match_the_snapshots(self, tmp_path):
+        spec = GridSpec(8, 8, 8, 1.0)
+        params = TumorParams()
+        gt = generate_gt(TumorSystem(spec), params, gaussian_bump_state(spec, params),
+                         0.1, steps=6, keep_every=3)
+        save_gt(gt, tmp_path / "gt")
+        manifest_path = tmp_path / "gt" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["stored_indices"] == [0, 3, 6]
+        manifest["volumes"]["5"] = manifest["volumes"].pop("6")
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="volume records"):
+            load_gt(tmp_path / "gt")
 
     def test_scalar_gt_not_archivable(self, tmp_path, toy_gt):
         with pytest.raises(TypeError):

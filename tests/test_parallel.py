@@ -76,10 +76,9 @@ def make_training(n_submodels):
 def run_loops(ens, cm, gt):
     """Two epochs of training, then a nudged and a free prediction with the
     trained coefficients: every array they give, to compare bit for bit."""
-    cm, report = train(ens, cm, gt, 0.1, STEPS, max_epochs=2, tol=1e-300, min_epochs=2,
-                       record_trajectories=True)
+    cm, report = train(ens, cm, gt, 0.1, STEPS, max_epochs=2, tol=1e-300, min_epochs=2)
     arrays = [cm.c, ens.states.copy(), *report.c_history,
-              *map(np.array, report.trajectory_history),
+              np.array([record.c_flat for record in report.step_records]),
               np.array([record.error for record in report.step_records]),
               np.array([record.volumes for record in report.step_records])]
     for nudged in (True, False):

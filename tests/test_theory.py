@@ -22,7 +22,7 @@ def paired_toy_runs(k_nudge, c_init_1, c_init_2, epochs=6, steps=30,
         cm = CouplingMatrix.uniform(3, c_init, k_nudge=k_nudge, a_rate=a_rate)
         _trained, report = train(ens, cm, gt, dt, steps_per_epoch=steps,
                                  max_epochs=epochs, min_epochs=epochs,
-                                 tol=1e-300, record_trajectories=True)
+                                 tol=1e-300)
         return report
 
     return run(c_init_1), run(c_init_2)
@@ -42,15 +42,11 @@ class TestEmpiricalContraction:
         assert empirical_contraction_ratio(rep1, rep2) < 1.0
 
     def test_ratios_below_the_round_off_floor_are_dropped(self):
-        # one member at 1 in both runs and one at 0 against the given
-        # distance: the state norm is 1, so the floor is 1e3 * eps
+        # one coefficient at 1 in both runs and one at 0 against the given
+        # distance: the largest |C_ij| is 1, so the floor is 1e3 * eps
         def pair(distances):
-            reports = [TrainingReport(c_history=[np.zeros((2, 2))] * len(distances),
-                                      trajectory_history=[]) for _ in range(2)]
-            for d in distances:
-                reports[0].trajectory_history.append([np.array([1.0, 0.0])])
-                reports[1].trajectory_history.append([np.array([1.0, d])])
-            return reports
+            return (TrainingReport(c_history=[np.array([[1.0, 0.0]]) for _d in distances]),
+                    TrainingReport(c_history=[np.array([[1.0, d]]) for d in distances]))
 
         # the only ratio >= 1, 4, comes from a distance of 1e-15
         rep1, rep2 = pair([1.0, 0.5, 0.25, 1e-15, 4e-15])
@@ -68,7 +64,7 @@ class TestEmpiricalContraction:
 
     def test_unit_learning_rate_is_not_contracting(self):
         # with a_rate = 1 the coefficient updates are not damped: the paired
-        # distance grows from 0.079 to 0.087 in epochs 3-4, far above round-off
+        # distance grows from 0.069 to 0.076 in epochs 3-5, far above round-off
         rep1, rep2 = paired_toy_runs(0.9, 0.15, 0.25, epochs=5, a_rate=1.0)
         assert min(iterate_distances(rep1, rep2)) > 1e-2
         assert empirical_contraction_ratio(rep1, rep2) >= 1.0
@@ -77,13 +73,3 @@ class TestEmpiricalContraction:
         rep1, rep2 = paired_toy_runs(0.9, 0.4, 0.6, epochs=2)
         with pytest.raises(ValueError):
             empirical_contraction_ratio(rep1, rep2)
-
-    def test_requires_recorded_trajectories(self):
-        gt = generate_gt(LogisticSystem(), LogisticParams(1.0, 2.0), 0.5, 0.1,
-                         steps=4, keep_every=1)
-        ens = SubModelEnsemble.identical_start(
-            LogisticSystem(), [LogisticParams(1.0, 2.0)] * 2, 0.5)
-        cm = CouplingMatrix.uniform(2, 0.5, k_nudge=0.9)
-        _t, rep = train(ens, cm, gt, 0.1, 4, max_epochs=2, tol=1e-300, min_epochs=2)
-        with pytest.raises(ValueError):
-            iterate_distances(rep, rep)
