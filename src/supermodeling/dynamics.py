@@ -18,30 +18,23 @@ from .fields import BlowUpError, GridSpec
 class DynamicalSystem:
     """Behavior contract for a steppable model.
 
-    Subclasses implement ``tendency`` and declare which of their
-    ``variables`` can be coupled to other ensemble members.
-    ``tendency(state, params, out=None)`` must be deterministic.  It writes
-    the tendency into ``out``, a C-contiguous float64 array of the state's
-    shape, and returns ``out``; without one it returns a new array that
-    shares no memory with the state or an earlier result, or a number for a
-    number.  Either way the bits are the same.
+    Subclasses implement ``tendency``.  The first of their ``variables`` is
+    the coupled one: the ensemble couples and nudges it, and the reference
+    records it.  ``tendency(state, params, out=None)`` must be deterministic.
+    It writes the tendency into ``out``, a C-contiguous float64 array of the
+    state's shape, and returns ``out``; without one it returns a new array
+    that shares no memory with the state or an earlier result, or a number
+    for a number.  Either way the bits are the same.
     Field-valued systems name their grid as ``spec``; ``cell_volume`` weights
     one array entry in domain norms and integrals.
     """
 
     variables: tuple[str, ...] = ("b",)
-    couplable: tuple[str, ...] = ()
     spec: GridSpec | None = None
     cell_volume: float = 1.0
 
     def tendency(self, state, params, out=None):
         raise NotImplementedError
-
-    def get_variable(self, state, name):
-        """An independent copy of one couplable variable of a member array."""
-        if name not in self.couplable:
-            raise KeyError(f"{name!r} is not a couplable variable of {type(self).__name__}")
-        return state[self.variables.index(name)].copy()
 
     def validate_state(self, state, context: str = ""):
         """Raise BlowUpError naming the first non-finite variable."""
@@ -99,16 +92,12 @@ def _into(out, value):
 class LogisticSystem(DynamicalSystem):
     """Scalar logistic growth; the standard oracle for the ensemble engine."""
 
-    couplable = ("b",)
-
     def tendency(self, state, params: LogisticParams, out=None):
         return _into(out, logistic_tendency(state, params))
 
 
 class LinearSystem(DynamicalSystem):
     """S(u) = lam * u."""
-
-    couplable = ("b",)
 
     def __init__(self, lam: float):
         self.lam = float(lam)

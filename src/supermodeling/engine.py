@@ -1,31 +1,36 @@
 """Coupled-ensemble stepping, coupling-coefficient training, and prediction.
 
 The ensemble advances all members in lockstep.  One coupled step applies,
-to the coupled variable only,
+to the coupled variable only (the system's first variable),
 
     B_i <- B_i + dt*S(B_i, P_i)
          + (1/N) * sum_j C_ij * (B_j - B_i)
          + (1/N) * K * sum_j (GT - B_j)
 
 where every B_j on the right-hand side is the pre-step value (synchronous
-update).  The nudging sum runs over all j by default, so it acts on the
-ensemble mean; set ``exclude_self_in_nudge`` for the variant that skips
-j = i.  All other state variables advance by the free model step alone.
+update).  The nudging sum runs over all j, so it acts on the ensemble mean.
+All other state variables advance by the free model step alone.
 
 Both sums are linear in the members' values, so with the values as an
-(N, cells) matrix B every member's correction is one product, mix @ B + g*GT:
-mix is (C - K)/N off the diagonal and -(rowsum(C) + K)/N on it (-rowsum(C)/N
-under ``exclude_self_in_nudge``), and g is K, or K(N-1)/N without self.  The
+(N, cells) matrix B every member's correction is one product, mix @ B + K*GT:
+mix is (C - K)/N off the diagonal and -(rowsum(C) + K)/N on it.  The
 correction is skipped when mix is zero, so an ensemble with no coupling and
 no nudging steps exactly like free models.  The coefficient update reads
 <GT - B_i, B_i - B_j> for every pair from one product of the mismatches with
 the members' deviations from their mean (see ``mismatch_inner``).  The products sum in another order than the formulas
 above, so results agree with a pair-by-pair evaluation to round-off, not
 bit for bit.  For the same reason the fixed points hold only to round-off:
-the rows of mix sum to -g in exact arithmetic, not in floating point, so
+the rows of mix sum to -K in exact arithmetic, not in floating point, so
 identical members, or members equal to the reference they are nudged to,
 drift by round-off instead of staying put: at most 7e-16 of the field's
 largest value after 100 steps, measured on 6^3 fields with 2 to 8 members.
+
+K and C act once per step and are not scaled by dt, so their strength is per
+step.  The nudge adds K*(GT - mean) to every member, which moves the
+ensemble mean's distance to the reference by the factor (1 - K) each step
+(apart from the model's own tendency and what an asymmetric C adds to the
+mean): K's stable band is (0, 2) whatever dt is.  A coefficient acts at
+C_ij/(N*dt) per unit time, so halving dt doubles the coupling per unit time.
 
 Training runs epochs of M coupled steps from a shared initial condition.
 Within a step the order is: advance and apply the coupling corrections (one
@@ -108,7 +113,6 @@ class CouplingMatrix:
     a_rate: float = 1.0
     c_min: float = 0.1
     c_max: float = 0.9
-    exclude_self_in_nudge: bool = False
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=np.float64)
@@ -153,7 +157,6 @@ class SubModelEnsemble:
     system: DynamicalSystem
     params: list
     states: np.ndarray
-    coupled_variable: str
     initial_state: np.ndarray | None = None
     _workers: _MemberWorkers | None = field(default=None, init=False, repr=False,
                                             compare=False)
@@ -165,13 +168,7 @@ class SubModelEnsemble:
             self.initial_state = np.atleast_1d(np.asarray(self.initial_state, dtype=np.float64))
         if len(self.params) != len(states):
             raise ValueError("one parameter set per member is required")
-        if self.coupled_variable not in self.system.couplable:
-            raise ValueError(
-                f"{self.coupled_variable!r} is not couplable in {type(self.system).__name__}"
-            )
-        coupled = self.system.variables.index(self.coupled_variable)
-        if (_CPUS > 1 and len(states) > 1
-                and np.size(states[0, coupled]) >= PARALLEL_MIN_CELLS):
+        if _CPUS > 1 and len(states) > 1 and np.size(states[0, 0]) >= PARALLEL_MIN_CELLS:
             self.states = _shared_zeros(states.shape)
             self.states[...] = states
             _shared_ensembles[id(self)] = self
@@ -183,13 +180,12 @@ class SubModelEnsemble:
         return len(self.params)
 
     @classmethod
-    def identical_start(cls, system, params_list, initial_state, coupled_variable=None):
+    def identical_start(cls, system, params_list, initial_state):
         """All members start from one shared initial condition."""
         x0 = np.atleast_1d(np.asarray(initial_state, dtype=np.float64))
         # a view: the ensemble's own array is the only full copy made
         states = np.broadcast_to(x0, (len(params_list),) + x0.shape)
-        return cls(system=system, params=list(params_list), states=states,
-                   coupled_variable=coupled_variable or system.couplable[0], initial_state=x0)
+        return cls(system=system, params=list(params_list), states=states, initial_state=x0)
 
     def reset(self) -> "SubModelEnsemble":
         """Every member back at the shared initial condition, in place; returns ``self``."""
@@ -199,8 +195,8 @@ class SubModelEnsemble:
         return self
 
     def coupled_values(self) -> np.ndarray:
-        """View of every member's coupled variable, shape (N, ...)."""
-        return self.states[:, self.system.variables.index(self.coupled_variable)]
+        """View of every member's coupled variable, the first, shape (N, ...)."""
+        return self.states[:, 0]
 
     def _buffer(self, name: str, shape: tuple) -> np.ndarray:
         """A float64 work array kept for the next call with the same name and
@@ -557,7 +553,8 @@ def coupled_step(
 
     ``dt`` may be zero, which freezes the model dynamics but still applies
     the coupling and nudging corrections (the training escape hatch for
-    ensembles that drift apart).  Returns ``ens``.
+    ensembles that drift apart).  ``gt_now`` is the reference value at the
+    pre-step index, which may be None only when K is zero.  Returns ``ens``.
 
     The flags belong to the step loop, ``_run_steps``.  ``look_ahead``
     promises that the next call is a coupled step of this ensemble with
@@ -570,6 +567,8 @@ def coupled_step(
         raise ValueError("dt must be nonnegative")
     if cm.n != ens.n:
         raise ValueError(f"coupling is {cm.n}x{cm.n} but ensemble has {ens.n} members")
+    if cm.k_nudge != 0.0 and gt_now is None:
+        raise ValueError("nudging needs the reference value at this step")
     values = ens.coupled_values()
     workers = _member_workers(ens)
     # the corrections only read pre-step values, so they are formed first
@@ -584,21 +583,20 @@ def coupled_step(
     # explicit_step checked the stepped states; only the corrections are new
     if corrections is not None and not np.isfinite(values).all():
         raise BlowUpError(
-            f"non-finite value in variable '{ens.coupled_variable}' during coupled step"
+            f"non-finite value in variable '{ens.system.variables[0]}' during coupled step"
         )
     return ens
 
 
 def _corrections(ens: SubModelEnsemble, cm: CouplingMatrix, gt_now, out=None):
-    """Every member's coupling and nudging correction, mix @ B + g*GT, or None
+    """Every member's coupling and nudging correction, mix @ B + K*GT, or None
     when the mixing matrix is zero (no coupling and no nudging).  Written to
     ``out``, an array shaped like the coupled values, when one is given, and
     otherwise to a work array of the ensemble's."""
     values = ens.coupled_values()
     n = len(values)
     mix = (cm.c - cm.k_nudge) / n
-    self_nudge = 0.0 if cm.exclude_self_in_nudge else cm.k_nudge
-    np.fill_diagonal(mix, -(cm.c.sum(axis=1) + self_nudge) / n)
+    np.fill_diagonal(mix, -(cm.c.sum(axis=1) + cm.k_nudge) / n)
     if not mix.any():
         return None
     if out is None:
@@ -606,9 +604,8 @@ def _corrections(ens: SubModelEnsemble, cm: CouplingMatrix, gt_now, out=None):
     with np.errstate(over="ignore", invalid="ignore"):
         np.matmul(mix, values.reshape(n, -1), out=out.reshape(n, -1))
         if cm.k_nudge != 0.0:
-            gain = cm.k_nudge * (n - 1) / n if cm.exclude_self_in_nudge else cm.k_nudge
             gt_now = np.asarray(gt_now)
-            out += np.multiply(gain, gt_now, out=ens._buffer("nudge", gt_now.shape))
+            out += np.multiply(cm.k_nudge, gt_now, out=ens._buffer("nudge", gt_now.shape))
     return out
 
 
@@ -734,7 +731,7 @@ def train(
     has_volumes = hasattr(ens.system, "volumes")
     # only what the error (the coupled variable, first) and the volumes read
     # is averaged
-    averaged = (ens.coupled_variable,)
+    averaged = ens.system.variables[:1]
     if has_volumes:
         averaged += tuple(v for v in ens.system.volume_variables if v not in averaged)
     prev_c = cm.c.copy()

@@ -81,7 +81,6 @@ class ExperimentConfig:
     c_min: float = 0.1
     c_max: float = 0.9
     tol: float = 1e-3
-    exclude_self_in_nudge: bool = False
     # prediction
     nudge_in_prediction: bool = True
     # reference data
@@ -134,8 +133,7 @@ _CONFIG_LAYOUT = (
     ("grid", ("nx", "ny", "nz", "h")),
     ("time", ("dt", "steps")),
     ("ensemble", ("n_submodels", "spread", "variant", "placement", "seed")),
-    ("training", ("epochs", "k_nudge", "a_rate", "c_init", "c_min", "c_max",
-                  "tol", "exclude_self_in_nudge")),
+    ("training", ("epochs", "k_nudge", "a_rate", "c_init", "c_min", "c_max", "tol")),
     ("prediction", ("nudge_in_prediction",)),
     ("gt", ("keep_every",)),
     ("initial", ("bump_width", "bump_amplitude", "core_oxygen",
@@ -279,29 +277,24 @@ def instantiate_submodels(
 
 
 def save_coupling(cm: CouplingMatrix, path):
-    payload = {
-        "c": cm.c.tolist(),
-        "k_nudge": cm.k_nudge,
-        "a_rate": cm.a_rate,
-        "c_min": cm.c_min,
-        "c_max": cm.c_max,
-        "exclude_self_in_nudge": cm.exclude_self_in_nudge,
-    }
+    """``cm`` as JSON, one key per field of ``CouplingMatrix``."""
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(dict(dataclasses.asdict(cm), c=cm.c.tolist()), fh, indent=2, sort_keys=True)
 
 
 def load_coupling(path) -> CouplingMatrix:
+    """The coefficients ``save_coupling`` wrote.  The keys must be exactly the
+    fields of ``CouplingMatrix``, so that none takes its default: ValueError
+    names every missing and unknown key."""
     with open(path) as fh:
         payload = json.load(fh)
-    return CouplingMatrix(
-        c=np.array(payload["c"], dtype=np.float64),
-        k_nudge=payload["k_nudge"],
-        a_rate=payload["a_rate"],
-        c_min=payload["c_min"],
-        c_max=payload["c_max"],
-        exclude_self_in_nudge=payload["exclude_self_in_nudge"],
-    )
+    fields = {f.name for f in dataclasses.fields(CouplingMatrix)}
+    keys = payload.keys() if isinstance(payload, dict) else set()  # a list lacks every key
+    mismatch = [f"{kind} key {name!r}" for kind, names in (
+        ("missing", fields - keys), ("unknown", keys - fields)) for name in sorted(names)]
+    if mismatch:
+        raise ValueError(f"trained coupling {path} has {', '.join(mismatch)}")
+    return CouplingMatrix(**payload)
 
 
 # -- full experiment runs -------------------------------------------------------
@@ -315,7 +308,7 @@ def build_setup(config: ExperimentConfig):
         vessel_free_mask(spec, config.vessel_core_radius)
         if config.use_source_mask else None
     )
-    system = TumorSystem(spec, oxygen_source_mask=mask, metric_params=reference)
+    system = TumorSystem(spec, oxygen_source_mask=mask)
     initial = gaussian_bump_state(
         spec,
         reference,
@@ -331,9 +324,7 @@ def initial_coupling(config: ExperimentConfig) -> CouplingMatrix:
     """The uniform coupling matrix that training starts from."""
     return CouplingMatrix.uniform(
         config.n_submodels, config.c_init, config.k_nudge,
-        a_rate=config.a_rate, c_min=config.c_min, c_max=config.c_max,
-        exclude_self_in_nudge=config.exclude_self_in_nudge,
-    )
+        a_rate=config.a_rate, c_min=config.c_min, c_max=config.c_max)
 
 
 def load_reference(directory, config: ExperimentConfig, system, initial) -> GroundTruth:
@@ -352,7 +343,7 @@ def load_reference(directory, config: ExperimentConfig, system, initial) -> Grou
             f"but the config has grid {config.grid} and dt {config.dt!r}"
         )
     volumes = system.volumes(initial)
-    if not (np.array_equal(gt.snapshots[0], system.get_variable(initial, "b"))
+    if not (np.array_equal(gt.snapshots[0], initial[0])
             and gt.volumes is not None and gt.volumes[0] == volumes):
         archived = gt.volumes[0] if gt.volumes is not None else None
         raise ValueError(

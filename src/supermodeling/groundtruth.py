@@ -69,22 +69,21 @@ def generate_gt(
 ) -> GroundTruth:
     """Free-run the reference model and record sparse snapshots.
 
-    Stores the coupled variable at step 0, every ``keep_every``-th step,
-    and the final step.  If the system reports volume metrics they are
-    recorded alongside each stored snapshot.
+    Stores the coupled variable (the first) at step 0, every
+    ``keep_every``-th step, and the final step.  If the system reports
+    volume metrics they are recorded alongside each stored snapshot.
     """
     if steps < 1:
         raise ValueError("need at least one step")
     if keep_every < 1:
         raise ValueError("keep_every must be a positive integer")
-    var = system.couplable[0]
     has_volumes = hasattr(system, "volumes")
 
     snapshots = {}
     volumes = {} if has_volumes else None
 
     def record(n, state):
-        snapshots[n] = system.get_variable(state, var)
+        snapshots[n] = state[0].copy()
         if has_volumes:
             volumes[n] = system.volumes(state)
 

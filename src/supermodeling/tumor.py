@@ -36,12 +36,10 @@ divides.  Before a call the wrappers check every array it is given
 (C-contiguous float64 of the grid's shape, at least 3 cells per axis,
 outputs apart from inputs) and raise ValueError otherwise.
 
-A TumorSystem keeps a free-list of work sets: a tendency takes one
-(allocating it when the list is empty) and puts it back when it returns.
-So a system serves concurrent tendencies from several threads, and it holds
-as many sets as tendencies have ever run at once on it: one when stepped
-from one thread.  The engine's worker processes each hold their own copy of
-the system, so each process keeps one set.
+A TumorSystem keeps one work set, which its first tendency makes, so it
+runs one tendency at a time: it is not for concurrent use from several
+threads.  The engine's worker processes each hold their own copy of the
+system, so each process keeps one set.
 """
 
 from __future__ import annotations
@@ -381,46 +379,34 @@ def gaussian_bump_state(
 class TumorSystem(DynamicalSystem):
     """Dynamical-system wrapper so the ensemble engine can step the model.
 
-    A state is one (5, nz, ny, nx) array on ``spec``.  ``metric_params``
-    fixes the thresholds used for volume reporting, so sub-models with
-    perturbed parameters are all measured with the same yardstick (defaults
-    to the reference parametrization).
+    A state is one (5, nz, ny, nx) array on ``spec``; b, its first field,
+    is the one an ensemble couples.  Volumes are reported with the
+    thresholds of the reference parametrization, so sub-models with
+    perturbed parameters are all measured with the same yardstick.
     """
 
     variables = FIELD_NAMES
-    couplable = ("b",)
     volume_variables = ("b", "o")  # the fields ``volumes`` reads, b first
+    _yardstick = TumorParams()
 
-    def __init__(
-        self,
-        spec: GridSpec,
-        oxygen_source_mask: np.ndarray | None = None,
-        metric_params: TumorParams | None = None,
-    ):
+    def __init__(self, spec: GridSpec, oxygen_source_mask: np.ndarray | None = None):
         self.spec = spec
         self.cell_volume = spec.cell_volume
         self.oxygen_source_mask = oxygen_source_mask
-        self.metric_params = metric_params if metric_params is not None else TumorParams()
-        self._idle_work: list[_Work] = []  # work sets no tendency is using
+        self._work: _Work | None = None  # made by the first tendency
 
     def tendency(self, state: np.ndarray, params: TumorParams,
                  out: np.ndarray | None = None) -> np.ndarray:
-        # list.pop and list.append are atomic, so each set has one user at a time
-        try:
-            work = self._idle_work.pop()
-        except IndexError:
-            work = _Work(self.spec.shape)
-        try:
-            return tumor_tendency(state, params, self.spec.h, self.oxygen_source_mask, work,
-                                  out)
-        finally:
-            self._idle_work.append(work)
+        if self._work is None:
+            self._work = _Work(self.spec.shape)
+        return tumor_tendency(state, params, self.spec.h, self.oxygen_source_mask, self._work,
+                              out)
 
     def volumes(self, state: np.ndarray, variables=FIELD_NAMES) -> VolumeTriple:
         """Volume triple of a state, or of a stack of the fields named by
         ``variables`` (b and o among them)."""
         b, o = (state[variables.index(name)] for name in self.volume_variables)
-        return tumor_volumes(b, o, self.metric_params, self.cell_volume)
+        return tumor_volumes(b, o, self._yardstick, self.cell_volume)
 
 
 # -- series output ------------------------------------------------------------

@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import json
 import os
 import re
 import shutil
@@ -12,7 +14,7 @@ import pytest
 import supermodeling
 from supermodeling import engine, experiments, groundtruth
 from supermodeling.cli import main
-from supermodeling.engine import SubModelEnsemble, simulate, supermodel_output
+from supermodeling.engine import CouplingMatrix, SubModelEnsemble, simulate, supermodel_output
 from supermodeling.groundtruth import generate_gt, gt_at, step_error
 
 
@@ -59,6 +61,9 @@ class TestRegression:
 
 
 GRID = ["--set", "nx=8", "--set", "ny=8", "--set", "nz=8", "--set", "steps=2"]
+# the key of the exclude-self nudge, which manifests and trained_coupling.json
+# files from before its removal carry
+RETIRED_KEY = "exclude_self_in_nudge"
 
 
 class TestBadConfig:
@@ -97,6 +102,8 @@ class TestBadConfig:
         ("[grid]\nsteps = 8\n", "unknown config key 'steps' in section [grid]"),
         ("[ensembles]\nn_submodels = 8\n", "unknown config section [ensembles]"),
         ("[grid]\nnx = abc\n", "option nx must be an integer, got 'abc'"),
+        (f"[training]\n{RETIRED_KEY} = false\n",
+         f"unknown config key '{RETIRED_KEY}' in section [training]"),
     ])
     def test_unknown_config_file_key_exits_with_message(self, tmp_path, capsys, text, shown):
         path = tmp_path / "config.ini"
@@ -126,6 +133,39 @@ def test_manifest_reloads_as_the_runs_config(tmp_path):
     assert "training.csv" in names and "before_after.csv" in names
     for name in names:
         assert (rerun / name).read_bytes() == (tmp_path / "run" / name).read_bytes(), name
+
+
+class TestCouplingFile:
+    def saved(self, tmp_path):
+        rng = np.random.default_rng(5)
+        c = rng.uniform(0.1, 0.9, size=(4, 4))
+        np.fill_diagonal(c, 0.0)
+        cm = CouplingMatrix(c=c, k_nudge=0.7, a_rate=0.95, c_min=0.05, c_max=0.85)
+        path = tmp_path / "trained_coupling.json"
+        experiments.save_coupling(cm, path)
+        return cm, path
+
+    def test_round_trip_keeps_every_field_and_the_bits_of_c(self, tmp_path):
+        cm, path = self.saved(tmp_path)
+        loaded = experiments.load_coupling(path)
+        assert loaded.c.tobytes() == cm.c.tobytes()
+        for field in dataclasses.fields(CouplingMatrix):
+            if field.name != "c":
+                assert getattr(loaded, field.name) == getattr(cm, field.name), field.name
+
+    @pytest.mark.parametrize("edit, shown", [
+        (lambda payload: {**payload, RETIRED_KEY: False}, f"unknown key '{RETIRED_KEY}'"),
+        (lambda payload: {**payload, RETIRED_KEY: True}, f"unknown key '{RETIRED_KEY}'"),
+        (lambda payload: {k: v for k, v in payload.items() if k != "c_min"},
+         "missing key 'c_min'"),
+        (lambda payload: [], "missing key 'a_rate', missing key 'c'"),
+    ], ids=["retired-false", "retired-true", "no-c_min", "list"])
+    def test_keys_other_than_the_fields_rejected(self, tmp_path, edit, shown):
+        _cm, path = self.saved(tmp_path)
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        with pytest.raises(ValueError, match=re.escape(shown)) as err:
+            experiments.load_coupling(path)
+        assert str(path) in str(err.value)
 
 
 @pytest.fixture(scope="module")
@@ -188,6 +228,19 @@ class TestCli:
         assert main(["simulate", *GRID, "--out", str(out), "--gt", str(archive)]) == 2
         err = capsys.readouterr().err
         assert str(out / "trained_coupling.json") in err and "does not exist" in err
+        assert not (out / "curves.csv").exists()
+
+    def test_coupling_with_a_retired_key_exits_with_its_message(self, tmp_path, capsys,
+                                                                 archive):
+        path = tmp_path / "trained_coupling.json"
+        experiments.save_coupling(CouplingMatrix.uniform(3, 0.5, k_nudge=0.9), path)
+        payload = json.loads(path.read_text())
+        path.write_text(json.dumps({**payload, RETIRED_KEY: False}))
+        out = tmp_path / "cli"
+        assert main(["simulate", *GRID, "--out", str(out), "--gt", str(archive),
+                     "--coupling", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and f"unknown key '{RETIRED_KEY}'" in err
         assert not (out / "curves.csv").exists()
 
     def test_simulate_reproduces_experiment_prediction(self, tmp_path):

@@ -13,14 +13,11 @@ import dataclasses
 import gc
 import os
 import signal
-import sys
-import threading
 import time
 
 import numpy as np
 import pytest
 
-from conftest import random_state
 from supermodeling import engine
 from supermodeling.dynamics import DynamicalSystem
 from supermodeling.engine import (
@@ -39,9 +36,9 @@ from supermodeling.experiments import (
     instantiate_submodels,
     run_experiment,
 )
-from supermodeling.fields import BlowUpError, GridSpec
+from supermodeling.fields import BlowUpError
 from supermodeling.groundtruth import generate_gt
-from supermodeling.tumor import FIELD_NAMES, TumorParams, TumorSystem
+from supermodeling.tumor import FIELD_NAMES
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="workers need os.fork")
 
@@ -52,9 +49,9 @@ def force_workers(patch):
     patch.setattr(engine, "_CPUS", max(engine._CPUS, 2))
 
 
-def make_ensemble(n_submodels, k_nudge=0.9, exclude_self=False):
+def make_ensemble(n_submodels, k_nudge=0.9):
     config = ExperimentConfig(nx=8, ny=8, nz=8, n_submodels=n_submodels, variant="V2",
-                              k_nudge=k_nudge, exclude_self_in_nudge=exclude_self)
+                              k_nudge=k_nudge)
     _spec, reference, system, initial = build_setup(config)
     params = instantiate_submodels(reference, config)
     ens = SubModelEnsemble.identical_start(system, params, initial)
@@ -171,13 +168,12 @@ def exited(pid):
 
 
 @pytest.mark.parametrize("n_submodels", [3, 4])
-@pytest.mark.parametrize("k_nudge, exclude_self", [(0.9, False), (0.9, True), (0.0, False)],
-                         ids=["nudged", "nudged-exclude-self", "free"])
-def test_threaded_steps_equal_inline(monkeypatch, n_submodels, k_nudge, exclude_self):
-    ens, cm, gt_now = make_ensemble(n_submodels, k_nudge, exclude_self)
+@pytest.mark.parametrize("k_nudge", [0.9, 0.0], ids=["nudged", "free"])
+def test_threaded_steps_equal_inline(monkeypatch, n_submodels, k_nudge):
+    ens, cm, gt_now = make_ensemble(n_submodels, k_nudge)
     inline = run_steps(ens, cm, gt_now)
     force_workers(monkeypatch)
-    ens, cm, gt_now = make_ensemble(n_submodels, k_nudge, exclude_self)
+    ens, cm, gt_now = make_ensemble(n_submodels, k_nudge)
     here = count_tendencies(ens.system)
     stepped = run_steps(ens, cm, gt_now)
     workers = ens._workers
@@ -202,39 +198,6 @@ def test_one_dispatch_per_coupled_step_and_none_per_update(monkeypatch):
     assert len(dispatched) == 1
     update_coupling(cm, ens, gt_now)
     assert len(dispatched) == 1
-
-
-def test_concurrent_tendencies_equal_sequential():
-    spec = GridSpec(7, 6, 5, 0.7)
-    params = TumorParams()
-    system = TumorSystem(spec)
-    rng = np.random.default_rng(3)
-    states = [random_state(spec, rng) for _ in range(6)]
-    expected = [system.tendency(s, params) for s in states]
-    results = {}
-    start = threading.Barrier(len(states))
-
-    def worker(k):
-        start.wait()
-        results[k] = [system.tendency(states[k], params) for _ in range(20)]
-
-    old_interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        workers = [threading.Thread(target=worker, args=(k,)) for k in range(len(states))]
-        for t in workers:
-            t.start()
-        for t in workers:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(old_interval)
-    assert not any(t.is_alive() for t in workers)
-    assert sorted(results) == list(range(len(states)))
-    for k, tendencies in results.items():
-        for tendency in tendencies:
-            assert np.array_equal(tendency, expected[k])
-    # one work set per tendency that ran at the same time, all back on the free-list
-    assert 1 <= len(system._idle_work) <= len(states)
 
 
 def blowup_message(ens, cm, gt_now, broken):
@@ -402,8 +365,6 @@ def test_aborted_training_leaves_no_stale_tendency(monkeypatch):
 class Ramp(DynamicalSystem):
     """b grows at rate 1.  A member's parameters are (index, limit): its
     tendency raises once b reaches the limit."""
-
-    couplable = ("b",)
 
     def tendency(self, state, params, out=None):
         member, limit = params

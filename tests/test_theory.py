@@ -35,10 +35,17 @@ class TestEmpiricalContraction:
         assert empirical_contraction_ratio(rep1, rep2) == 0.0
 
     def test_contracting_regime(self):
-        rep1, rep2 = paired_toy_runs(0.9, 0.15, 0.25)
+        # every epoch-end coefficient, the iterate the distances read, lies
+        # strictly inside the clamps (0.110-0.199), so the runs are not
+        # clamped together and the distances, 3.8e-3 down to 3.4e-13,
+        # measure the map itself
+        rep1, rep2 = paired_toy_runs(2.0, 0.4, 0.6, a_rate=0.9)
+        offdiag = ~np.eye(3, dtype=bool)
+        for c in rep1.c_history + rep2.c_history:
+            assert np.all((c[offdiag] > 0.1) & (c[offdiag] < 0.9))
         distances = iterate_distances(rep1, rep2)
-        # from the second distance on, each one shrinks or stays at 0
-        assert all(b < a or b == 0.0 for a, b in zip(distances[1:], distances[2:]))
+        assert all(d > 0.0 for d in distances)
+        assert all(b < a for a, b in zip(distances, distances[1:]))
         assert empirical_contraction_ratio(rep1, rep2) < 1.0
 
     def test_ratios_below_the_round_off_floor_are_dropped(self):
