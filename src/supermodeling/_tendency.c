@@ -12,7 +12,14 @@
    at least 3 cells per axis; the caller checks both.  Two cells are done
    at a time with GCC's generic vectors, which apply the same IEEE
    operation to each lane; a lone cell goes through the same code with both
-   lanes holding it. */
+   lanes holding it.
+
+   A tendency runs the four stages on one output array shaped like the
+   state, and needs no other: flux writes J into slots 1 to 3, divergence
+   reads it there and writes div J into slot 0, and the Laplacians of c, o
+   and A replace J in slots 1, 2 and 4.  reaction then turns slots 0, 1, 2
+   and 4 into the tendency and writes slot 3, which still holds Jz, without
+   reading it. */
 
 #include <string.h>
 
@@ -101,56 +108,54 @@ INLINE row row_at(long z, long y, long nz, long ny, long nx, scaling centred, sc
 /* -- flux: J = -d_b b (grad(normalized b) gate + r_b grad A) ---------------- */
 
 typedef struct {
-    const double *b, *A, *potential;
+    const double *b, *A;
     double *jx, *jy, *jz;
     double b_norm, b_M, neg_d_b, r_b;
+    scaling norm;
     row r;
 } flux_args;
+
+/* (b - b_norm) / (b_M - b_norm) at cell i, the normalized density whose
+   gradient the pressure part takes */
+INLINE v2 normalized(const flux_args *f, long i, int lanes)
+{
+    return scale(load(f->b + i, lanes) - splat(f->b_norm), f->norm);
+}
 
 INLINE void flux_cells(const flux_args *f, long i, int lanes, long xu, long xd, scaling sx)
 {
     const row *r = &f->r;
-    const double *n = f->potential, *A = f->A;
+    const double *A = f->A;
     v2 b = load(f->b + i, lanes);
     v2 gate = indicator((m2)(b >= splat(f->b_norm)) & (m2)(b <= splat(f->b_M)));
     v2 coeff = b * splat(f->neg_d_b);
     v2 r_b = splat(f->r_b);
     v2 gn, ga;
 
-    gn = scale(load(n + i + xu, lanes) - load(n + i + xd, lanes), sx);
+    gn = scale(normalized(f, i + xu, lanes) - normalized(f, i + xd, lanes), sx);
     ga = scale(load(A + i + xu, lanes) - load(A + i + xd, lanes), sx);
     store(f->jx + i, coeff * (gn * gate + ga * r_b), lanes);
-    gn = scale(load(n + i + r->yu, lanes) - load(n + i + r->yd, lanes), r->sy);
+    gn = scale(normalized(f, i + r->yu, lanes) - normalized(f, i + r->yd, lanes), r->sy);
     ga = scale(load(A + i + r->yu, lanes) - load(A + i + r->yd, lanes), r->sy);
     store(f->jy + i, coeff * (gn * gate + ga * r_b), lanes);
-    gn = scale(load(n + i + r->zu, lanes) - load(n + i + r->zd, lanes), r->sz);
+    gn = scale(normalized(f, i + r->zu, lanes) - normalized(f, i + r->zd, lanes), r->sz);
     ga = scale(load(A + i + r->zu, lanes) - load(A + i + r->zd, lanes), r->sz);
     store(f->jz + i, coeff * (gn * gate + ga * r_b), lanes);
 }
 
-INLINE void potential_cells(double *n, const double *b, long i, int lanes, double b_norm,
-                            scaling norm)
-{
-    store(n + i, scale(load(b + i, lanes) - splat(b_norm), norm), lanes);
-}
-
-/* ``potential`` receives (b - b_norm) / (b_M - b_norm) and ``out`` holds
-   Jx, Jy and Jz one after the other */
+/* ``out`` receives Jx, Jy and Jz one after the other.  The normalized
+   density is computed from b at each neighbour a gradient reads, with the
+   reference formula's operations, so no array holds it. */
 void flux(long nz, long ny, long nx, const double *restrict b, const double *restrict A,
-          double *restrict potential, double *restrict out, double b_norm, double b_M,
-          double neg_d_b, double r_b, double norm_by, int norm_multiply, double centred_by,
-          int centred_multiply, double edge_by, int edge_multiply)
+          double *restrict out, double b_norm, double b_M, double neg_d_b, double r_b,
+          double norm_by, int norm_multiply, double centred_by, int centred_multiply,
+          double edge_by, int edge_multiply)
 {
-    long cells = nz * ny * nx, i, z, y;
-    scaling norm = {norm_by, norm_multiply};
+    long cells = nz * ny * nx, z, y;
     scaling centred = {centred_by, centred_multiply}, edge = {edge_by, edge_multiply};
-    flux_args f = {b, A, potential, out, out + cells, out + 2 * cells,
-                   b_norm, b_M, neg_d_b, r_b, {0}};
+    flux_args f = {b, A, out, out + cells, out + 2 * cells, b_norm, b_M, neg_d_b, r_b,
+                   {norm_by, norm_multiply}, {0}};
 
-    for (i = 0; i + 2 <= cells; i += 2)
-        potential_cells(potential, b, i, 2, b_norm, norm);
-    if (i < cells)
-        potential_cells(potential, b, i, 1, b_norm, norm);
 #define FLUX_CELLS(i, lanes, xu, xd, sx) flux_cells(&f, i, lanes, xu, xd, sx)
     for (z = 0; z < nz; z++)
         for (y = 0; y < ny; y++) {
@@ -293,7 +298,8 @@ INLINE void dM_dA_cells(const coefficients *p, const double *b, const double *M,
     } while (0)
 
 /* ``state`` holds b, c, o, M and A; ``out`` holds div J, lap c, lap o, any
-   values and lap A, and receives db, dc, do, dM and dA in their place.
+   values (Jz, in a tendency) and lap A, and receives db, dc, do, dM and dA
+   in their place.
    ``mask`` is NULL for delivery everywhere. */
 void reaction(long cells, const double *restrict state, const double *restrict mask,
               double *restrict out, double o_death, double o_prol, double tau_b, double P_b,

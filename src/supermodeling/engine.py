@@ -83,6 +83,7 @@ import csv
 import dataclasses
 import math
 import mmap
+import numbers
 import os
 import pickle
 import select
@@ -116,6 +117,9 @@ class CouplingMatrix:
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=np.float64)
+        for name in ("k_nudge", "a_rate", "c_min", "c_max"):
+            if not isinstance(getattr(self, name), numbers.Real):
+                raise TypeError(f"{name} must be a number, got {getattr(self, name)!r}")
         if self.c.ndim != 2 or self.c.shape[0] != self.c.shape[1]:
             raise ValueError("coupling matrix must be square")
         if np.any(np.diagonal(self.c) != 0.0):

@@ -285,7 +285,8 @@ def save_coupling(cm: CouplingMatrix, path):
 def load_coupling(path) -> CouplingMatrix:
     """The coefficients ``save_coupling`` wrote.  The keys must be exactly the
     fields of ``CouplingMatrix``, so that none takes its default: ValueError
-    names every missing and unknown key."""
+    names every missing and unknown key, and the file and what is wrong with
+    a value that ``CouplingMatrix`` rejects."""
     with open(path) as fh:
         payload = json.load(fh)
     fields = {f.name for f in dataclasses.fields(CouplingMatrix)}
@@ -294,7 +295,10 @@ def load_coupling(path) -> CouplingMatrix:
         ("missing", fields - keys), ("unknown", keys - fields)) for name in sorted(names)]
     if mismatch:
         raise ValueError(f"trained coupling {path} has {', '.join(mismatch)}")
-    return CouplingMatrix(**payload)
+    try:
+        return CouplingMatrix(**payload)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"trained coupling {path}: {exc}") from exc
 
 
 # -- full experiment runs -------------------------------------------------------

@@ -36,10 +36,10 @@ divides.  Before a call the wrappers check every array it is given
 (C-contiguous float64 of the grid's shape, at least 3 cells per axis,
 outputs apart from inputs) and raise ValueError otherwise.
 
-A TumorSystem keeps one work set, which its first tendency makes, so it
-runs one tendency at a time: it is not for concurrent use from several
-threads.  The engine's worker processes each hold their own copy of the
-system, so each process keeps one set.
+The tendency writes nothing but its output array: the flux goes into
+slots 1 to 3 of it until the Laplacians replace it.  So a TumorSystem holds
+no work set, only its grid and oxygen mask, and may run tendencies
+concurrently.
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ _FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 _LONG, _DOUBLE, _ARRAY = ctypes.c_long, ctypes.c_double, ctypes.c_void_p
 _SCALING = (_DOUBLE, ctypes.c_int)  # see _scaling
 _SIGNATURES = {
-    "flux": (_LONG,) * 3 + (_ARRAY,) * 4 + (_DOUBLE,) * 4 + _SCALING * 3,
+    "flux": (_LONG,) * 3 + (_ARRAY,) * 3 + (_DOUBLE,) * 4 + _SCALING * 3,
     "divergence": (_LONG,) * 3 + (_ARRAY,) * 2 + _SCALING * 2,
     "laplacian": (_LONG,) * 4 + (_ARRAY,) * 2 + _SCALING,
     "reaction": (_LONG,) + (_ARRAY,) * 3 + (_DOUBLE,) * 6 + _SCALING + (_DOUBLE,) * 10,
@@ -229,15 +229,6 @@ def _pointer(array, shape, *apart):
     return ctypes.byref(ctypes.c_char.from_buffer(array))
 
 
-class _Work:
-    """Work arrays of the tendency for one grid shape, each with one user: the
-    flux, and the normalized density whose gradient it takes."""
-
-    def __init__(self, shape: tuple[int, int, int]):
-        self.potential = np.empty(shape)
-        self.flux = np.empty((3,) + tuple(shape))
-
-
 def _laplacian(data: np.ndarray, h: float, out: np.ndarray | None = None) -> np.ndarray:
     """7-point Laplacian with mirrored (zero-flux) boundary cells of one
     field or a stack of fields, into ``out`` or a new array."""
@@ -249,7 +240,7 @@ def _laplacian(data: np.ndarray, h: float, out: np.ndarray | None = None) -> np.
 
 
 def compute_flux(state: np.ndarray, p: TumorParams, h: float,
-                 out: np.ndarray | None = None, work: _Work | None = None) -> np.ndarray:
+                 out: np.ndarray | None = None) -> np.ndarray:
     """Auxiliary flux J = -d_b * b * (grad(normalized b) * gate + r_b * grad A).
 
     The pressure part acts only where the density sits between its normal
@@ -259,10 +250,9 @@ def compute_flux(state: np.ndarray, p: TumorParams, h: float,
     b, A = state[0], state[4]
     out = np.empty((3,) + b.shape) if out is None else out
     shape = _grid(b.shape)
-    potential = np.empty(shape) if work is None else work.potential
-    _LIB.flux(*shape, _pointer(b, shape), _pointer(A, shape), _pointer(potential, shape, state),
-              _pointer(out, (3,) + shape, state, potential), p.b_norm, p.b_M, -p.d_b, p.r_b,
-              *_scaling(p.b_M - p.b_norm), *_scaling(2.0 * h), *_scaling(h))
+    _LIB.flux(*shape, _pointer(b, shape), _pointer(A, shape), _pointer(out, (3,) + shape, state),
+              p.b_norm, p.b_M, -p.d_b, p.r_b, *_scaling(p.b_M - p.b_norm), *_scaling(2.0 * h),
+              *_scaling(h))
     return out
 
 
@@ -278,17 +268,15 @@ def _divergence(flux: np.ndarray, h: float, out: np.ndarray | None = None) -> np
 
 def tumor_tendency(
     state: np.ndarray, p: TumorParams, h: float,
-    oxygen_source_mask: np.ndarray | None = None, work: _Work | None = None,
-    out: np.ndarray | None = None,
+    oxygen_source_mask: np.ndarray | None = None, out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Time derivative of all five fields of a state on spacing h, into
     ``out`` (C-contiguous, shaped like the state) or a new array.
 
     ``oxygen_source_mask`` optionally restricts oxygen delivery to a static
     0/1 region (a crude stand-in for a vessel network); by default delivery
-    acts everywhere.  ``work`` holds the grid's reusable work arrays.
+    acts everywhere.
     """
-    w = _Work(state.shape[1:]) if work is None else work
     out = np.empty(state.shape) if out is None else out
     # every array is checked before the first foreign call
     shape = _grid(state.shape[1:])
@@ -296,9 +284,10 @@ def tumor_tendency(
     out_ptr = _pointer(out, (5,) + shape)
     mask_ptr = None if oxygen_source_mask is None else _pointer(oxygen_source_mask, shape, out)
 
-    # out holds div J and the Laplacians of c, o and A until the reaction
-    # terms replace them with the tendency
-    _divergence(compute_flux(state, p, h, out=w.flux, work=w), h, out=out[0])
+    # out holds J in slots 1-3 until the Laplacians of c, o and A replace it,
+    # and div J and those Laplacians until the reaction terms replace them
+    # with the tendency
+    _divergence(compute_flux(state, p, h, out=out[1:4]), h, out=out[0])
     _laplacian(state[1:3], h, out=out[1:3])
     _laplacian(state[4], h, out=out[4])
     _LIB.reaction(math.prod(shape), state_ptr, mask_ptr, out_ptr, p.o_death, p.o_prol,
@@ -393,14 +382,10 @@ class TumorSystem(DynamicalSystem):
         self.spec = spec
         self.cell_volume = spec.cell_volume
         self.oxygen_source_mask = oxygen_source_mask
-        self._work: _Work | None = None  # made by the first tendency
 
     def tendency(self, state: np.ndarray, params: TumorParams,
                  out: np.ndarray | None = None) -> np.ndarray:
-        if self._work is None:
-            self._work = _Work(self.spec.shape)
-        return tumor_tendency(state, params, self.spec.h, self.oxygen_source_mask, self._work,
-                              out)
+        return tumor_tendency(state, params, self.spec.h, self.oxygen_source_mask, out)
 
     def volumes(self, state: np.ndarray, variables=FIELD_NAMES) -> VolumeTriple:
         """Volume triple of a state, or of a stack of the fields named by

@@ -167,6 +167,23 @@ class TestCouplingFile:
             experiments.load_coupling(path)
         assert str(path) in str(err.value)
 
+    @pytest.mark.parametrize("edit, shown", [
+        (lambda payload: {**payload, "c": [row[:2] if i == 1 else row
+                                           for i, row in enumerate(payload["c"])]},
+         "with a sequence"),
+        (lambda payload: {**payload, "k_nudge": "0.7"}, "k_nudge must be a number"),
+        (lambda payload: {**payload, "c": [[1.0] + row[1:] if i == 0 else row
+                                           for i, row in enumerate(payload["c"])]},
+         "diagonal"),
+        (lambda payload: {**payload, "c_min": 0.9, "c_max": 0.1}, "inverted"),
+    ], ids=["ragged-c", "string-k_nudge", "nonzero-diagonal", "inverted-clamps"])
+    def test_bad_values_rejected_naming_the_file(self, tmp_path, edit, shown):
+        _cm, path = self.saved(tmp_path)
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        with pytest.raises(ValueError, match=re.escape(shown)) as err:
+            experiments.load_coupling(path)
+        assert str(err.value).startswith(f"trained coupling {path}")
+
 
 @pytest.fixture(scope="module")
 def archive(tmp_path_factory):
@@ -241,6 +258,18 @@ class TestCli:
                      "--coupling", str(path)]) == 2
         err = capsys.readouterr().err
         assert str(path) in err and f"unknown key '{RETIRED_KEY}'" in err
+        assert not (out / "curves.csv").exists()
+
+    def test_simulate_rejects_a_ragged_coupling_file(self, tmp_path, capsys, archive):
+        path = tmp_path / "trained_coupling.json"
+        experiments.save_coupling(CouplingMatrix.uniform(3, 0.5, k_nudge=0.9), path)
+        payload = json.loads(path.read_text())
+        path.write_text(json.dumps({**payload, "c": [[0.0, 0.5], [0.5, 0.0, 0.5], [0.5]]}))
+        out = tmp_path / "cli"
+        assert main(["simulate", *GRID, "--out", str(out), "--gt", str(archive),
+                     "--coupling", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"trained coupling {path}" in err
         assert not (out / "curves.csv").exists()
 
     def test_simulate_reproduces_experiment_prediction(self, tmp_path):

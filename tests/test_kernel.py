@@ -3,6 +3,7 @@
 import dataclasses
 import subprocess
 import sysconfig
+import threading
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from supermodeling.tumor import (
     TumorParams,
     TumorSystem,
     _scaling,
-    _Work,
     gaussian_bump_state,
     tumor_tendency,
 )
@@ -103,25 +103,28 @@ def test_kernel_matches_numpy_formula(cells, h, seed, masked, levels):
     system = TumorSystem(spec, oxygen_source_mask=mask)
     got_first = system.tendency(first, params)
     kept = got_first.copy()
-    # the second call reuses the work arrays the first one allocated
     got_second = system.tendency(second, params)
 
     for got, want in zip((got_first, got_second), expected):
         for name, field, want_field in zip(FIELD_NAMES, got, want):
             assert np.array_equal(field, want_field, equal_nan=True), name
     assert np.array_equal(got_first, kept)
-    # without a system the kernel runs on work arrays of its own
+    # without a system
     assert np.array_equal(tumor_tendency(first, params, h, mask), kept)
-    # the same bits written into a given array, with given work arrays
-    work = _Work(spec.shape)
+    # the same bits written into a given array
     out = np.full(first.shape, np.nan)
-    assert tumor_tendency(first, params, h, mask, work, out) is out
+    assert tumor_tendency(first, params, h, mask, out) is out
     assert np.array_equal(out, kept)
-    assert np.array_equal(tumor_tendency(second, params, h, mask, work), got_second)
+    # and into one that holds the previous state's tendency: no slot of the
+    # output is read before a stage writes it
+    assert tumor_tendency(second, params, h, mask, out) is out
+    for name, field, want_field in zip(FIELD_NAMES, out, expected[1]):
+        assert np.array_equal(field, want_field, equal_nan=True), name
     # a system writes into a given array what a fresh call returns
     out = np.full(first.shape, np.nan)
     assert system.tendency(first, params, out=out) is out
     assert np.array_equal(out, kept)
+
 
 def bump_case():
     """A grid, parameters, a tumor bump and an oxygen mask."""
@@ -218,6 +221,34 @@ def test_tendency_calls_return_independent_arrays():
     assert not np.shares_memory(first, second)
     assert not np.shares_memory(first, state)
     assert np.array_equal(first, kept)
+
+
+def test_concurrent_tendencies_on_one_system_give_single_thread_bits():
+    """A system holds no work arrays, so two threads may run tendencies on it
+    at once: the foreign calls release the interpreter lock and overlap."""
+    spec = GridSpec(32, 32, 32, 1.0)
+    params = TumorParams()
+    system = TumorSystem(spec, tumor.vessel_free_mask(spec, 0.2))
+    rng = np.random.default_rng(0)
+    states = [random_state(spec, rng) for _ in range(2)]
+    wants = [system.tendency(state, params) for state in states]
+    start = threading.Barrier(2, timeout=60)
+    mismatches = [0, 0]
+    done = [0, 0]
+
+    def run(k):
+        start.wait()
+        for _ in range(200):
+            mismatches[k] += not np.array_equal(system.tendency(states[k], params), wants[k])
+            done[k] += 1
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads)
+    assert done == [200, 200] and mismatches == [0, 0]
 
 
 # +-0, the smallest subnormal, a subnormal, the smallest normal, the largest

@@ -199,6 +199,19 @@ class TestConservationAndBoundaries:
             state = euler_step(spec, state, params, 0.1)
         assert np.array_equal(state[B], b0)
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 8: the centred divergence of a "
+                       "centred flux, one-sided at the walls, does not conserve b")
+    def test_transport_conserves_b_with_diffusion(self):
+        # oxygen frozen between the thresholds, so b moves by transport alone
+        spec = GridSpec(16, 16, 16, 1.0)
+        params = TumorParams(d_b=0.2, delta_o=0.0, gamma_o=0.0)
+        state = gaussian_bump_state(spec, params, bump_width=0.3)
+        state[O] = 5.0
+        total = state[B].sum()
+        for _ in range(100):
+            state = euler_step(spec, state, params, 0.1)
+        assert abs(state[B].sum() - total) < 1e-12 * total
+
     def test_uniform_state_stays_uniform(self, spec):
         params = TumorParams(
             gamma_o=0.0, delta_o=0.0, gamma_c=0.0, beta_M=0.0,
