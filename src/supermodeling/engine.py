@@ -17,13 +17,14 @@ mix is (C - K)/N off the diagonal and -(rowsum(C) + K)/N on it.  The
 correction is skipped when mix is zero, so an ensemble with no coupling and
 no nudging steps exactly like free models.  The coefficient update reads
 <GT - B_i, B_i - B_j> for every pair from one product of the mismatches with
-the members' deviations from their mean (see ``mismatch_inner``).  The products sum in another order than the formulas
-above, so results agree with a pair-by-pair evaluation to round-off, not
-bit for bit.  For the same reason the fixed points hold only to round-off:
-the rows of mix sum to -K in exact arithmetic, not in floating point, so
-identical members, or members equal to the reference they are nudged to,
-drift by round-off instead of staying put: at most 7e-16 of the field's
-largest value after 100 steps, measured on 6^3 fields with 2 to 8 members.
+the members' deviations from their mean (see ``mismatch_inner``).  The
+products sum in another order than the formulas above, so results agree
+with a pair-by-pair evaluation to round-off, not bit for bit.  For the same
+reason the fixed points hold only to round-off: the rows of mix sum to -K in
+exact arithmetic, not in floating point, so identical members, or members
+equal to the reference they are nudged to, drift by round-off instead of
+staying put: at most 7e-16 of the field's largest value after 100 steps,
+measured on 6^3 fields with 2 to 8 members.
 
 K and C act once per step and are not scaled by dt, so their strength is per
 step.  The nudge adds K*(GT - mean) to every member, which moves the
@@ -58,10 +59,11 @@ a coupled step of the same ensemble and that nothing writes the states
 before it.  Given that promise, a worker computes its members' next
 tendencies right after its reply, while the caller runs its serial phase
 (coefficient update, average, error), and the promised step applies them
-instead of computing them.  The worker writes them into one array per member
-that it keeps (``tendency``'s ``out``), so it allocates none after the first
-step; the caller keeps no such array.  A tendency reads only its member's
-state, which nothing writes in between, so it has the same bits either way.
+instead of computing them.  The worker's loop keeps one array per member for
+them (``tendency``'s ``out``), so it allocates none after the first step; the
+caller keeps none, nor any other array between calls.  A tendency reads only
+its member's state, which nothing writes in between, so it has the same bits
+either way.
 Looking ahead stops at a tendency that raises, which the promised step then
 computes afresh, so it raises at its own step.  Every other step (the first
 of a loop, a public ``coupled_step`` call, a step after a failure) computes
@@ -118,10 +120,14 @@ class CouplingMatrix:
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=np.float64)
         for name in ("k_nudge", "a_rate", "c_min", "c_max"):
-            if not isinstance(getattr(self, name), numbers.Real):
-                raise TypeError(f"{name} must be a number, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise TypeError(f"{name} must be a number, got {value!r}")
         if self.c.ndim != 2 or self.c.shape[0] != self.c.shape[1]:
             raise ValueError("coupling matrix must be square")
+        # the clamps may be infinite, which leaves the coefficients unclamped
+        if not (np.isfinite(self.c).all() and math.isfinite(self.k_nudge)):
+            raise ValueError("coupling coefficients and k_nudge must be finite")
         if np.any(np.diagonal(self.c) != 0.0):
             raise ValueError("diagonal coupling entries must be zero")
         if not 0.0 < self.a_rate <= 1.0:
@@ -155,7 +161,9 @@ class SubModelEnsemble:
     copy in an anonymous shared mapping, which only the engine's workers
     share: any other process forked later gets a private copy at the fork.
     ``initial_state`` is kept as given, not copied, so the caller must leave
-    it unchanged while the ensemble is in use.
+    it unchanged while the ensemble is in use.  The ensemble holds its
+    members' states, their parameters, the initial state and its workers,
+    nothing else: every function allocates the arrays it works in.
     """
 
     system: DynamicalSystem
@@ -164,7 +172,6 @@ class SubModelEnsemble:
     initial_state: np.ndarray | None = None
     _workers: _MemberWorkers | None = field(default=None, init=False, repr=False,
                                             compare=False)
-    _work: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         states = np.asarray(self.states, dtype=np.float64)
@@ -201,14 +208,6 @@ class SubModelEnsemble:
     def coupled_values(self) -> np.ndarray:
         """View of every member's coupled variable, the first, shape (N, ...)."""
         return self.states[:, 0]
-
-    def _buffer(self, name: str, shape: tuple) -> np.ndarray:
-        """A float64 work array kept for the next call with the same name and
-        shape, holding whatever that call left in it."""
-        buffer = self._work.get(name)
-        if buffer is None or buffer.shape != shape:
-            buffer = self._work[name] = np.empty(shape)
-        return buffer
 
 
 class TrainingAborted(RuntimeError):
@@ -350,17 +349,17 @@ def _advance_members(ens: SubModelEnsemble, members, dt: float, corrections, ahe
     return None
 
 
-def _look_ahead(ens: SubModelEnsemble, members) -> dict:
+def _look_ahead(ens: SubModelEnsemble, members, kept: dict) -> dict:
     """The listed members' tendencies at their current states, by member, up
     to the first that raises, which is left out with the ones after it.  Each
-    is written into an array this process keeps for its member, so only the
-    first look-ahead allocates them."""
+    is written into ``kept[member]``, which is made when it is missing."""
     ahead = {}
     for i in members:
         state = ens.states[i]
         try:
-            ahead[i] = ens.system.tendency(state, ens.params[i],
-                                           out=ens._buffer(f"ahead{i}", state.shape))
+            if i not in kept:
+                kept[i] = np.empty(state.shape)
+            ahead[i] = ens.system.tendency(state, ens.params[i], out=kept[i])
         except Exception:
             break
     return ahead
@@ -496,7 +495,8 @@ def _write(fd: int, data: bytes) -> None:
 def _serve(ens, members, corrections, commands: int, replies: int) -> int:
     """A worker's loop: one step of ``members`` per command until end-of-file,
     followed, when the command asks for it, by the members' next tendencies,
-    which only the next command may apply."""
+    which only the next command may apply.  They are written into one array
+    per member that the loop keeps, so only the first look-ahead allocates."""
     import signal
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller handles interrupts
@@ -512,7 +512,7 @@ def _serve(ens, members, corrections, commands: int, replies: int) -> int:
         low = fd + 1
     os.closerange(low, os.sysconf("SC_OPEN_MAX"))
     os.set_blocking(commands, False)
-    ahead = None
+    ahead, kept = None, {}
     while True:
         command = _read(commands, _COMMAND.size)
         if len(command) < _COMMAND.size:
@@ -522,7 +522,7 @@ def _serve(ens, members, corrections, commands: int, replies: int) -> int:
                                    ahead if reuse_ahead else None)
         reply = b"" if failure is None else pickle.dumps(failure)
         _write(replies, _REPLY.pack(len(reply)) + reply)
-        ahead = _look_ahead(ens, members) if look_ahead and failure is None else None
+        ahead = _look_ahead(ens, members, kept) if look_ahead and failure is None else None
 
 
 def _stop_workers(owner: int, pids: list, commands: list, replies: list) -> None:
@@ -596,7 +596,7 @@ def _corrections(ens: SubModelEnsemble, cm: CouplingMatrix, gt_now, out=None):
     """Every member's coupling and nudging correction, mix @ B + K*GT, or None
     when the mixing matrix is zero (no coupling and no nudging).  Written to
     ``out``, an array shaped like the coupled values, when one is given, and
-    otherwise to a work array of the ensemble's."""
+    otherwise to a new one."""
     values = ens.coupled_values()
     n = len(values)
     mix = (cm.c - cm.k_nudge) / n
@@ -604,30 +604,26 @@ def _corrections(ens: SubModelEnsemble, cm: CouplingMatrix, gt_now, out=None):
     if not mix.any():
         return None
     if out is None:
-        out = ens._buffer("corrections", values.shape)
+        out = np.empty(values.shape)
     with np.errstate(over="ignore", invalid="ignore"):
         np.matmul(mix, values.reshape(n, -1), out=out.reshape(n, -1))
         if cm.k_nudge != 0.0:
-            gt_now = np.asarray(gt_now)
-            out += np.multiply(cm.k_nudge, gt_now, out=ens._buffer("nudge", gt_now.shape))
+            out += np.multiply(cm.k_nudge, gt_now)
     return out
 
 
-def mismatch_inner(values, gt_now, cell_volume: float = 1.0, work=None) -> np.ndarray:
+def mismatch_inner(values, gt_now, cell_volume: float) -> np.ndarray:
     """The N-by-N matrix of <GT - B_i, B_i - B_j> * cell_volume over the
     members' values B (zero on the diagonal).
 
     Every entry comes from one product P = (GT - B) @ (B - mean)^T as
     P_ii - P_ij.  Centering on the member mean keeps the difference accurate
     when members nearly agree; uncentered, each P_ij would be of the size of
-    |GT - B_i| |B_j| and the difference would cancel to noise.  GT - B,
-    B - mean and the mean are computed in ``work``, a float64 array of shape
-    (2N + 1, cells), when one is given; it is overwritten.
+    |GT - B_i| |B_j| and the difference would cancel to noise.
     """
     flat = np.asarray(values, dtype=np.float64).reshape(len(values), -1)
     n = len(flat)
-    if work is None:
-        work = np.empty((2 * n + 1, flat.shape[1]))
+    work = np.empty((2 * n + 1, flat.shape[1]))
     mismatch, deviation, mean = work[:n], work[n:2 * n], work[2 * n]
     with np.errstate(over="ignore", invalid="ignore"):
         np.subtract(np.asarray(gt_now).reshape(-1), flat, out=mismatch)
@@ -645,9 +641,7 @@ def update_coupling(
     being the domain integral of the product of the two mismatch fields
     (see ``mismatch_inner``).
     """
-    values = ens.coupled_values()
-    work = ens._buffer("mismatch", (2 * ens.n + 1, values[0].size))
-    inner = mismatch_inner(values, gt_now, ens.system.cell_volume, work)
+    inner = mismatch_inner(ens.coupled_values(), gt_now, ens.system.cell_volume)
     with np.errstate(over="ignore", invalid="ignore"):
         new_c = cm.a_rate * cm.c + cm.a_rate * inner
     if not np.isfinite(new_c).all():
@@ -667,7 +661,7 @@ def supermodel_output(ens: SubModelEnsemble, variables=None) -> np.ndarray:
     names = ens.system.variables if variables is None else variables
     states = ens.states
     out = np.empty((len(names),) + states.shape[2:])
-    deviation = ens._buffer("deviation", states.shape[2:])
+    deviation = np.empty(states.shape[2:])
     for slot, name in enumerate(names):
         members = states[:, ens.system.variables.index(name), ...]
         acc = out[slot, ...]
@@ -750,29 +744,21 @@ def train(
                 StepRecord(epoch, step, cm.c.copy().reshape(-1), error, volumes))
         return cm
 
-    try:
-        for epoch in range(max_epochs):
-            ens.reset()
-            recorded = len(report.step_records)
-            try:
-                cm = _run_steps(ens, cm, gt, dt, steps_per_epoch, after_step)
-            except BlowUpError as exc:
-                # every step before the failing one was recorded
-                step = len(report.step_records) - recorded
-                raise TrainingAborted(epoch, step, report, str(exc)) from exc
-            report.c_history.append(cm.c.copy())
-            delta = float(np.max(np.abs(cm.c - prev_c)))
-            if epoch + 1 >= min_epochs and delta < tol:
-                report.converged = True
-                break
-            prev_c = cm.c.copy()
-    finally:
-        # the update's work array is 2N + 1 fields: kept into the prediction,
-        # it raised a 64^3 run's (N=3) peak resident memory from 173 to 184 MB.
-        # The nudge's one field, kept into a free forecast that never reads
-        # it, raised a 32^3 run's (N=8) from 67.6 to 67.9 MB.
-        ens._work.pop("mismatch", None)
-        ens._work.pop("nudge", None)
+    for epoch in range(max_epochs):
+        ens.reset()
+        recorded = len(report.step_records)
+        try:
+            cm = _run_steps(ens, cm, gt, dt, steps_per_epoch, after_step)
+        except BlowUpError as exc:
+            # every step before the failing one was recorded
+            step = len(report.step_records) - recorded
+            raise TrainingAborted(epoch, step, report, str(exc)) from exc
+        report.c_history.append(cm.c.copy())
+        delta = float(np.max(np.abs(cm.c - prev_c)))
+        if epoch + 1 >= min_epochs and delta < tol:
+            report.converged = True
+            break
+        prev_c = cm.c.copy()
     return cm, report
 
 

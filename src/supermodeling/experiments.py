@@ -96,6 +96,12 @@ class ExperimentConfig:
     out_dir: str = "runs/experiment"
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            # an infinite clamp means no clamp, and CouplingMatrix rejects a NaN one
+            if (isinstance(value, float) and f.name not in ("c_min", "c_max")
+                    and not np.isfinite(value)):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if not 0.0 <= self.spread < 1.0:
             raise ValueError("spread fraction must be in [0, 1)")
         if self.variant not in VARIANTS:

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,12 @@ from supermodeling.engine import (
     train,
     update_coupling,
 )
-from supermodeling.experiments import ExperimentConfig, build_setup, instantiate_submodels
+from supermodeling.experiments import (
+    ExperimentConfig,
+    build_setup,
+    initial_coupling,
+    instantiate_submodels,
+)
 from supermodeling.fields import GridSpec
 from supermodeling.groundtruth import GroundTruth, generate_gt, gt_at
 from supermodeling.tumor import TumorSystem
@@ -442,6 +448,25 @@ class TestSimulate:
                      each_step=lambda step, e, ref: seen.append(step))
         assert seen == []
         assert np.array_equal(ens.states, [[0.4], [0.6]])
+
+
+def test_ensemble_keeps_no_array_after_training_and_prediction():
+    config = ExperimentConfig(nx=24, ny=24, nz=24, n_submodels=3)
+    _spec, reference, system, initial = build_setup(config)
+    gt = generate_gt(system, reference, initial, config.dt, 5)
+    ens = SubModelEnsemble.identical_start(
+        system, instantiate_submodels(reference, config), initial)
+    tracemalloc.start()
+    try:
+        cm, report = train(ens, initial_coupling(config), gt, config.dt, 5,
+                           max_epochs=2, tol=1e-300, min_epochs=2)
+        del report
+        simulate(ens, cm, gt, config.dt, 5, each_step=lambda *a: None)
+        held, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # every work array was released when the call that made it returned
+    assert held < 0.5 * 8 * 24 ** 3
 
 
 class TestOracleEquivalence:

@@ -72,6 +72,8 @@ class TestBadConfig:
         {"n_submodels": 0}, {"epochs": 0}, {"dt": 0.0}, {"dt": -0.1},
         {"steps": 0}, {"keep_every": 0}, {"k_nudge": -1.0}, {"bump_width": 0.0},
         {"oxygen_ramp_radius": 0.0}, {"vessel_core_radius": -0.3},
+        {"c_init": float("nan")}, {"c_init": float("inf")}, {"bump_amplitude": float("nan")},
+        {"core_oxygen": float("nan")}, {"dt": float("inf")},
     ])
     def test_rejected_before_any_work(self, tmp_path, bad):
         with pytest.raises(ValueError):
@@ -176,7 +178,12 @@ class TestCouplingFile:
                                            for i, row in enumerate(payload["c"])]},
          "diagonal"),
         (lambda payload: {**payload, "c_min": 0.9, "c_max": 0.1}, "inverted"),
-    ], ids=["ragged-c", "string-k_nudge", "nonzero-diagonal", "inverted-clamps"])
+        (lambda payload: {**payload, "k_nudge": True}, "k_nudge must be a number"),
+        (lambda payload: {**payload, "c": [[0.0, float("nan")] + row[2:] if i == 0 else row
+                                           for i, row in enumerate(payload["c"])]},
+         "must be finite"),
+    ], ids=["ragged-c", "string-k_nudge", "nonzero-diagonal", "inverted-clamps",
+            "bool-k_nudge", "nan-c"])
     def test_bad_values_rejected_naming_the_file(self, tmp_path, edit, shown):
         _cm, path = self.saved(tmp_path)
         path.write_text(json.dumps(edit(json.loads(path.read_text()))))
@@ -264,13 +271,16 @@ class TestCli:
         path = tmp_path / "trained_coupling.json"
         experiments.save_coupling(CouplingMatrix.uniform(3, 0.5, k_nudge=0.9), path)
         payload = json.loads(path.read_text())
-        path.write_text(json.dumps({**payload, "c": [[0.0, 0.5], [0.5, 0.0, 0.5], [0.5]]}))
-        out = tmp_path / "cli"
-        assert main(["simulate", *GRID, "--out", str(out), "--gt", str(archive),
-                     "--coupling", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert f"trained coupling {path}" in err
-        assert not (out / "curves.csv").exists()
+        # ragged, then square but holding a NaN
+        for c in ([[0.0, 0.5], [0.5, 0.0, 0.5], [0.5]],
+                  [[0.0, float("nan"), 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]]):
+            path.write_text(json.dumps({**payload, "c": c}))
+            out = tmp_path / "cli"
+            assert main(["simulate", *GRID, "--out", str(out), "--gt", str(archive),
+                         "--coupling", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert f"trained coupling {path}" in err
+            assert not (out / "curves.csv").exists()
 
     def test_simulate_reproduces_experiment_prediction(self, tmp_path):
         run, sim = tmp_path / "run", tmp_path / "sim"

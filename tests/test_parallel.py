@@ -311,11 +311,13 @@ def test_look_ahead_keeps_the_bits(monkeypatch, n_submodels):
 
 def test_look_ahead_writes_into_arrays_it_keeps():
     ens, _cm, _gt = make_training(3)
-    first = engine._look_ahead(ens, range(ens.n))
+    arrays = {}
+    first = engine._look_ahead(ens, range(ens.n), arrays)
+    assert all(first[i] is arrays[i] for i in range(ens.n))
     kept = {i: tendency.copy() for i, tendency in first.items()}
     for i in range(ens.n):
         first[i] *= 0.1  # as the step that applies it does
-    second = engine._look_ahead(ens, range(ens.n))
+    second = engine._look_ahead(ens, range(ens.n), arrays)
     assert sorted(second) == list(range(ens.n))
     for i in range(ens.n):
         # the same array as last time, holding the tendency afresh
