@@ -70,15 +70,14 @@ def cmd_train(args) -> int:
     if args.gt is not None:  # only the default archive is generated when missing
         _require(args.gt, "reference archive")
     _spec, reference, system, initial = experiments.build_setup(config)
-    params_list = experiments.instantiate_submodels(reference, config)
-    ensemble = SubModelEnsemble.identical_start(system, params_list, initial)
+    ensemble = SubModelEnsemble(system, experiments.instantiate_submodels(reference, config),
+                                initial)
     cm = experiments.initial_coupling(config)
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     gt_dir = args.gt if args.gt is not None else out / "gt"
-    if Path(gt_dir).exists():
-        gt = experiments.load_reference(gt_dir, config, system, initial)
-    else:
+    gt = experiments.load_reference(gt_dir, config, system, initial) if gt_dir.exists() else None
+    out.mkdir(parents=True, exist_ok=True)
+    if gt is None:
         gt = generate_gt(system, reference, initial, config.dt, config.steps,
                          config.keep_every)
         save_gt(gt, out / "gt")
@@ -103,14 +102,17 @@ def cmd_simulate(args) -> int:
     out = Path(config.out_dir)
     gt_dir = args.gt if args.gt is not None else out / "gt"
     _require(gt_dir, "reference archive")
-    out.mkdir(parents=True, exist_ok=True)
     _spec, reference, system, initial = experiments.build_setup(config)
     gt = experiments.load_reference(gt_dir, config, system, initial)
     coupling_path = args.coupling if args.coupling is not None else out / "trained_coupling.json"
     _require(coupling_path, "trained coupling")
     cm = experiments.load_coupling(coupling_path)
-    params_list = experiments.instantiate_submodels(reference, config)
-    ensemble = SubModelEnsemble.identical_start(system, params_list, initial)
+    if cm.n != config.n_submodels:
+        raise ValueError(f"trained coupling {coupling_path} is {cm.n}x{cm.n}, but the config "
+                         f"has {config.n_submodels} sub-models")
+    ensemble = SubModelEnsemble(system, experiments.instantiate_submodels(reference, config),
+                                initial)
+    out.mkdir(parents=True, exist_ok=True)
     experiments.predict(ensemble, cm, gt, config, out)
     print(f"simulated {config.steps} steps -> {out / 'curves.csv'}")
     return 0

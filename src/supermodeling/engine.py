@@ -105,10 +105,12 @@ from .groundtruth import GroundTruth, gt_at, step_error
 class CouplingMatrix:
     """Ensemble meta-parameters: coupling weights, nudging, learning factor.
 
-    ``c`` is n-by-n with an unused zero diagonal.  Off-diagonal entries are
-    clamped into [c_min, c_max] by every update (initial values are taken
-    as given).  ``a_rate`` is the correction factor applied to both the old
-    value and the increment during training and must lie in (0, 1].
+    ``c`` is n-by-n with an unused zero diagonal: a read-only copy of the
+    array it was built from, so a matrix is a value that nothing writes, and
+    an update returns a new matrix.  Off-diagonal entries are clamped into
+    [c_min, c_max] by every update (initial values are taken as given).
+    ``a_rate`` is the correction factor applied to both the old value and
+    the increment during training and must lie in (0, 1].
     """
 
     c: np.ndarray
@@ -118,7 +120,8 @@ class CouplingMatrix:
     c_max: float = 0.9
 
     def __post_init__(self):
-        self.c = np.asarray(self.c, dtype=np.float64)
+        self.c = np.array(self.c, dtype=np.float64)
+        self.c.setflags(write=False)
         for name in ("k_nudge", "a_rate", "c_min", "c_max"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -145,63 +148,49 @@ class CouplingMatrix:
         np.fill_diagonal(c, 0.0)
         return cls(c=c, k_nudge=k_nudge, **kwargs)
 
-    def copy(self) -> "CouplingMatrix":
-        return dataclasses.replace(self, c=self.c.copy())
-
 
 @dataclass
 class SubModelEnsemble:
     """N parameter sets plus the N member states, stepped in lockstep.
 
-    ``states`` is one C-contiguous float64 array of shape (N, ...) whose
-    entry i is member i's state array (one value for the toy systems, five
-    fields for the tumor model).  Coupled steps and ``reset`` rewrite it in
-    place.  When worker processes may step the members (several members
-    and CPUs, and at least ``PARALLEL_MIN_CELLS`` cells per field), it is a
-    copy in an anonymous shared mapping, which only the engine's workers
-    share: any other process forked later gets a private copy at the fork.
-    ``initial_state`` is kept as given, not copied, so the caller must leave
-    it unchanged while the ensemble is in use.  The ensemble holds its
-    members' states, their parameters, the initial state and its workers,
-    nothing else: every function allocates the arrays it works in.
+    An ensemble is built from its members' parameters and their shared
+    initial state, which is kept as given, not copied, so the caller must
+    leave it unchanged while the ensemble is in use.  ``states`` is one
+    C-contiguous float64 array of shape (N, ...) whose entry i is member i's
+    state array (one value for the toy systems, five fields for the tumor
+    model); it starts at the initial state, and coupled steps and ``reset``
+    rewrite it in place.  When worker processes may step the members
+    (several members and CPUs, and at least ``PARALLEL_MIN_CELLS`` cells per
+    field), it lies in an anonymous shared mapping, which only the engine's
+    workers share: any other process forked later gets a private copy at the
+    fork.  The ensemble holds its members' states, their parameters, the
+    initial state and its workers, nothing else: every function allocates
+    the arrays it works in.
     """
 
     system: DynamicalSystem
     params: list
-    states: np.ndarray
-    initial_state: np.ndarray | None = None
+    initial_state: np.ndarray
+    states: np.ndarray = field(init=False)
     _workers: _MemberWorkers | None = field(default=None, init=False, repr=False,
                                             compare=False)
 
     def __post_init__(self):
-        states = np.asarray(self.states, dtype=np.float64)
-        if self.initial_state is not None:
-            self.initial_state = np.atleast_1d(np.asarray(self.initial_state, dtype=np.float64))
-        if len(self.params) != len(states):
-            raise ValueError("one parameter set per member is required")
-        if _CPUS > 1 and len(states) > 1 and np.size(states[0, 0]) >= PARALLEL_MIN_CELLS:
-            self.states = _shared_zeros(states.shape)
-            self.states[...] = states
+        self.initial_state = np.atleast_1d(np.asarray(self.initial_state, dtype=np.float64))
+        shape = (len(self.params),) + self.initial_state.shape
+        if _CPUS > 1 and len(self.params) > 1 and self.initial_state[0].size >= PARALLEL_MIN_CELLS:
+            self.states = _shared_zeros(shape)
             _shared_ensembles[id(self)] = self
         else:
-            self.states = np.require(states, requirements="CW")
+            self.states = np.empty(shape)
+        self.reset()
 
     @property
     def n(self) -> int:
         return len(self.params)
 
-    @classmethod
-    def identical_start(cls, system, params_list, initial_state):
-        """All members start from one shared initial condition."""
-        x0 = np.atleast_1d(np.asarray(initial_state, dtype=np.float64))
-        # a view: the ensemble's own array is the only full copy made
-        states = np.broadcast_to(x0, (len(params_list),) + x0.shape)
-        return cls(system=system, params=list(params_list), states=states, initial_state=x0)
-
     def reset(self) -> "SubModelEnsemble":
         """Every member back at the shared initial condition, in place; returns ``self``."""
-        if self.initial_state is None:
-            raise ValueError("ensemble has no recorded initial condition")
         self.states[...] = self.initial_state
         return self
 
@@ -724,7 +713,6 @@ def train(
     """
     if not tol > 0:
         raise ValueError("tolerance must be positive")
-    cm = cm.copy()
     report = TrainingReport()
     has_volumes = hasattr(ens.system, "volumes")
     # only what the error (the coupled variable, first) and the volumes read
@@ -732,7 +720,7 @@ def train(
     averaged = ens.system.variables[:1]
     if has_volumes:
         averaged += tuple(v for v in ens.system.volume_variables if v not in averaged)
-    prev_c = cm.c.copy()
+    prev_c = cm.c
 
     def after_step(step, cm, ref):
         if step > 0:
@@ -741,7 +729,7 @@ def train(
             error, _ = step_error(ref, output[0], ens.system.cell_volume)
             volumes = tuple(ens.system.volumes(output, averaged)) if has_volumes else None
             report.step_records.append(
-                StepRecord(epoch, step, cm.c.copy().reshape(-1), error, volumes))
+                StepRecord(epoch, step, cm.c.reshape(-1), error, volumes))
         return cm
 
     for epoch in range(max_epochs):
@@ -753,12 +741,12 @@ def train(
             # every step before the failing one was recorded
             step = len(report.step_records) - recorded
             raise TrainingAborted(epoch, step, report, str(exc)) from exc
-        report.c_history.append(cm.c.copy())
+        report.c_history.append(cm.c)
         delta = float(np.max(np.abs(cm.c - prev_c)))
         if epoch + 1 >= min_epochs and delta < tol:
             report.converged = True
             break
-        prev_c = cm.c.copy()
+        prev_c = cm.c
     return cm, report
 
 
@@ -785,7 +773,7 @@ def simulate(
     runs as ``_run_steps``'s ``after_step``.
     """
     if not nudge_in_prediction:
-        cm = dataclasses.replace(cm.copy(), k_nudge=0.0)
+        cm = dataclasses.replace(cm, k_nudge=0.0)
     if gt is None and cm.k_nudge != 0.0:
         raise ValueError("nudged prediction needs reference data")
     if each_step is None:

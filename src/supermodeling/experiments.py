@@ -129,10 +129,10 @@ class ExperimentConfig:
         if self.core_oxygen > 0 and not self.oxygen_ramp_radius > 0:
             raise ValueError("oxygen_ramp_radius must be positive when core_oxygen "
                              "enables the hypoxic core")
-
-    @property
-    def grid(self) -> GridSpec:
-        return GridSpec(self.nx, self.ny, self.nz, self.h)
+        if self.n_submodels < 1:
+            raise ValueError("need at least one sub-model")
+        initial_coupling(self)  # the clamps and the correction factor
+        self.grid = GridSpec(self.nx, self.ny, self.nz, self.h)
 
 
 _CONFIG_LAYOUT = (
@@ -247,8 +247,6 @@ def instantiate_submodels(
     Draws violating the parameter invariants are rejected and retried, so
     the result always validates.  Deterministic for a fixed seed.
     """
-    if config.n_submodels < 1:
-        raise ValueError("need at least one sub-model")
     rng = np.random.default_rng(config.seed if seed is None else seed)
     members = []
     for member in range(config.n_submodels):
@@ -371,8 +369,7 @@ def run_experiment(config: ExperimentConfig) -> Path:
     """
     _spec, reference, system, initial = build_setup(config)
     # everything a bad config can fail on comes before any work or output
-    params_list = instantiate_submodels(reference, config)
-    ensemble = SubModelEnsemble.identical_start(system, params_list, initial)
+    ensemble = SubModelEnsemble(system, instantiate_submodels(reference, config), initial)
     cm_init = initial_coupling(config)
 
     out = Path(config.out_dir)

@@ -1,6 +1,9 @@
 """Synthetic reference trajectories and error metrics against them.
 
-A GroundTruth is generated by running the free model (no coupling, no
+A GroundTruth holds observed snapshots of the coupled variable, their
+steps and grid and, optionally, volume records, but not the parameters that
+made them, so real observations fit it as well as a synthetic run does.
+``generate_gt`` makes one by running the free model (no coupling, no
 nudging) with a chosen reference parametrization, keeping snapshots of the
 coupled variable only; real observations would likewise see just the tumor
 density.  Snapshots may be sparse in time, and lookups between stored steps
@@ -16,7 +19,6 @@ of its error metrics.
 from __future__ import annotations
 
 import bisect
-import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,16 +27,18 @@ import numpy as np
 
 from .dynamics import DynamicalSystem, explicit_step
 from .fields import GridSpec, l2_norm, read_field, volume_integral, write_field
-from .tumor import TumorParams, VolumeTriple
+from .tumor import VolumeTriple
 
 
 @dataclass
 class GroundTruth:
-    """Time-indexed reference snapshots of the coupled variable."""
+    """Time-indexed reference snapshots of the coupled variable: the
+    snapshots by step, the time step ``step_dt``, the volume records at the
+    same steps (or None) and the grid (None for the toy systems).  It holds
+    what was observed, not the parameters that made it."""
 
     snapshots: dict[int, object]
     step_dt: float
-    reference_params: object
     volumes: dict[int, VolumeTriple] | None = None
     spec: GridSpec | None = None
 
@@ -93,8 +97,7 @@ def generate_gt(
         explicit_step(system, state, reference_params, dt, out=state)
         if n % keep_every == 0 or n == steps:
             record(n, state)
-    return GroundTruth(snapshots=snapshots, step_dt=dt, reference_params=reference_params,
-                       volumes=volumes, spec=system.spec)
+    return GroundTruth(snapshots=snapshots, step_dt=dt, volumes=volumes, spec=system.spec)
 
 
 def _interpolate(gt: GroundTruth, records: dict, n: int):
@@ -147,7 +150,6 @@ def save_gt(gt: GroundTruth, directory):
     manifest = {
         "step_dt": gt.step_dt,
         "grid": {"nx": spec.nx, "ny": spec.ny, "nz": spec.nz, "h": spec.h},
-        "reference_params": _params_to_dict(gt.reference_params),
         "stored_indices": gt.stored_indices,
         "volumes": (
             {str(n): list(v) for n, v in gt.volumes.items()}
@@ -161,30 +163,30 @@ def save_gt(gt: GroundTruth, directory):
 
 
 def load_gt(directory) -> GroundTruth:
+    """The ground truth ``save_gt`` wrote.  Keys of manifest.json that it
+    does not read are ignored, so older archives, which also recorded the
+    reference parameters, load too.  ValueError names the archive and a
+    missing key, or the snapshot file and what is wrong with it: a grid
+    other than the manifest's or a non-finite value."""
     directory = Path(directory)
     with open(directory / "manifest.json") as fh:
         manifest = json.load(fh)
+    missing = [key for key in ("grid", "step_dt", "stored_indices") if key not in manifest]
+    if missing:
+        raise ValueError(f"reference archive {directory} has no key "
+                         f"{', '.join(map(repr, missing))} in manifest.json")
     spec = GridSpec(**manifest["grid"])
     snapshots = {}
     for n in manifest["stored_indices"]:
-        snapshots[n], _spec, _t = read_field(directory / f"gt_{n:06d}.f64")
+        path = directory / f"gt_{n:06d}.f64"
+        snapshots[n], file_spec, _t = read_field(path)
+        if file_spec != spec:
+            raise ValueError(f"snapshot {path} has grid {file_spec}, but the archive's "
+                             f"manifest has {spec}")
+        if not np.isfinite(snapshots[n]).all():
+            raise ValueError(f"snapshot {path} holds a non-finite value")
     volumes = None
     if manifest.get("volumes") is not None:
         volumes = {int(n): VolumeTriple(*v) for n, v in manifest["volumes"].items()}
-    return GroundTruth(
-        snapshots=snapshots,
-        step_dt=manifest["step_dt"],
-        reference_params=_params_from_dict(manifest["reference_params"]),
-        volumes=volumes,
-        spec=spec,
-    )
-
-
-def _params_to_dict(params) -> dict:
-    if dataclasses.is_dataclass(params):
-        return dataclasses.asdict(params)
-    raise TypeError(f"cannot serialize parameters of type {type(params).__name__}")
-
-
-def _params_from_dict(d: dict):
-    return TumorParams(**d)
+    return GroundTruth(snapshots=snapshots, step_dt=manifest["step_dt"], volumes=volumes,
+                       spec=spec)

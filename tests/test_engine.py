@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -39,18 +38,13 @@ def toy_ensemble(states, r_values=None, cap=2.0):
     if r_values is None:
         r_values = [1.0] * len(states)
     params = [LogisticParams(r=r, cap=cap) for r in r_values]
-    ens = SubModelEnsemble(
-        system=system,
-        params=params,
-        states=np.array(states, dtype=float).reshape(-1, 1),
-        initial_state=states[0],
-    )
+    ens = SubModelEnsemble(system, params, states[0])
+    ens.states[:, 0] = states
     return ens
 
 
 def constant_gt(value, steps, dt=0.1):
-    return GroundTruth(snapshots={n: value for n in range(steps + 1)},
-                       step_dt=dt, reference_params=None)
+    return GroundTruth(snapshots={n: value for n in range(steps + 1)}, step_dt=dt)
 
 
 class TestCouplingMatrix:
@@ -68,6 +62,14 @@ class TestCouplingMatrix:
             CouplingMatrix.uniform(2, 0.5, k_nudge=0.0, a_rate=0.0)
         with pytest.raises(ValueError):
             CouplingMatrix.uniform(2, 0.5, k_nudge=0.0, a_rate=1.5)
+
+    def test_coefficients_are_a_read_only_copy(self):
+        c = np.array([[0.0, 0.5], [0.5, 0.0]])
+        cm = CouplingMatrix(c=c, k_nudge=0.9)
+        c[0, 1] = 0.7
+        assert cm.c[0, 1] == 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            cm.c[0, 1] = 0.7
 
 
 class TestCoupledStep:
@@ -139,7 +141,7 @@ class TestTumorReduction:
         config = ExperimentConfig(nx=8, ny=7, nz=6, variant="V2")
         _spec, reference, system, initial = build_setup(config)
         params = instantiate_submodels(reference, config)
-        ens = SubModelEnsemble.identical_start(system, params, initial)
+        ens = SubModelEnsemble(system, params, initial)
         cm = CouplingMatrix.uniform(len(params), 0.0, k_nudge=0.0, c_min=0.0)
         free = [np.array(initial) for _ in params]
         for _ in range(5):
@@ -176,8 +178,7 @@ class TestUpdateCoupling:
         ens = toy_ensemble(list(rng.uniform(0, 2, size=3)))
         cm = CouplingMatrix.uniform(3, 0.5, k_nudge=0.9)
         for _ in range(30):
-            states = list(rng.uniform(0, 2, size=3))
-            ens = dataclasses.replace(ens, states=np.reshape(states, (-1, 1)))
+            ens.states[:, 0] = rng.uniform(0, 2, size=3)
             cm = update_coupling(cm, ens, gt_now=float(rng.uniform(0, 2)))
             off = cm.c[~np.eye(cm.n, dtype=bool)]
             assert np.all(off >= cm.c_min) and np.all(off <= cm.c_max)
@@ -186,8 +187,9 @@ class TestUpdateCoupling:
 def field_ensemble(states, h=1.0):
     """Tumor-model ensemble on a grid that fits ``states`` (N, 5, nz, ny, nx)."""
     nz, ny, nx = states.shape[2:]
-    system = TumorSystem(GridSpec(nx, ny, nz, h))
-    return SubModelEnsemble(system=system, params=[None] * len(states), states=states)
+    ens = SubModelEnsemble(TumorSystem(GridSpec(nx, ny, nz, h)), [None] * len(states), states[0])
+    ens.states[...] = states
+    return ens
 
 
 def raw_coupling(c, k_nudge=0.0, a_rate=1.0):
@@ -256,9 +258,9 @@ class TestCouplingAlgebra:
         c = rng.uniform(0.0, 1.0, size=(n, n))
         np.fill_diagonal(c, 0.0)
         cm = raw_coupling(c, k_nudge, a_rate)
-        b = states[:, 0].copy()
+        b = states[:, 0]
 
-        ens = coupled_step(field_ensemble(states.copy(), h), cm, gt, 0.0)
+        ens = coupled_step(field_ensemble(states, h), cm, gt, 0.0)
         expected_b = []
         for i in range(n):
             coupling = sum(c[i, j] * (b[j] - b[i]) for j in range(n)) / n
@@ -296,8 +298,8 @@ class TestSupermodelOutput:
         _spec, reference, system, _initial = build_setup(config)
         rng = np.random.default_rng(n_submodels)
         states = np.stack([random_state(system.spec, rng) for _ in range(n_submodels)])
-        ens = SubModelEnsemble(system=system, params=[reference] * n_submodels,
-                               states=states)
+        ens = SubModelEnsemble(system, [reference] * n_submodels, states[0])
+        ens.states[...] = states
         full = supermodel_output(ens)
         assert full.shape == states.shape[1:]
         assert np.array_equal(supermodel_output(ens, ("b", "o")), full[[0, 2]])
@@ -316,9 +318,9 @@ class TestReset:
 
     def test_keeps_the_callers_initial_state(self):
         initial = np.array([0.25])
-        ens = SubModelEnsemble.identical_start(LogisticSystem(), [LogisticParams(1.0, 2.0)] * 3,
-                                               initial)
+        ens = SubModelEnsemble(LogisticSystem(), [LogisticParams(1.0, 2.0)] * 3, initial)
         assert ens.initial_state is initial
+        assert np.all(ens.states == 0.25)
 
 
 class TestTrain:
@@ -357,16 +359,26 @@ class TestTrain:
         # growth fast enough to overflow to inf inside the first epoch
         gt = constant_gt(0.5, steps=10)
         system = LinearSystem(1e60)
-        ens = SubModelEnsemble(
-            system=system, params=[None, None],
-            states=np.array([[0.5], [0.6]]), initial_state=0.5,
-        )
+        ens = SubModelEnsemble(system, [None, None], 0.5)
         cm = CouplingMatrix.uniform(2, 0.5, k_nudge=0.9)
         with pytest.raises(TrainingAborted) as err:
             train(ens, cm, gt, 1.0, steps_per_epoch=10, max_epochs=3, tol=1e-9)
         assert err.value.epoch == 0
         assert err.value.report.iterations_used == 0
         assert "ensemble" in str(err.value)
+
+    def test_recorded_coefficients_are_read_only(self):
+        gt = self.make_toy_gt()
+        ens = toy_ensemble([0.5, 0.5], r_values=[0.9, 1.1])
+        cm = CouplingMatrix.uniform(2, 0.5, k_nudge=0.9)
+        _trained, report = train(ens, cm, gt, 0.1, steps_per_epoch=5,
+                                 max_epochs=2, min_epochs=2, tol=1e-300)
+        assert len(report.c_history) == 2
+        for c in report.c_history:
+            with pytest.raises(ValueError, match="read-only"):
+                c[0, 1] = 0.7
+        with pytest.raises(ValueError, match="read-only"):
+            report.step_records[0].c_flat[1] = 0.7
 
     def test_convergence_flag_and_history_lengths(self):
         gt = self.make_toy_gt()
@@ -454,8 +466,7 @@ def test_ensemble_keeps_no_array_after_training_and_prediction():
     config = ExperimentConfig(nx=24, ny=24, nz=24, n_submodels=3)
     _spec, reference, system, initial = build_setup(config)
     gt = generate_gt(system, reference, initial, config.dt, 5)
-    ens = SubModelEnsemble.identical_start(
-        system, instantiate_submodels(reference, config), initial)
+    ens = SubModelEnsemble(system, instantiate_submodels(reference, config), initial)
     tracemalloc.start()
     try:
         cm, report = train(ens, initial_coupling(config), gt, config.dt, 5,

@@ -73,7 +73,7 @@ class TestBadConfig:
         {"steps": 0}, {"keep_every": 0}, {"k_nudge": -1.0}, {"bump_width": 0.0},
         {"oxygen_ramp_radius": 0.0}, {"vessel_core_radius": -0.3},
         {"c_init": float("nan")}, {"c_init": float("inf")}, {"bump_amplitude": float("nan")},
-        {"core_oxygen": float("nan")}, {"dt": float("inf")},
+        {"core_oxygen": float("nan")}, {"dt": float("inf")}, {"nx": 2}, {"h": 0.0},
     ])
     def test_rejected_before_any_work(self, tmp_path, bad):
         with pytest.raises(ValueError):
@@ -81,8 +81,9 @@ class TestBadConfig:
                 **{"nx": 8, "ny": 8, "nz": 8, "steps": 2, **bad},
                 out_dir=str(tmp_path / "run")))
         sets = [arg for key, value in bad.items() for arg in ("--set", f"{key}={value}")]
-        assert main(["train", *GRID, *sets, "--out", str(tmp_path / "cli")]) != 0
-        for run in ("run", "cli"):
+        for command in ("train", "generate-gt"):
+            assert main([command, *GRID, *sets, "--out", str(tmp_path / command)]) != 0
+        for run in ("run", "train", "generate-gt"):
             assert not (tmp_path / run).exists()
 
     def test_unknown_override_key_exits_with_message(self, tmp_path, capsys):
@@ -238,14 +239,37 @@ class TestCli:
         assert not out.exists()
 
     def test_truncated_snapshot_exits_with_its_path(self, tmp_path, capsys, archive):
-        copy = tmp_path / "gt"
-        shutil.copytree(archive, copy)
-        snapshot = copy / "gt_000002.f64"
-        snapshot.write_bytes(snapshot.read_bytes()[:-8])
-        assert main(["train", *GRID, "--out", str(tmp_path / "cli"), "--gt", str(copy)]) == 2
-        err = capsys.readouterr().err
-        assert str(snapshot) in err and "4096" in err and "4088" in err
-        assert not (tmp_path / "cli" / "training.csv").exists()
+        # each damaged archive, by the file named and what the message says
+        def truncated(snapshot, _manifest):
+            snapshot.write_bytes(snapshot.read_bytes()[:-8])
+            return snapshot, ("4096", "4088")
+
+        def another_grid(snapshot, _manifest):  # as many bytes as the manifest's grid
+            header, data = snapshot.read_bytes().split(b"\n", 1)
+            snapshot.write_bytes(header.replace(b"8 8 8", b"4 8 16", 1) + b"\n" + data)
+            return snapshot, ("GridSpec(nx=4, ny=8, nz=16", "GridSpec(nx=8, ny=8, nz=8")
+
+        def nan(snapshot, _manifest):
+            data = bytearray(snapshot.read_bytes())
+            data[-8:] = np.float64(np.nan).tobytes()
+            snapshot.write_bytes(bytes(data))
+            return snapshot, ("non-finite",)
+
+        def no_step_dt(_snapshot, manifest):
+            manifest.write_text(json.dumps(
+                {k: v for k, v in json.loads(manifest.read_text()).items() if k != "step_dt"}))
+            return manifest.parent, ("'step_dt'",)
+
+        for damage in (truncated, another_grid, nan, no_step_dt):
+            copy = tmp_path / damage.__name__ / "gt"
+            shutil.copytree(archive, copy)
+            path, shown = damage(copy / "gt_000002.f64", copy / "manifest.json")
+            for command in ("train", "simulate"):
+                out = tmp_path / damage.__name__ / command
+                assert main([command, *GRID, "--out", str(out), "--gt", str(copy)]) == 2, damage
+                err = capsys.readouterr().err
+                assert str(path) in err and all(s in err for s in shown), (damage, err)
+                assert not out.exists(), damage
 
     def test_missing_coupling_exits_with_its_path(self, tmp_path, capsys, archive):
         out = tmp_path / "cli"
@@ -271,16 +295,17 @@ class TestCli:
         path = tmp_path / "trained_coupling.json"
         experiments.save_coupling(CouplingMatrix.uniform(3, 0.5, k_nudge=0.9), path)
         payload = json.loads(path.read_text())
-        # ragged, then square but holding a NaN
+        # ragged, square but holding a NaN, then 2x2 for a 3-member config
         for c in ([[0.0, 0.5], [0.5, 0.0, 0.5], [0.5]],
-                  [[0.0, float("nan"), 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]]):
+                  [[0.0, float("nan"), 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]],
+                  [[0.0, 0.5], [0.5, 0.0]]):
             path.write_text(json.dumps({**payload, "c": c}))
             out = tmp_path / "cli"
             assert main(["simulate", *GRID, "--out", str(out), "--gt", str(archive),
                          "--coupling", str(path)]) == 2
             err = capsys.readouterr().err
             assert f"trained coupling {path}" in err
-            assert not (out / "curves.csv").exists()
+            assert not out.exists()
 
     def test_simulate_reproduces_experiment_prediction(self, tmp_path):
         run, sim = tmp_path / "run", tmp_path / "sim"
@@ -297,7 +322,7 @@ def test_prediction_streams_the_errors_of_its_b_trajectory(nudge):
     config = experiments.ExperimentConfig(nx=8, ny=8, nz=8, steps=6, keep_every=3,
                                           variant="V2", nudge_in_prediction=nudge)
     _spec, reference, system, initial = experiments.build_setup(config)
-    ensemble = SubModelEnsemble.identical_start(
+    ensemble = SubModelEnsemble(
         system, experiments.instantiate_submodels(reference, config), initial)
     gt = generate_gt(system, reference, initial, config.dt, config.steps, config.keep_every)
     cm = experiments.initial_coupling(config)
@@ -320,7 +345,7 @@ def test_nudged_prediction_fetches_each_reference_step_once(monkeypatch):
     config = experiments.ExperimentConfig(nx=8, ny=8, nz=8, steps=6, keep_every=3,
                                           variant="V2")
     _spec, reference, system, initial = experiments.build_setup(config)
-    ensemble = SubModelEnsemble.identical_start(
+    ensemble = SubModelEnsemble(
         system, experiments.instantiate_submodels(reference, config), initial)
     gt = generate_gt(system, reference, initial, config.dt, config.steps, config.keep_every)
     fetched, gt_at = [], groundtruth.gt_at

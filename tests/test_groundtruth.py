@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -89,8 +90,7 @@ class TestLookup:
         rng = np.random.default_rng(0)
         f0 = rng.uniform(0, 1, spec.shape)
         f2 = rng.uniform(0, 1, spec.shape)
-        gt = GroundTruth(snapshots={0: f0, 2: f2}, step_dt=0.1,
-                         reference_params=None, spec=spec)
+        gt = GroundTruth(snapshots={0: f0, 2: f2}, step_dt=0.1, spec=spec)
         mid = gt_at(gt, 1)
         lo = np.minimum(f0, f2)
         hi = np.maximum(f0, f2)
@@ -101,7 +101,7 @@ class TestLookup:
         from supermodeling.tumor import VolumeTriple
 
         gt = GroundTruth(
-            snapshots={0: 1.0, 2: 3.0}, step_dt=0.1, reference_params=None,
+            snapshots={0: 1.0, 2: 3.0}, step_dt=0.1,
             volumes={0: VolumeTriple(1.0, 0.5, 0.5), 2: VolumeTriple(3.0, 2.5, 0.5)},
         )
         v = gt_volumes_at(gt, 1)
@@ -126,8 +126,7 @@ class TestErrorMetrics:
     def test_constant_offset_field(self):
         spec = GridSpec(4, 4, 4, 0.25)  # unit total volume
         base = np.full(spec.shape, 1.0)
-        gt = GroundTruth(snapshots={0: base, 1: base}, step_dt=0.1,
-                         reference_params=None, spec=spec)
+        gt = GroundTruth(snapshots={0: base, 1: base}, step_dt=0.1, spec=spec)
         delta = 0.3
         traj = [np.full(spec.shape, 1.0 + delta)] * 2
         l2, voldiff = trajectory_errors(gt, traj)
@@ -135,8 +134,7 @@ class TestErrorMetrics:
         assert np.allclose(l2, delta)  # |delta| over a unit-volume domain
 
     def test_sign_changes_countable(self):
-        gt = GroundTruth(snapshots={0: 0.0, 4: 0.0}, step_dt=0.1,
-                         reference_params=None)
+        gt = GroundTruth(snapshots={0: 0.0, 4: 0.0}, step_dt=0.1)
         traj = [0.1, -0.2, 0.3, -0.4, 0.5]
         _l2, voldiff = trajectory_errors(gt, traj)
         assert np.array_equal(np.sign(voldiff), [-1, 1, -1, 1, -1])
@@ -150,14 +148,19 @@ class TestArchive:
         initial = gaussian_bump_state(spec, params, core_oxygen=1.0)
         gt = generate_gt(system, params, initial, 0.1, steps=6, keep_every=3)
         save_gt(gt, tmp_path / "gt")
-        loaded = load_gt(tmp_path / "gt")
-        assert loaded.stored_indices == gt.stored_indices
-        assert loaded.step_dt == gt.step_dt
-        assert loaded.reference_params == params
-        assert loaded.spec == gt.spec == spec
-        for n in gt.stored_indices:
-            assert np.array_equal(loaded.snapshots[n], gt.snapshots[n])
-            assert loaded.volumes[n] == pytest.approx(tuple(gt.volumes[n]))
+        manifest_path = tmp_path / "gt" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        assert sorted(manifest) == ["grid", "step_dt", "stored_indices", "volumes"]
+        # then as an archive written while references recorded their parameters
+        for extra in ({}, {"reference_params": dataclasses.asdict(params)}):
+            manifest_path.write_text(json.dumps({**manifest, **extra}))
+            loaded = load_gt(tmp_path / "gt")
+            assert loaded.stored_indices == gt.stored_indices
+            assert loaded.step_dt == gt.step_dt
+            assert loaded.spec == gt.spec == spec
+            for n in gt.stored_indices:
+                assert np.array_equal(loaded.snapshots[n], gt.snapshots[n])
+                assert loaded.volumes[n] == pytest.approx(tuple(gt.volumes[n]))
 
     def test_volume_steps_must_match_the_snapshots(self, tmp_path):
         spec = GridSpec(8, 8, 8, 1.0)

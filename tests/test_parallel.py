@@ -54,7 +54,7 @@ def make_ensemble(n_submodels, k_nudge=0.9):
                               k_nudge=k_nudge)
     _spec, reference, system, initial = build_setup(config)
     params = instantiate_submodels(reference, config)
-    ens = SubModelEnsemble.identical_start(system, params, initial)
+    ens = SubModelEnsemble(system, params, initial)
     return ens, initial_coupling(config), initial[0] * 1.01
 
 
@@ -67,7 +67,7 @@ def make_training(n_submodels):
     _spec, reference, system, initial = build_setup(config)
     params = instantiate_submodels(reference, config)
     gt = generate_gt(system, reference, initial, config.dt, STEPS)
-    return SubModelEnsemble.identical_start(system, params, initial), initial_coupling(config), gt
+    return SubModelEnsemble(system, params, initial), initial_coupling(config), gt
 
 
 def run_loops(ens, cm, gt):
@@ -124,7 +124,7 @@ def run_steps(ens, cm, gt_now, steps=4):
     for _ in range(steps):
         coupled_step(ens, cm, gt_now, 0.1)
         cm = update_coupling(cm, ens, gt_now)
-        trace.append((ens.states.copy(), cm.c.copy()))
+        trace.append((ens.states.copy(), cm.c))
     return trace
 
 
@@ -407,7 +407,7 @@ def test_failing_look_ahead_raises_at_its_own_step(monkeypatch, limits):
 
     def ramps():
         params = [(i, limits.get(i, np.inf)) for i in range(3)]
-        return SubModelEnsemble.identical_start(Ramp(), params, 0.0)
+        return SubModelEnsemble(Ramp(), params, 0.0)
 
     def failure(ens):
         """The steps a free run saw before it failed, and its error."""
@@ -436,14 +436,14 @@ def test_default_grid_steps_on_a_worker_and_8_cubed_inline(monkeypatch):
     _spec, reference, system, initial = build_setup(config)
     params = instantiate_submodels(reference, config)
     cm, gt_now = initial_coupling(config), initial[0] * 1.01
-    ens = SubModelEnsemble.identical_start(system, params, initial)
+    ens = SubModelEnsemble(system, params, initial)
     assert ens._workers is None
     coupled_step(ens, cm, gt_now, config.dt)
     assert len(ens._workers.pids) == min(config.n_submodels, engine._CPUS) - 1
     stepped = run_steps(ens, cm, gt_now)
     with monkeypatch.context() as patch:
         patch.setattr(engine, "_CPUS", 1)
-        inline = SubModelEnsemble.identical_start(system, params, initial)
+        inline = SubModelEnsemble(system, params, initial)
     expected = run_steps(inline, cm, gt_now)
     assert inline._workers is None
     assert_same_trace(stepped, expected)

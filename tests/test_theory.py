@@ -17,7 +17,7 @@ def paired_toy_runs(k_nudge, c_init_1, c_init_2, epochs=6, steps=30,
                      steps=steps, keep_every=1)
 
     def run(c_init):
-        ens = SubModelEnsemble.identical_start(
+        ens = SubModelEnsemble(
             LogisticSystem(), [LogisticParams(r, cap) for r in r_values], 1.2)
         cm = CouplingMatrix.uniform(3, c_init, k_nudge=k_nudge, a_rate=a_rate)
         _trained, report = train(ens, cm, gt, dt, steps_per_epoch=steps,
