@@ -1,12 +1,14 @@
-/* The stages of the tumor tendency as loops over the cells of a grid.
+/* The stages of the tumor tendency as loops over the cells of a grid, and
+   the forward-Euler pass that every member step ends with.
 
-   tumor.py builds this file into a shared library and calls each stage
-   through ctypes; it is the only code of the tendency.  The tests hold it
-   to a NumPy formula, reference_tendency in tests/test_kernel.py: every
-   cell goes through the operations of that formula in the same order, in
-   double precision, so the results are the same bits.  That takes a build without
-   -ffast-math and with -ffp-contract=off, so that nothing is reordered,
-   fused or re-rounded.
+   _kernel.py builds this file into a shared library, which tumor.py and
+   dynamics.py call through ctypes; it is the only code of the tendency and
+   of the Euler step.  The tests hold it to NumPy formulas: every cell goes
+   through the operations of reference_tendency in tests/test_kernel.py, and
+   every value through those of state + tend * dt, in the same order, in
+   double precision, so the results are the same bits.  That takes a build
+   without -ffast-math and with -ffp-contract=off, so that nothing is
+   reordered, fused or re-rounded.
 
    Fields are C-contiguous (nz, ny, nx) blocks of doubles, x fastest, with
    at least 3 cells per axis; the caller checks both.  Two cells are done
@@ -66,6 +68,25 @@ typedef struct {
 INLINE v2 scale(v2 x, scaling s)
 {
     return s.multiply ? x * splat(s.by) : x / splat(s.by);
+}
+
+/* The coefficients of a tendency: one array of doubles, indexed by this
+   enum, that tumor._coefficients builds once per parameter set and spacing.
+   A scaling takes two entries, ``by`` and then ``multiply`` (1.0 or 0.0). */
+enum {
+    /* flux: the density levels, -d_b and r_b, then the scalings of
+       b_M - b_norm, of 2h (centred differences) and of h (one-sided) */
+    B_NORM, B_MAX, NEG_D_B, R_B, NORM, NORM_MULTIPLY, CENTRED, CENTRED_MULTIPLY, EDGE,
+    EDGE_MULTIPLY,
+    /* reaction: the scaling of b_M, then the rates in the order of the terms */
+    B_M_SCALING, B_M_MULTIPLY, O_DEATH, O_PROL, TAU_B, P_B, T_DEATH, T_PROL, CHI_C, GAMMA_C,
+    ALPHA_O, GAMMA_O, DELTA_O, O_MAX, NEG_BETA_M, GAMMA_A, CHI_AA, GAMMA_OA
+};
+
+INLINE scaling scaling_at(const double *k, int at)
+{
+    scaling s = {k[at], k[at + 1] != 0.0};
+    return s;
 }
 
 /* The neighbours a stencil reads along y and z for one row of cells, as
@@ -145,16 +166,15 @@ INLINE void flux_cells(const flux_args *f, long i, int lanes, long xu, long xd, 
 
 /* ``out`` receives Jx, Jy and Jz one after the other.  The normalized
    density is computed from b at each neighbour a gradient reads, with the
-   reference formula's operations, so no array holds it. */
+   reference formula's operations, so no array holds it.  ``k`` holds the
+   coefficients (see the enum above). */
 void flux(long nz, long ny, long nx, const double *restrict b, const double *restrict A,
-          double *restrict out, double b_norm, double b_M, double neg_d_b, double r_b,
-          double norm_by, int norm_multiply, double centred_by, int centred_multiply,
-          double edge_by, int edge_multiply)
+          double *restrict out, const double *restrict k)
 {
     long cells = nz * ny * nx, z, y;
-    scaling centred = {centred_by, centred_multiply}, edge = {edge_by, edge_multiply};
-    flux_args f = {b, A, out, out + cells, out + 2 * cells, b_norm, b_M, neg_d_b, r_b,
-                   {norm_by, norm_multiply}, {0}};
+    scaling centred = scaling_at(k, CENTRED), edge = scaling_at(k, EDGE);
+    flux_args f = {b, A, out, out + cells, out + 2 * cells, k[B_NORM], k[B_MAX], k[NEG_D_B],
+                   k[R_B], scaling_at(k, NORM), {0}};
 
 #define FLUX_CELLS(i, lanes, xu, xd, sx) flux_cells(&f, i, lanes, xu, xd, sx)
     for (z = 0; z < nz; z++)
@@ -300,20 +320,18 @@ INLINE void dM_dA_cells(const coefficients *p, const double *b, const double *M,
 /* ``state`` holds b, c, o, M and A; ``out`` holds div J, lap c, lap o, any
    values (Jz, in a tendency) and lap A, and receives db, dc, do, dM and dA
    in their place.
-   ``mask`` is NULL for delivery everywhere. */
+   ``mask`` is NULL for delivery everywhere; ``k`` holds the coefficients. */
 void reaction(long cells, const double *restrict state, const double *restrict mask,
-              double *restrict out, double o_death, double o_prol, double tau_b, double P_b,
-              double T_death, double T_prol, double b_M_by, int b_M_multiply, double chi_c,
-              double gamma_c, double alpha_o, double gamma_o, double delta_o, double o_max,
-              double neg_beta_M, double gamma_A, double chi_aA, double gamma_oA)
+              double *restrict out, const double *restrict k)
 {
     const double *b = state, *c = state + cells, *o = state + 2 * cells,
                  *M = state + 3 * cells, *A = state + 4 * cells;
     double *db = out, *dc = out + cells, *dox = out + 2 * cells, *dM = out + 3 * cells,
            *dA = out + 4 * cells;
-    coefficients p = {o_death, o_prol, tau_b, P_b, T_death, T_prol, chi_c, gamma_c, alpha_o,
-                      gamma_o, delta_o, o_max, neg_beta_M, gamma_A, chi_aA, gamma_oA,
-                      {b_M_by, b_M_multiply}};
+    coefficients p = {k[O_DEATH], k[O_PROL], k[TAU_B], k[P_B], k[T_DEATH], k[T_PROL],
+                      k[CHI_C], k[GAMMA_C], k[ALPHA_O], k[GAMMA_O], k[DELTA_O], k[O_MAX],
+                      k[NEG_BETA_M], k[GAMMA_A], k[CHI_AA], k[GAMMA_OA],
+                      scaling_at(k, B_M_SCALING)};
     long lo, hi;
 
 #define DB(i, lanes) db_cells(&p, b, o, A, db, i, lanes)
@@ -331,4 +349,40 @@ void reaction(long cells, const double *restrict state, const double *restrict m
 #undef DC
 #undef DO
 #undef DM_DA
+}
+
+/* -- forward Euler with the coupling correction ------------------------------ */
+
+/* s = state + tend * dt with NumPy's roundings, t = tend * dt and then
+   state + t, followed by s + correction when ``correction`` is given.  Marks
+   ``bad`` in the lanes where s is not finite: s - s is NaN exactly there. */
+INLINE void euler_cells(const double *state, const double *tend, const double *correction,
+                        double *out, double dt, m2 *bad, long i, int lanes)
+{
+    v2 s = load(state + i, lanes) + load(tend + i, lanes) * splat(dt);
+    v2 d;
+    if (correction)
+        s += load(correction + i, lanes);
+    d = s - s;
+    *bad |= (m2)(d != d);
+    store(out + i, s, lanes);
+}
+
+/* ``out`` receives state + tend * dt for ``cells`` values, the first
+   ``corrected`` of which (the first field) also add ``correction``, which
+   may be NULL when ``corrected`` is 0.  One pass over the arrays; returns 1
+   when every value stored is finite and 0 otherwise.  ``out`` may be
+   ``state`` itself, but shares no memory with ``tend`` or ``correction``. */
+int euler(long cells, long corrected, const double *state, const double *restrict tend,
+          const double *restrict correction, double *out, double dt)
+{
+    m2 bad = {0, 0};
+
+#define CORRECTED(i, lanes) euler_cells(state, tend, correction, out, dt, &bad, i, lanes)
+#define FREE(i, lanes) euler_cells(state, tend, NULL, out, dt, &bad, i, lanes)
+    FOR_BLOCK(0, corrected, CORRECTED);
+    FOR_BLOCK(corrected, cells, FREE);
+#undef CORRECTED
+#undef FREE
+    return !(bad[0] | bad[1]);
 }

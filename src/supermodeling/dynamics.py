@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernel
 from .fields import BlowUpError, GridSpec
 
 
@@ -47,19 +48,29 @@ class DynamicalSystem:
         raise BlowUpError(f"non-finite value in variable '{name}'{where}")
 
 
-def explicit_step(system: DynamicalSystem, state, params, dt: float, out=None, tendency=None):
+def explicit_step(system: DynamicalSystem, state, params, dt: float, out=None, tendency=None,
+                  correction=None):
     """Forward Euler: state + dt * tendency, into a new array or number, or
     into ``out`` (which may be ``state`` itself: it then advances in place).
     ``tendency``, when given, is the system's tendency at ``state`` computed
-    beforehand; it is used in place of computing it again, and overwritten."""
+    beforehand; it is used in place of computing it again, and left as it
+    is.  ``correction``, an array shaped like the first variable, is added
+    to it after the step (the ensemble's coupling and nudging).
+
+    The step, the correction and a check that every value is finite are one
+    compiled pass (``_kernel.euler``), with NumPy's roundings.  Only when a
+    value is not finite does ``validate_state`` read the result, to raise
+    BlowUpError naming the first non-finite variable."""
     if not dt > 0:
         raise ValueError("dt must be positive")
     tend = system.tendency(state, params) if tendency is None else tendency
-    with np.errstate(over="ignore", invalid="ignore"):
-        tend *= dt
-        new = np.add(state, tend, out=out)
-    system.validate_state(new, context="explicit step")
-    return new
+    number = not isinstance(state, np.ndarray)
+    if number:  # steps as an array of one value
+        state, tend = np.array([state], dtype=np.float64), np.array([tend], dtype=np.float64)
+    new = np.empty(state.shape) if out is None else out
+    if not _kernel.euler(state, tend, dt, new, correction):
+        system.validate_state(new, context="explicit step")
+    return float(new[0]) if number else new
 
 
 # -- toy systems -------------------------------------------------------------

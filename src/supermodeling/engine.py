@@ -41,17 +41,21 @@ clamped into [c_min, c_max] after every correction.  Epochs stop early once
 the largest coefficient change between consecutive epochs drops below the
 tolerance.
 
-Each member's free step, followed by adding its row of the correction, runs
-in one of P = min(N, usable CPUs) processes: the caller and workers forked
-from it on its first coupled step, which live as long as the ensemble.
-Member i runs in process (i + 1) mod P, where process 0 is the caller, so the
-caller, which also has the serial work of every step, steps the smaller
-share: floor(N/P) members.  The states sit in shared memory and the caller
-writes the corrections to a shared buffer, so a coupled step hands off once
-per worker: a command down a pipe and a reply back.  A process waiting on
-its pipe polls it for up to ``_POLL_S`` before it blocks, so within an epoch
-a worker takes its next command without waiting to be woken, while an idle
-one sleeps.
+Each member's free step, followed by adding its row of the correction, is
+one ``explicit_step`` call: one compiled pass over the member's state that
+also tells whether every value it stored is finite, so a step that blows up
+raises BlowUpError from there, naming the first non-finite variable, and a
+finite step costs no separate check.  (A step with dt = 0 adds the
+correction alone and checks the member.)  It runs in one of P = min(N,
+usable CPUs) processes: the caller and workers forked from it on its first
+coupled step, which live as long as the ensemble.  Member i runs in process
+(i + 1) mod P, where process 0 is the caller, so the caller, which also has
+the serial work of every step, steps the smaller share: floor(N/P) members.
+The states sit in shared memory and the caller writes the corrections to a
+shared buffer, so a coupled step hands off once per worker: a command down a
+pipe and a reply back.  A process waiting on its pipe polls it for up to
+``_POLL_S`` before it blocks, so within an epoch a worker takes its next
+command without waiting to be woken, while an idle one sleeps.
 
 Training and prediction run on one loop of steps, ``_run_steps``, which
 promises, on every step but the last and when dt > 0, that the next call is
@@ -321,18 +325,20 @@ def _shared_zeros(shape) -> np.ndarray:
 def _advance_members(ens: SubModelEnsemble, members, dt: float, corrections, ahead=None):
     """Step the listed members in place, each followed by adding its row of
     ``corrections`` (None: no correction).  ``ahead`` maps members to their
-    tendencies from ``_look_ahead``, which the steps use (and overwrite), and
-    the others' are computed.  Returns (member, exception) for the first
-    member that fails, or None."""
-    values = ens.coupled_values()
+    tendencies from ``_look_ahead``, which the steps use, and the others'
+    are computed.  Returns (member, exception) for the first member that
+    fails, or None."""
     for i in members:
+        state = ens.states[i]
+        correction = None if corrections is None else corrections[i, ...]
         try:
             if dt > 0:
-                explicit_step(ens.system, ens.states[i], ens.params[i], dt,
-                              out=ens.states[i],
-                              tendency=None if ahead is None else ahead.get(i))
-            if corrections is not None:
-                values[i] += corrections[i]
+                explicit_step(ens.system, state, ens.params[i], dt, out=state,
+                              tendency=None if ahead is None else ahead.get(i),
+                              correction=correction)
+            elif correction is not None:  # the corrections alone
+                state[0] += correction
+                ens.system.validate_state(state, context="coupled step")
         except Exception as exc:
             return i, exc
     return None
@@ -562,7 +568,6 @@ def coupled_step(
         raise ValueError(f"coupling is {cm.n}x{cm.n} but ensemble has {ens.n} members")
     if cm.k_nudge != 0.0 and gt_now is None:
         raise ValueError("nudging needs the reference value at this step")
-    values = ens.coupled_values()
     workers = _member_workers(ens)
     # the corrections only read pre-step values, so they are formed first
     corrections = _corrections(ens, cm, gt_now,
@@ -573,11 +578,6 @@ def coupled_step(
         failure = workers.step(ens, dt, corrections, reuse_ahead, look_ahead)
     if failure is not None:
         raise failure[1]
-    # explicit_step checked the stepped states; only the corrections are new
-    if corrections is not None and not np.isfinite(values).all():
-        raise BlowUpError(
-            f"non-finite value in variable '{ens.system.variables[0]}' during coupled step"
-        )
     return ens
 
 

@@ -165,12 +165,20 @@ def save_gt(gt: GroundTruth, directory):
 def load_gt(directory) -> GroundTruth:
     """The ground truth ``save_gt`` wrote.  Keys of manifest.json that it
     does not read are ignored, so older archives, which also recorded the
-    reference parameters, load too.  ValueError names the archive and a
-    missing key, or the snapshot file and what is wrong with it: a grid
-    other than the manifest's or a non-finite value."""
+    reference parameters, load too.  ValueError names the archive and what
+    is wrong with it: a missing manifest.json or snapshot file, a manifest
+    that is not JSON, a missing key or records that do not fit together, or
+    the snapshot file and what is wrong with it: a grid other than the
+    manifest's or a non-finite value."""
     directory = Path(directory)
-    with open(directory / "manifest.json") as fh:
-        manifest = json.load(fh)
+    try:
+        with open(directory / "manifest.json") as fh:
+            manifest = json.load(fh)
+    except FileNotFoundError:
+        raise ValueError(f"reference archive {directory} has no manifest.json") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"reference archive {directory} has a manifest.json that is not "
+                         f"JSON: {exc}") from exc
     missing = [key for key in ("grid", "step_dt", "stored_indices") if key not in manifest]
     if missing:
         raise ValueError(f"reference archive {directory} has no key "
@@ -179,7 +187,11 @@ def load_gt(directory) -> GroundTruth:
     snapshots = {}
     for n in manifest["stored_indices"]:
         path = directory / f"gt_{n:06d}.f64"
-        snapshots[n], file_spec, _t = read_field(path)
+        try:
+            snapshots[n], file_spec, _t = read_field(path)
+        except FileNotFoundError:
+            raise ValueError(f"reference archive {directory} has no snapshot {path.name}, "
+                             f"which its manifest lists") from None
         if file_spec != spec:
             raise ValueError(f"snapshot {path} has grid {file_spec}, but the archive's "
                              f"manifest has {spec}")
@@ -188,5 +200,8 @@ def load_gt(directory) -> GroundTruth:
     volumes = None
     if manifest.get("volumes") is not None:
         volumes = {int(n): VolumeTriple(*v) for n, v in manifest["volumes"].items()}
-    return GroundTruth(snapshots=snapshots, step_dt=manifest["step_dt"], volumes=volumes,
-                       spec=spec)
+    try:
+        return GroundTruth(snapshots=snapshots, step_dt=manifest["step_dt"], volumes=volumes,
+                           spec=spec)
+    except ValueError as exc:
+        raise ValueError(f"reference archive {directory}: {exc}") from exc

@@ -21,20 +21,21 @@ TumorSystem supplies both from its GridSpec.
 The tendency runs in four stages: the flux, its divergence, the Laplacians
 of c, o and A, and the reaction terms, which turn the divergence and the
 Laplacians, written into the output array, into the tendency.  Each stage
-is one call into a small C library, ``_tendency.c``, the only code of the
-tendency.  The first import builds it with the interpreter's C compiler into
-the package's ``__pycache__``, which must be writable then; later imports
-load it from there.  A build or load that fails raises ImportError at
-import, with the compiler's or the loader's message.  The loops do each
-stage's arithmetic cell by cell, two cells at a time, in the order of the
-NumPy formula that the tests hold them to (``reference_tendency``), and the
-build allows no reordering or fused operations, so both give the same bits.
-The loops multiply by the exact reciprocal of a power-of-two divisor
-(``_scaling``), since x / 2^k and x * 2^-k are the same correctly rounded
-number for every x; every other divisor, such as h = 0.7 or T_prol,
-divides.  Before a call the wrappers check every array it is given
-(C-contiguous float64 of the grid's shape, at least 3 cells per axis,
-outputs apart from inputs) and raise ValueError otherwise.
+is one call into the package's compiled library (``_kernel``, built from
+``_tendency.c``), the only code of the tendency; the forward-Euler step
+that follows it is one more call into the same library, made by
+``dynamics.explicit_step``.  The loops do each stage's arithmetic cell by
+cell, two cells at a time, in the order of the NumPy formula that the tests
+hold them to (``reference_tendency``), and the build allows no reordering
+or fused operations, so both give the same bits.  The loops multiply by the
+exact reciprocal of a power-of-two divisor (``_scaling``), since x / 2^k
+and x * 2^-k are the same correctly rounded number for every x; every other
+divisor, such as h = 0.7 or T_prol, divides.  The flux and reaction stages
+take their coefficients as one array, built once per parameter set and
+spacing (``_coefficients``).  Before the first call of a tendency the
+wrappers check every array a stage is given (the state, the output and the
+oxygen mask: C-contiguous float64 of the grid's shape, at least 3 cells per
+axis, the output apart from the inputs) and raise ValueError otherwise.
 
 The tendency writes nothing but its output array: the flux goes into
 slots 1 to 3 of it until the Laplacians replace it.  So a TumorSystem holds
@@ -44,18 +45,16 @@ concurrently.
 
 from __future__ import annotations
 
-import contextlib
 import csv
-import ctypes
+import functools
 import math
-import os
-import zlib
 from dataclasses import dataclass
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
+from . import _kernel
+from ._kernel import pointer
 from .dynamics import DynamicalSystem
 from .fields import GridSpec, volume_integral
 
@@ -115,77 +114,6 @@ class VolumeTriple(NamedTuple):
 
 # -- kernel -------------------------------------------------------------------
 
-_SOURCE = Path(__file__).with_name("_tendency.c")
-# nothing that may reorder, fuse or re-round an operation: never
-# -ffast-math, -Ofast or -march=native, and no fused multiply-adds
-_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
-_LONG, _DOUBLE, _ARRAY = ctypes.c_long, ctypes.c_double, ctypes.c_void_p
-_SCALING = (_DOUBLE, ctypes.c_int)  # see _scaling
-_SIGNATURES = {
-    "flux": (_LONG,) * 3 + (_ARRAY,) * 3 + (_DOUBLE,) * 4 + _SCALING * 3,
-    "divergence": (_LONG,) * 3 + (_ARRAY,) * 2 + _SCALING * 2,
-    "laplacian": (_LONG,) * 4 + (_ARRAY,) * 2 + _SCALING,
-    "reaction": (_LONG,) + (_ARRAY,) * 3 + (_DOUBLE,) * 6 + _SCALING + (_DOUBLE,) * 10,
-}
-
-
-def _load_kernel(cache: Path):
-    """The compiled stages; raises ImportError with why they cannot be used.
-
-    The library is built from ``_SOURCE`` into ``cache`` on first use, named
-    by a checksum of the source and the flags, so a later import only reads
-    the source and loads the library.  A build removes the libraries that
-    earlier versions of the source or flags left in ``cache``.
-    """
-    try:
-        key = zlib.crc32(" ".join(_FLAGS).encode(), zlib.crc32(_SOURCE.read_bytes()))
-        library = cache / f"_tendency-{key:08x}.so"
-        if not library.exists():
-            _build(library)
-            for stale in cache.glob("_tendency-*.so"):
-                if stale != library:
-                    # a process that loaded it keeps its mapping
-                    with contextlib.suppress(OSError):
-                        stale.unlink()
-        lib = ctypes.CDLL(str(library))
-    except OSError as exc:
-        raise ImportError(f"cannot build or load the tendency kernel: {' '.join(str(exc).split())}"
-                          ) from exc
-    for name, argtypes in _SIGNATURES.items():
-        function = getattr(lib, name)
-        function.argtypes, function.restype = argtypes, None
-    return lib
-
-
-def _build(library: Path) -> None:
-    """Compile ``_SOURCE`` into ``library`` with the interpreter's C compiler,
-    or raise ImportError with the compiler's message.  The library is written
-    under a temporary name and renamed, so no process loads one that another
-    is still writing."""
-    # imported here: a run that finds the library built needs none of them,
-    # and they take a few milliseconds of every run's set-up
-    import shlex
-    import subprocess
-    import sysconfig
-
-    command = [*shlex.split(sysconfig.get_config_var("CC") or "cc"), *_FLAGS]
-    library.parent.mkdir(parents=True, exist_ok=True)
-    partial = library.with_name(f"{library.name}.{os.getpid()}.tmp")
-    try:
-        result = subprocess.run([*command, "-o", str(partial), str(_SOURCE)],
-                                capture_output=True, text=True, timeout=300)
-        if result.returncode != 0:
-            raise ImportError(f"cannot build the tendency kernel: {command[0]} failed:\n"
-                              f"{result.stderr.strip()}")
-        os.replace(partial, library)
-    except subprocess.SubprocessError as exc:  # a timeout; _load_kernel reports an OSError
-        raise ImportError(f"cannot build the tendency kernel: {exc}") from exc
-    finally:
-        partial.unlink(missing_ok=True)
-
-
-_LIB = _load_kernel(_SOURCE.parent / "__pycache__")
-
 
 def _scaling(divisor: float) -> tuple[float, bool]:
     """How the compiled stages divide by ``divisor``, bit for bit as np.divide:
@@ -200,6 +128,23 @@ def _scaling(divisor: float) -> tuple[float, bool]:
     return divisor, False
 
 
+@functools.lru_cache(maxsize=64)
+def _coefficients(p: TumorParams, h: float) -> tuple[np.ndarray, int]:
+    """The flux and reaction coefficients of a tendency of ``p`` on spacing
+    ``h``, as the compiled stages take them: one read-only float64 array,
+    laid out as the enum in ``_tendency.c``, and its address.  A caller
+    holds the array until its foreign call returns, since the cache may drop
+    it.  Built once per parameter set and spacing, in place of about 30
+    converted arguments per tendency."""
+    k = np.array([p.b_norm, p.b_M, -p.d_b, p.r_b, *_scaling(p.b_M - p.b_norm),
+                  *_scaling(2.0 * h), *_scaling(h),
+                  *_scaling(p.b_M), p.o_death, p.o_prol, p.tau_b, p.P_b, p.T_death, p.T_prol,
+                  p.chi_c, p.gamma_c, p.alpha_o, p.gamma_o, p.delta_o, p.o_max, -p.beta_M,
+                  p.gamma_A, p.chi_aA, p.gamma_oA], dtype=np.float64)
+    k.setflags(write=False)
+    return k, k.ctypes.data
+
+
 def _grid(shape) -> tuple[int, int, int]:
     """``shape`` as a grid the compiled loops can run on: at least 3 cells
     per axis, since they read the neighbours on both sides of a cell."""
@@ -209,33 +154,13 @@ def _grid(shape) -> tuple[int, int, int]:
     return shape
 
 
-def _pointer(array, shape, *apart):
-    """``array`` as a pointer argument of a foreign call, which must be a
-    C-contiguous float64 array of ``shape`` sharing no memory with the
-    ``apart`` ones."""
-    if not (isinstance(array, np.ndarray) and array.dtype == np.float64
-            and array.shape == shape):
-        raise ValueError(f"the kernel needs float64 arrays of shape {shape}, got "
-                         f"{getattr(array, 'dtype', type(array))} of shape "
-                         f"{getattr(array, 'shape', None)}")
-    if not array.flags.c_contiguous:
-        raise ValueError("the kernel needs C-contiguous arrays")
-    if any(np.may_share_memory(array, other) for other in apart):
-        raise ValueError("the kernel's output may not overlap its inputs")
-    if not array.flags.writeable:  # which from_buffer requires
-        return array.ctypes.data
-    # a quarter of the time of array.ctypes.data, which is most of a call's
-    # overhead on a small grid
-    return ctypes.byref(ctypes.c_char.from_buffer(array))
-
-
 def _laplacian(data: np.ndarray, h: float, out: np.ndarray | None = None) -> np.ndarray:
     """7-point Laplacian with mirrored (zero-flux) boundary cells of one
     field or a stack of fields, into ``out`` or a new array."""
     out = np.empty(data.shape) if out is None else out
     shape = _grid(data.shape[-3:])
-    _LIB.laplacian(math.prod(data.shape[:-3]), *shape, _pointer(data, data.shape),
-                   _pointer(out, data.shape, data), *_scaling(h * h))
+    _kernel.LIB.laplacian(math.prod(data.shape[:-3]), *shape, pointer(data, data.shape),
+                          pointer(out, data.shape, data), *_scaling(h * h))
     return out
 
 
@@ -250,9 +175,9 @@ def compute_flux(state: np.ndarray, p: TumorParams, h: float,
     b, A = state[0], state[4]
     out = np.empty((3,) + b.shape) if out is None else out
     shape = _grid(b.shape)
-    _LIB.flux(*shape, _pointer(b, shape), _pointer(A, shape), _pointer(out, (3,) + shape, state),
-              p.b_norm, p.b_M, -p.d_b, p.r_b, *_scaling(p.b_M - p.b_norm), *_scaling(2.0 * h),
-              *_scaling(h))
+    _k, k_ptr = _coefficients(p, h)  # held until the call returns
+    _kernel.LIB.flux(*shape, pointer(b, shape), pointer(A, shape),
+                     pointer(out, (3,) + shape, state), k_ptr)
     return out
 
 
@@ -261,8 +186,8 @@ def _divergence(flux: np.ndarray, h: float, out: np.ndarray | None = None) -> np
     at the walls, into ``out`` or a new array."""
     out = np.empty(flux.shape[1:]) if out is None else out
     shape = _grid(flux.shape[1:])
-    _LIB.divergence(*shape, _pointer(flux, (3,) + shape), _pointer(out, shape, flux),
-                    *_scaling(2.0 * h), *_scaling(h))
+    _kernel.LIB.divergence(*shape, pointer(flux, (3,) + shape), pointer(out, shape, flux),
+                           *_scaling(2.0 * h), *_scaling(h))
     return out
 
 
@@ -280,9 +205,9 @@ def tumor_tendency(
     out = np.empty(state.shape) if out is None else out
     # every array is checked before the first foreign call
     shape = _grid(state.shape[1:])
-    state_ptr = _pointer(state, (5,) + shape, out)
-    out_ptr = _pointer(out, (5,) + shape)
-    mask_ptr = None if oxygen_source_mask is None else _pointer(oxygen_source_mask, shape, out)
+    state_ptr = pointer(state, (5,) + shape, out)
+    out_ptr = pointer(out, (5,) + shape)
+    mask_ptr = None if oxygen_source_mask is None else pointer(oxygen_source_mask, shape, out)
 
     # out holds J in slots 1-3 until the Laplacians of c, o and A replace it,
     # and div J and those Laplacians until the reaction terms replace them
@@ -290,10 +215,8 @@ def tumor_tendency(
     _divergence(compute_flux(state, p, h, out=out[1:4]), h, out=out[0])
     _laplacian(state[1:3], h, out=out[1:3])
     _laplacian(state[4], h, out=out[4])
-    _LIB.reaction(math.prod(shape), state_ptr, mask_ptr, out_ptr, p.o_death, p.o_prol,
-                  p.tau_b, p.P_b, p.T_death, p.T_prol, *_scaling(p.b_M), p.chi_c,
-                  p.gamma_c, p.alpha_o, p.gamma_o, p.delta_o, p.o_max, -p.beta_M,
-                  p.gamma_A, p.chi_aA, p.gamma_oA)
+    _k, k_ptr = _coefficients(p, h)
+    _kernel.LIB.reaction(math.prod(shape), state_ptr, mask_ptr, out_ptr, k_ptr)
     return out
 
 

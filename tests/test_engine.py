@@ -28,7 +28,7 @@ from supermodeling.experiments import (
     initial_coupling,
     instantiate_submodels,
 )
-from supermodeling.fields import GridSpec
+from supermodeling.fields import BlowUpError, GridSpec
 from supermodeling.groundtruth import GroundTruth, generate_gt, gt_at
 from supermodeling.tumor import TumorSystem
 
@@ -105,6 +105,15 @@ class TestCoupledStep:
         with pytest.raises(ValueError, match="nudging needs the reference value at this step"):
             coupled_step(ens, cm, None, 0.1)
         assert np.array_equal(ens.states, [[1.0], [3.0]])
+
+    @pytest.mark.parametrize("dt", [0.0, 0.1])
+    def test_non_finite_correction_names_the_coupled_variable(self, dt):
+        # the free steps stay finite; only the nudge toward an infinite
+        # reference makes the corrected values non-finite
+        ens = SubModelEnsemble(LinearSystem(0.0), [None, None], np.array([1.0]))
+        cm = CouplingMatrix.uniform(2, 0.5, k_nudge=0.5)
+        with pytest.raises(BlowUpError, match="non-finite value in variable 'b'"):
+            coupled_step(ens, cm, np.inf, dt)
 
     def test_negative_dt_rejected(self):
         ens = toy_ensemble([1.0])

@@ -260,7 +260,26 @@ class TestCli:
                 {k: v for k, v in json.loads(manifest.read_text()).items() if k != "step_dt"}))
             return manifest.parent, ("'step_dt'",)
 
-        for damage in (truncated, another_grid, nan, no_step_dt):
+        def no_manifest(_snapshot, manifest):
+            manifest.unlink()
+            return manifest.parent, ("manifest.json",)
+
+        def no_snapshot(snapshot, _manifest):
+            snapshot.unlink()
+            return snapshot.parent, (snapshot.name,)
+
+        def not_json(_snapshot, manifest):
+            manifest.write_text(manifest.read_text()[:-2])
+            return manifest.parent, ("not JSON",)
+
+        def volumes_off_the_steps(_snapshot, manifest):
+            payload = json.loads(manifest.read_text())
+            payload["volumes"].pop("2")
+            manifest.write_text(json.dumps(payload))
+            return manifest.parent, ("volume records",)
+
+        for damage in (truncated, another_grid, nan, no_step_dt, no_manifest, no_snapshot,
+                       not_json, volumes_off_the_steps):
             copy = tmp_path / damage.__name__ / "gt"
             shutil.copytree(archive, copy)
             path, shown = damage(copy / "gt_000002.f64", copy / "manifest.json")

@@ -11,9 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_state
-from supermodeling import tumor
+from supermodeling import _kernel, tumor
 from supermodeling.experiments import ExperimentConfig, instantiate_submodels
-from supermodeling.fields import GridSpec
+from supermodeling.dynamics import explicit_step
+from supermodeling.fields import BlowUpError, GridSpec
 from supermodeling.tumor import (
     FIELD_NAMES,
     TumorParams,
@@ -135,7 +136,7 @@ def bump_case():
 
 
 def test_build_caches_the_library(tmp_path, monkeypatch):
-    tumor._load_kernel(tmp_path)
+    _kernel.load(tmp_path)
     built = list(tmp_path.iterdir())
     assert len(built) == 1 and built[0].suffix == ".so"  # no temporary file is left
     # a second load finds the library and compiles nothing
@@ -144,7 +145,7 @@ def test_build_caches_the_library(tmp_path, monkeypatch):
         raise AssertionError("compiled again")
 
     monkeypatch.setattr(subprocess, "run", no_compiler)
-    tumor._load_kernel(tmp_path)
+    _kernel.load(tmp_path)
     assert list(tmp_path.iterdir()) == built
 
 
@@ -153,7 +154,7 @@ def test_build_removes_the_libraries_of_earlier_sources(tmp_path):
     stale.write_bytes(b"built from an earlier source")
     other = tmp_path / "unrelated.so"
     other.write_bytes(b"")
-    tumor._load_kernel(tmp_path)
+    _kernel.load(tmp_path)
     left = sorted(path.name for path in tmp_path.iterdir())
     assert len(left) == 2 and "unrelated.so" in left
     assert left[0].startswith("_tendency-") and left[0] != stale.name
@@ -163,13 +164,13 @@ def test_failed_build_raises_with_the_compilers_message(tmp_path, monkeypatch):
     compiler = sysconfig.get_config_var("CC") or "cc"
     monkeypatch.setattr(sysconfig, "get_config_var", lambda name: "/nonexistent/cc -O1")
     with pytest.raises(ImportError, match="/nonexistent/cc"):
-        tumor._load_kernel(tmp_path)
+        _kernel.load(tmp_path)
     assert not list(tmp_path.iterdir())
     # a compiler that runs and fails: its own message reaches the error
     monkeypatch.setattr(sysconfig, "get_config_var",
                         lambda name: f"{compiler} -include /nonexistent/missing.h")
     with pytest.raises(ImportError, match="(?s)failed:.*/nonexistent/missing.h"):
-        tumor._load_kernel(tmp_path)
+        _kernel.load(tmp_path)
     assert not list(tmp_path.iterdir())
 
 
@@ -180,33 +181,62 @@ def test_read_only_inputs_give_the_same_bits():
     assert np.array_equal(tumor_tendency(state, params, spec.h, mask), want)
 
 
-UNSAFE = {  # a state and an out array -> the kernel's complaint about them
-    "float32": (lambda s, o: (s.astype(np.float32), o), "float64"),
-    "fortran": (lambda s, o: (np.asfortranarray(s), o), "C-contiguous"),
-    "strided": (lambda s, o: (np.concatenate([s, s], axis=3)[..., ::2], o), "C-contiguous"),
-    "out shape": (lambda s, o: (s, np.empty(s.shape[:3] + (s.shape[3] + 1,))), "shape"),
-    "out is state": (lambda s, o: (s, s), "overlap"),
-    "two cells": (lambda s, o: (np.ascontiguousarray(s[:, :, :2]), o[:, :, :2].copy()),
+def tendency(state, out):
+    tumor_tendency(state, TumorParams(), 1.0, out=out)
+
+
+def euler(state, out, tend=None, correction=None):
+    """An Euler pass from ``state`` into ``out``, with a zero tendency and a
+    zero correction unless they are given."""
+    tend = np.zeros(state.shape) if tend is None else tend
+    correction = np.zeros(state.shape[1:]) if correction is None else correction
+    _kernel.euler(state, tend, 0.1, out, correction)
+
+
+def overlapping(state, _out):
+    """``state`` and an out array that overlaps all of it but its first field."""
+    both = np.empty((len(state) + 1,) + state.shape[1:])
+    both[:-1] = state
+    return both[:-1], both[1:]
+
+
+UNSAFE = {  # a kernel call on a state and an out array -> its complaint
+    "float32": (lambda s, o: tendency(s.astype(np.float32), o), "float64"),
+    "fortran": (lambda s, o: tendency(np.asfortranarray(s), o), "C-contiguous"),
+    "strided": (lambda s, o: tendency(np.concatenate([s, s], axis=3)[..., ::2], o),
+                "C-contiguous"),
+    "out shape": (lambda s, o: tendency(s, np.empty(s.shape[:3] + (s.shape[3] + 1,))), "shape"),
+    "out is state": (lambda s, o: tendency(s, s), "overlap"),
+    "two cells": (lambda s, o: tendency(np.ascontiguousarray(s[:, :, :2]), o[:, :, :2].copy()),
                   "at least 3 cells"),
+    "euler float32 tendency": (lambda s, o: euler(s, o, tend=s.astype(np.float32)), "float64"),
+    "euler fortran state": (lambda s, o: euler(np.asfortranarray(s), o), "C-contiguous"),
+    "euler strided correction": (
+        lambda s, o: euler(s, o, correction=np.concatenate([s[0], s[0]], axis=2)[..., ::2]),
+        "C-contiguous"),
+    "euler out shape": (lambda s, o: euler(s, np.empty(s.shape[:3] + (s.shape[3] + 1,))),
+                        "shape"),
+    "euler correction shape": (lambda s, o: euler(s, o, correction=np.zeros(s.shape)), "shape"),
+    "euler tendency is out": (lambda s, o: euler(s, o, tend=o), "overlap"),
+    "euler correction in out": (lambda s, o: euler(s, o, correction=o[0]), "overlap"),
+    "euler out overlaps state": (lambda s, o: euler(*overlapping(s, o)), "overlap"),
 }
 
 
 @pytest.mark.parametrize("case", list(UNSAFE))
 def test_kernel_rejects_unsafe_arrays_before_any_foreign_call(monkeypatch, case):
     spec = GridSpec(6, 5, 4, 1.0)
-    params = TumorParams()
-    bend, complaint = UNSAFE[case]
-    state = gaussian_bump_state(spec, params, core_oxygen=1.0)
-    state, out = bend(state, np.empty_like(state))
+    call, complaint = UNSAFE[case]
+    state = gaussian_bump_state(spec, TumorParams(), core_oxygen=1.0)
     calls = []
 
     class Recorder:
         def __getattr__(self, name):
             return lambda *args: calls.append(name)
 
-    monkeypatch.setattr(tumor, "_LIB", Recorder())
+    monkeypatch.setattr(_kernel, "LIB", Recorder())
     with pytest.raises(ValueError, match=complaint):
-        tumor_tendency(state, params, spec.h, out=out)
+        call(state, np.empty_like(state))
     assert calls == []
 
 
@@ -271,3 +301,82 @@ def test_scaling_is_division_bit_for_bit(divisor):
     nan = np.isnan(want)
     assert np.array_equal(np.isnan(got), nan)
     assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
+def test_build_flags_allow_no_reordering_or_fused_operations():
+    """state + tend * dt is the pattern a compiler fuses into one multiply-add,
+    which rounds once where NumPy rounds twice."""
+    assert "-ffp-contract=off" in _kernel.FLAGS
+    assert not {"-ffast-math", "-Ofast", "-march=native", "-ffp-contract=fast"} & set(_kernel.FLAGS)
+
+
+def same_bits(got, want):
+    """The same values bit for bit, every NaN matched by a NaN."""
+    nan = np.isnan(want)
+    return (np.array_equal(np.isnan(got), nan)
+            and np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    # fields, and values per field: an odd count leaves a lone last value,
+    # and the corrected first field ends at an odd offset
+    shape=st.tuples(st.integers(1, 5), st.integers(1, 9)),
+    seed=st.integers(0, 2**32 - 1),
+    dt=st.sampled_from([0.1, 0.7, 1e-3, 2.0, 5e-324, 1e300]),
+    corrected=st.booleans(),
+    in_place=st.booleans(),
+)
+@example(shape=(5, 7), seed=0, dt=0.1, corrected=True, in_place=True)
+@example(shape=(1, 1), seed=1, dt=0.7, corrected=True, in_place=False)
+@example(shape=(2, 3), seed=2, dt=1e300, corrected=False, in_place=True)
+def test_euler_pass_is_numpys_step_and_correction_bit_for_bit(shape, seed, dt, corrected,
+                                                               in_place):
+    rng = np.random.default_rng(seed)
+
+    def draw(size):
+        # the special values among ordinary ones, of near magnitudes (whose
+        # sums round differently in another order) and of far ones
+        near = rng.normal(size=24) * 10.0 ** rng.integers(-2, 3, size=24)
+        far = rng.normal(size=8) * 10.0 ** rng.integers(-300, 300, size=8)
+        return rng.choice(np.concatenate([SPECIAL, near, far]), size=size)
+
+    state, tend = draw(shape), draw(shape)
+    correction = draw(shape[1:]) if corrected else None
+    kept_tend = tend.copy()
+    with np.errstate(all="ignore"):
+        want = np.add(state, tend * dt)
+        if corrected:
+            want[0] += correction
+    out = state if in_place else np.full(shape, np.nan)
+    finite = _kernel.euler(state, tend, dt, out, correction)
+    assert same_bits(out, want)
+    assert finite == np.isfinite(want).all()
+    assert same_bits(tend, kept_tend)  # the tendency is read, not written
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("field", FIELD_NAMES)
+@pytest.mark.parametrize("at", [0, -1])
+def test_euler_pass_flags_every_non_finite_value(value, field, at):
+    spec = GridSpec(3, 4, 5, 1.0)
+    params = TumorParams()
+    state = random_state(spec, np.random.default_rng(0))
+    tend, correction = np.ones(state.shape), np.ones(spec.shape)
+    assert _kernel.euler(state, tend, 0.1, np.empty(state.shape), correction)
+    state[FIELD_NAMES.index(field)].flat[at] = value
+    assert not _kernel.euler(state, tend, 0.1, np.empty(state.shape), correction)
+    assert not _kernel.euler(state, tend, 0.1, np.empty(state.shape))
+    # a step names the field
+    with pytest.raises(BlowUpError, match=f"variable '{field}' during explicit step"):
+        explicit_step(TumorSystem(spec), state, params, 0.1, tendency=tend)
+
+
+def test_euler_pass_flags_what_the_correction_and_the_step_overflow_to():
+    state = np.full((2, 3), 1.5e308)
+    tend = np.zeros(state.shape)
+    correction = np.array([0.0, 0.0, 1e308])
+    assert _kernel.euler(state, tend, 0.1, np.empty(state.shape))
+    assert not _kernel.euler(state, tend, 0.1, np.empty(state.shape), correction)
+    tend[1, 0] = 1e308
+    assert not _kernel.euler(state, tend, 1.0, np.empty(state.shape))

@@ -15,7 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from supermodeling import tumor
+from supermodeling import engine, tumor
+from supermodeling.engine import CouplingMatrix, SubModelEnsemble, coupled_step
 from supermodeling.fields import GridSpec
 
 SPEC_FILE = Path(__file__).resolve().parents[1] / "perfbench" / "spec.py"
@@ -73,3 +74,26 @@ def test_the_kernel_calls_its_traced_layers_by_their_module_names(monkeypatch):
     state = tumor.gaussian_bump_state(spec, params, core_oxygen=1.0)
     system.volumes(state + system.tendency(state, params))
     assert calls and all(calls.values()), calls
+
+
+def test_every_member_step_goes_through_explicit_step(monkeypatch):
+    """The tracer replaces engine's binding of dynamics.explicit_step: an
+    inline coupled step must call it once per member, correction included,
+    and step no member by another path."""
+    calls = []
+    original = engine.explicit_step
+
+    def counted(system, state, params, dt, **kwargs):
+        calls.append((state, kwargs.get("correction")))
+        return original(system, state, params, dt, **kwargs)
+
+    monkeypatch.setattr(engine, "explicit_step", counted)
+    spec = GridSpec(6, 6, 6, 1.0)
+    params = tumor.TumorParams()
+    ens = SubModelEnsemble(tumor.TumorSystem(spec), [params] * 3,
+                           tumor.gaussian_bump_state(spec, params, core_oxygen=1.0))
+    assert spec.size < engine.PARALLEL_MIN_CELLS  # every member is stepped inline
+    coupled_step(ens, CouplingMatrix.uniform(3, 0.5, k_nudge=0.0), None, 0.1)
+    assert len(calls) == 3
+    for i, (state, correction) in enumerate(calls):
+        assert np.shares_memory(state, ens.states[i]) and correction is not None
