@@ -38,7 +38,7 @@ _SIGNATURES = {
     "divergence": ((_LONG,) * 3 + (_ARRAY,) * 2 + (_DOUBLE, ctypes.c_int) * 2, None),
     "laplacian": ((_LONG,) * 4 + (_ARRAY,) * 2 + (_DOUBLE, ctypes.c_int), None),
     "reaction": ((_LONG,) + (_ARRAY,) * 4, None),
-    "euler": ((_LONG,) * 2 + (_ARRAY,) * 4 + (_DOUBLE,), ctypes.c_int),
+    "euler": ((_LONG,) * 2 + (_ARRAY,) * 3 + (_DOUBLE,), ctypes.c_int),
 }
 
 
@@ -101,10 +101,10 @@ LIB = load(_SOURCE.parent / "__pycache__")
 _byref, _char_at = ctypes.byref, ctypes.c_char.from_buffer
 
 
-def pointer(array, shape, *apart):
+def pointer(array, shape, *apart, output=False):
     """``array`` as a pointer argument of a foreign call, which must be a
     C-contiguous float64 array of ``shape`` sharing no memory with the
-    ``apart`` ones."""
+    ``apart`` ones, and writeable if it is the call's ``output``."""
     if not (isinstance(array, np.ndarray) and array.dtype == np.float64
             and array.shape == shape):
         raise ValueError(f"the kernel needs float64 arrays of shape {shape}, got "
@@ -117,30 +117,31 @@ def pointer(array, shape, *apart):
         if np.may_share_memory(array, other):
             raise ValueError("the kernel's output may not overlap its inputs")
     if not flags.writeable:  # which from_buffer requires
+        if output:
+            raise ValueError("the kernel's output must be writeable")
         return array.ctypes.data
     # a quarter of the time of array.ctypes.data, which is most of a call's
     # overhead on a small grid
     return _byref(_char_at(array))
 
 
-def euler(state: np.ndarray, tend: np.ndarray, dt: float, out: np.ndarray,
+def euler(state: np.ndarray, tend: np.ndarray, dt: float,
           correction: np.ndarray | None = None) -> bool:
-    """``out`` = state + tend * dt, plus ``correction`` on the first field,
-    in one compiled pass; returns whether every value it stored is finite.
+    """``state`` advances in place to state + tend * dt, plus ``correction``
+    on the first field, in one compiled pass; returns whether every value it
+    stored is finite.
 
     Each value gets NumPy's roundings: tend * dt, then state + that, then
     + correction, so the result is the bits of ``np.add(state, tend * dt)``
-    followed by ``out[0] += correction``.  ``tend`` and ``out`` are shaped
-    like ``state``, and ``correction`` like ``state[0]``.  ``out`` may be
-    ``state`` itself, which then advances in place, but may not overlap
-    ``tend`` or ``correction``.
+    followed by ``state[0] += correction``.  ``tend`` is shaped like
+    ``state`` and ``correction`` like ``state[0]``; neither may overlap
+    ``state``.
     """
     shape = getattr(state, "shape", None)
-    state_ptr = pointer(state, shape)
-    tend_ptr = pointer(tend, shape, out)
+    state_ptr = pointer(state, shape, output=True)
+    tend_ptr = pointer(tend, shape, state)
     if correction is None:
         corrected, correction_ptr = 0, None
     else:
-        corrected, correction_ptr = correction.size, pointer(correction, shape[1:], out)
-    out_ptr = state_ptr if out is state else pointer(out, shape, state)
-    return LIB.euler(state.size, corrected, state_ptr, tend_ptr, correction_ptr, out_ptr, dt) != 0
+        corrected, correction_ptr = correction.size, pointer(correction, shape[1:], state)
+    return LIB.euler(state.size, corrected, state_ptr, tend_ptr, correction_ptr, dt) != 0

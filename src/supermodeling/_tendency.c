@@ -354,10 +354,11 @@ void reaction(long cells, const double *restrict state, const double *restrict m
 /* -- forward Euler with the coupling correction ------------------------------ */
 
 /* s = state + tend * dt with NumPy's roundings, t = tend * dt and then
-   state + t, followed by s + correction when ``correction`` is given.  Marks
-   ``bad`` in the lanes where s is not finite: s - s is NaN exactly there. */
-INLINE void euler_cells(const double *state, const double *tend, const double *correction,
-                        double *out, double dt, m2 *bad, long i, int lanes)
+   state + t, followed by s + correction when ``correction`` is given, stored
+   back into ``state``.  Marks ``bad`` in the lanes where s is not finite:
+   s - s is NaN exactly there. */
+INLINE void euler_cells(double *state, const double *tend, const double *correction,
+                        double dt, m2 *bad, long i, int lanes)
 {
     v2 s = load(state + i, lanes) + load(tend + i, lanes) * splat(dt);
     v2 d;
@@ -365,21 +366,21 @@ INLINE void euler_cells(const double *state, const double *tend, const double *c
         s += load(correction + i, lanes);
     d = s - s;
     *bad |= (m2)(d != d);
-    store(out + i, s, lanes);
+    store(state + i, s, lanes);
 }
 
-/* ``out`` receives state + tend * dt for ``cells`` values, the first
-   ``corrected`` of which (the first field) also add ``correction``, which
-   may be NULL when ``corrected`` is 0.  One pass over the arrays; returns 1
-   when every value stored is finite and 0 otherwise.  ``out`` may be
-   ``state`` itself, but shares no memory with ``tend`` or ``correction``. */
-int euler(long cells, long corrected, const double *state, const double *restrict tend,
-          const double *restrict correction, double *out, double dt)
+/* ``state`` advances in place to state + tend * dt for ``cells`` values, the
+   first ``corrected`` of which (the first field) also add ``correction``,
+   which may be NULL when ``corrected`` is 0.  One pass over the arrays;
+   returns 1 when every value stored is finite and 0 otherwise.  ``state``
+   shares no memory with ``tend`` or ``correction``. */
+int euler(long cells, long corrected, double *restrict state, const double *restrict tend,
+          const double *restrict correction, double dt)
 {
     m2 bad = {0, 0};
 
-#define CORRECTED(i, lanes) euler_cells(state, tend, correction, out, dt, &bad, i, lanes)
-#define FREE(i, lanes) euler_cells(state, tend, NULL, out, dt, &bad, i, lanes)
+#define CORRECTED(i, lanes) euler_cells(state, tend, correction, dt, &bad, i, lanes)
+#define FREE(i, lanes) euler_cells(state, tend, NULL, dt, &bad, i, lanes)
     FOR_BLOCK(0, corrected, CORRECTED);
     FOR_BLOCK(corrected, cells, FREE);
 #undef CORRECTED

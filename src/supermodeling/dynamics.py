@@ -3,7 +3,7 @@
 A system supplies the tendency (time derivative) of a state for a given
 parameter set.  A member state is a float64 array whose leading axis runs
 over the system's ``variables`` (one value for the toy systems, five fields
-for the tumor model); stepping also takes numbers.
+for the tumor model).
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ class DynamicalSystem:
     records it.  ``tendency(state, params, out=None)`` must be deterministic.
     It writes the tendency into ``out``, a C-contiguous float64 array of the
     state's shape, and returns ``out``; without one it returns a new array
-    that shares no memory with the state or an earlier result, or a number
-    for a number.  Either way the bits are the same.
+    that shares no memory with the state or an earlier result.  Either way
+    the bits are the same.
     Field-valued systems name their grid as ``spec``; ``cell_volume`` weights
     one array entry in domain norms and integrals.
     """
@@ -37,40 +37,28 @@ class DynamicalSystem:
     def tendency(self, state, params, out=None):
         raise NotImplementedError
 
-    def validate_state(self, state, context: str = ""):
-        """Raise BlowUpError naming the first non-finite variable."""
-        arr = np.asarray(state, dtype=np.float64)
-        if np.isfinite(arr).all():
-            return
-        per_variable = arr.reshape(len(self.variables), -1)
-        name = next(n for n, v in zip(self.variables, per_variable) if not np.isfinite(v).all())
-        where = f" during {context}" if context else ""
-        raise BlowUpError(f"non-finite value in variable '{name}'{where}")
 
-
-def explicit_step(system: DynamicalSystem, state, params, dt: float, out=None, tendency=None,
-                  correction=None):
-    """Forward Euler: state + dt * tendency, into a new array or number, or
-    into ``out`` (which may be ``state`` itself: it then advances in place).
-    ``tendency``, when given, is the system's tendency at ``state`` computed
-    beforehand; it is used in place of computing it again, and left as it
-    is.  ``correction``, an array shaped like the first variable, is added
-    to it after the step (the ensemble's coupling and nudging).
+def explicit_step(system: DynamicalSystem, state: np.ndarray, params, dt: float,
+                  tendency=None, correction=None) -> None:
+    """Forward Euler in place: ``state``, a float64 array, advances to
+    state + dt * tendency, for a ``dt`` > 0.  ``tendency``, when given, is
+    the system's tendency at ``state`` computed beforehand; it is used in
+    place of computing it again, and left as it is.  ``correction``, an
+    array shaped like the first variable, is added to it after the step (the
+    ensemble's coupling and nudging).
 
     The step, the correction and a check that every value is finite are one
     compiled pass (``_kernel.euler``), with NumPy's roundings.  Only when a
-    value is not finite does ``validate_state`` read the result, to raise
-    BlowUpError naming the first non-finite variable."""
+    value is not finite is the result read again, to raise BlowUpError
+    naming the first non-finite variable."""
     if not dt > 0:
         raise ValueError("dt must be positive")
     tend = system.tendency(state, params) if tendency is None else tendency
-    number = not isinstance(state, np.ndarray)
-    if number:  # steps as an array of one value
-        state, tend = np.array([state], dtype=np.float64), np.array([tend], dtype=np.float64)
-    new = np.empty(state.shape) if out is None else out
-    if not _kernel.euler(state, tend, dt, new, correction):
-        system.validate_state(new, context="explicit step")
-    return float(new[0]) if number else new
+    if _kernel.euler(state, tend, dt, correction):
+        return
+    for name, values in zip(system.variables, state.reshape(len(system.variables), -1)):
+        if not np.isfinite(values).all():
+            raise BlowUpError(f"non-finite value in variable '{name}' during explicit step")
 
 
 # -- toy systems -------------------------------------------------------------
@@ -92,19 +80,11 @@ def logistic_tendency(b: float, p: LogisticParams) -> float:
     return p.r * b * (1.0 - b / p.cap)
 
 
-def _into(out, value):
-    """``value`` written into the array ``out``, or ``value`` itself without one."""
-    if out is None:
-        return value
-    out[...] = value
-    return out
-
-
 class LogisticSystem(DynamicalSystem):
     """Scalar logistic growth; the standard oracle for the ensemble engine."""
 
     def tendency(self, state, params: LogisticParams, out=None):
-        return _into(out, logistic_tendency(state, params))
+        return np.positive(logistic_tendency(state, params), out=out)
 
 
 class LinearSystem(DynamicalSystem):
@@ -114,4 +94,4 @@ class LinearSystem(DynamicalSystem):
         self.lam = float(lam)
 
     def tendency(self, state, params=None, out=None):
-        return _into(out, self.lam * state)
+        return np.multiply(self.lam, state, out=out)

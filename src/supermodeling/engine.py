@@ -45,12 +45,13 @@ Each member's free step, followed by adding its row of the correction, is
 one ``explicit_step`` call: one compiled pass over the member's state that
 also tells whether every value it stored is finite, so a step that blows up
 raises BlowUpError from there, naming the first non-finite variable, and a
-finite step costs no separate check.  (A step with dt = 0 adds the
-correction alone and checks the member.)  It runs in one of P = min(N,
-usable CPUs) processes: the caller and workers forked from it on its first
-coupled step, which live as long as the ensemble.  Member i runs in process
-(i + 1) mod P, where process 0 is the caller, so the caller, which also has
-the serial work of every step, steps the smaller share: floor(N/P) members.
+finite step costs no separate check.  Every step has dt > 0:
+``coupled_step``, ``train`` and ``simulate`` reject any other dt before they
+write a state.  A member steps in one of P = min(N, usable CPUs) processes:
+the caller and workers forked from it on its first coupled step, which live
+as long as the ensemble.  Member i runs in process (i + 1) mod P, where
+process 0 is the caller, so the caller, which also has the serial work of
+every step, steps the smaller share: floor(N/P) members.
 The states sit in shared memory and the caller writes the corrections to a
 shared buffer, so a coupled step hands off once per worker: a command down a
 pipe and a reply back.  A process waiting on its pipe polls it for up to
@@ -58,16 +59,15 @@ pipe and a reply back.  A process waiting on its pipe polls it for up to
 command without waiting to be woken, while an idle one sleeps.
 
 Training and prediction run on one loop of steps, ``_run_steps``, which
-promises, on every step but the last and when dt > 0, that the next call is
-a coupled step of the same ensemble and that nothing writes the states
-before it.  Given that promise, a worker computes its members' next
-tendencies right after its reply, while the caller runs its serial phase
-(coefficient update, average, error), and the promised step applies them
-instead of computing them.  The worker's loop keeps one array per member for
-them (``tendency``'s ``out``), so it allocates none after the first step; the
-caller keeps none, nor any other array between calls.  A tendency reads only
-its member's state, which nothing writes in between, so it has the same bits
-either way.
+promises, on every step but the last, that the next call is a coupled step
+of the same ensemble and that nothing writes the states before it.  Given
+that promise, a worker computes its members' next tendencies right after its
+reply, while the caller runs its serial phase (coefficient update, average,
+error), and the promised step applies them instead of computing them.  The
+worker's loop keeps one array per member for them (``tendency``'s ``out``),
+so it allocates none after the first step; the caller keeps none, nor any
+other array between calls.  A tendency reads only its member's state, which
+nothing writes in between, so it has the same bits either way.
 Looking ahead stops at a tendency that raises, which the promised step then
 computes afresh, so it raises at its own step.  Every other step (the first
 of a loop, a public ``coupled_step`` call, a step after a failure) computes
@@ -329,16 +329,10 @@ def _advance_members(ens: SubModelEnsemble, members, dt: float, corrections, ahe
     are computed.  Returns (member, exception) for the first member that
     fails, or None."""
     for i in members:
-        state = ens.states[i]
-        correction = None if corrections is None else corrections[i, ...]
         try:
-            if dt > 0:
-                explicit_step(ens.system, state, ens.params[i], dt, out=state,
-                              tendency=None if ahead is None else ahead.get(i),
-                              correction=correction)
-            elif correction is not None:  # the corrections alone
-                state[0] += correction
-                ens.system.validate_state(state, context="coupled step")
+            explicit_step(ens.system, ens.states[i], ens.params[i], dt,
+                          tendency=None if ahead is None else ahead.get(i),
+                          correction=None if corrections is None else corrections[i, ...])
         except Exception as exc:
             return i, exc
     return None
@@ -548,11 +542,8 @@ def coupled_step(
     ens: SubModelEnsemble, cm: CouplingMatrix, gt_now, dt: float, *,
     reuse_ahead: bool = False, look_ahead: bool = False,
 ) -> SubModelEnsemble:
-    """Advance every member one step, in place, with synchronization and nudging.
-
-    ``dt`` may be zero, which freezes the model dynamics but still applies
-    the coupling and nudging corrections (the training escape hatch for
-    ensembles that drift apart).  ``gt_now`` is the reference value at the
+    """Advance every member one step of ``dt`` > 0, in place, with
+    synchronization and nudging.  ``gt_now`` is the reference value at the
     pre-step index, which may be None only when K is zero.  Returns ``ens``.
 
     The flags belong to the step loop, ``_run_steps``.  ``look_ahead``
@@ -562,8 +553,8 @@ def coupled_step(
     while the caller goes on, and that next step applies them.  A step
     without ``reuse_ahead``, as any other call is, computes them afresh.
     """
-    if dt < 0:
-        raise ValueError("dt must be nonnegative")
+    if not dt > 0:  # NaN too
+        raise ValueError("dt must be positive")
     if cm.n != ens.n:
         raise ValueError(f"coupling is {cm.n}x{cm.n} but ensemble has {ens.n} members")
     if cm.k_nudge != 0.0 and gt_now is None:
@@ -666,6 +657,14 @@ def supermodel_output(ens: SubModelEnsemble, variables=None) -> np.ndarray:
     return out
 
 
+def _check_run(gt: GroundTruth | None, dt: float, steps: int) -> None:
+    """Reject a dt that is not > 0 and a reference that does not cover ``steps``."""
+    if not dt > 0:
+        raise ValueError("dt must be positive")
+    if gt is not None and gt.final_index < steps:
+        raise ValueError(f"reference covers steps up to {gt.final_index}, need {steps}")
+
+
 def _run_steps(
     ens: SubModelEnsemble, cm: CouplingMatrix, gt: GroundTruth | None, dt: float,
     steps: int, after_step,
@@ -680,13 +679,12 @@ def _run_steps(
     workers (see ``coupled_step``).  Each reference step is fetched once and
     nudges the step that starts from it; a reference must cover ``steps``.
     """
-    if gt is not None and gt.final_index < steps:
-        raise ValueError(f"reference covers steps up to {gt.final_index}, need {steps}")
+    _check_run(gt, dt, steps)
     ref = None if gt is None else gt_at(gt, 0)
     cm = after_step(0, cm, ref)
     for step in range(steps):
         coupled_step(ens, cm, ref, dt, reuse_ahead=step > 0,
-                     look_ahead=dt > 0 and step + 1 < steps)
+                     look_ahead=step + 1 < steps)
         ref = None if gt is None else gt_at(gt, step + 1)
         cm = after_step(step + 1, cm, ref)
     return cm
@@ -711,6 +709,7 @@ def train(
     ``min_epochs`` epochs have run).  Requires the reference to cover steps
     0 through ``steps_per_epoch``.
     """
+    _check_run(gt, dt, steps_per_epoch)  # before a reset writes the states
     if not tol > 0:
         raise ValueError("tolerance must be positive")
     report = TrainingReport()

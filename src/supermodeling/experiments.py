@@ -288,11 +288,14 @@ def save_coupling(cm: CouplingMatrix, path):
 
 def load_coupling(path) -> CouplingMatrix:
     """The coefficients ``save_coupling`` wrote.  The keys must be exactly the
-    fields of ``CouplingMatrix``, so that none takes its default: ValueError
-    names every missing and unknown key, and the file and what is wrong with
-    a value that ``CouplingMatrix`` rejects."""
-    with open(path) as fh:
-        payload = json.load(fh)
+    fields of ``CouplingMatrix``, so that none takes its default.  ValueError
+    names the file and what is wrong with it: not JSON, every missing and
+    unknown key, or a value that ``CouplingMatrix`` rejects."""
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError are ones
+        raise ValueError(f"trained coupling {path} is not JSON: {exc}") from exc
     fields = {f.name for f in dataclasses.fields(CouplingMatrix)}
     keys = payload.keys() if isinstance(payload, dict) else set()  # a list lacks every key
     mismatch = [f"{kind} key {name!r}" for kind, names in (

@@ -11,6 +11,7 @@ into an array that the engine advances in place, so copy one to keep it.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,8 @@ class GridSpec:
     h: float
 
     def __post_init__(self):
+        if not all(isinstance(n, numbers.Integral) for n in (self.nx, self.ny, self.nz)):
+            raise ValueError("grid cell counts must be integers")
         if min(self.nx, self.ny, self.nz) < 3:
             raise ValueError("grid needs at least 3 cells per axis for stencils")
         if not self.h > 0:
@@ -90,11 +93,14 @@ def write_field(path, data: np.ndarray, spec: GridSpec, t: float = 0.0):
 
 
 def read_field(path) -> tuple[np.ndarray, GridSpec, float]:
+    """The field, grid and time ``write_field`` wrote; ValueError names the
+    file when its header or its data length is not what that writes."""
     with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").split()
-        nx, ny, nz = int(header[0]), int(header[1]), int(header[2])
-        h, t = float(header[3]), float(header[4])
-        spec = GridSpec(nx, ny, nz, h)
+        try:
+            nx, ny, nz, h, t = fh.readline().decode("ascii").split()
+            spec, t = GridSpec(int(nx), int(ny), int(nz), float(h)), float(t)
+        except ValueError as exc:  # UnicodeDecodeError is one
+            raise ValueError(f"snapshot {path} has no 'nx ny nz h t' header: {exc}") from None
         raw = fh.read()
     if len(raw) != spec.size * 8:
         raise ValueError(f"snapshot {path} holds {len(raw)} data bytes, but its "

@@ -94,7 +94,7 @@ def generate_gt(
     state = np.array(initial_state, dtype=np.float64, ndmin=1)
     record(0, state)
     for n in range(1, steps + 1):
-        explicit_step(system, state, reference_params, dt, out=state)
+        explicit_step(system, state, reference_params, dt)
         if n % keep_every == 0 or n == steps:
             record(n, state)
     return GroundTruth(snapshots=snapshots, step_dt=dt, volumes=volumes, spec=system.spec)
@@ -167,23 +167,28 @@ def load_gt(directory) -> GroundTruth:
     does not read are ignored, so older archives, which also recorded the
     reference parameters, load too.  ValueError names the archive and what
     is wrong with it: a missing manifest.json or snapshot file, a manifest
-    that is not JSON, a missing key or records that do not fit together, or
-    the snapshot file and what is wrong with it: a grid other than the
-    manifest's or a non-finite value."""
+    that is not JSON, a missing key, a grid that ``GridSpec`` rejects or
+    records that do not fit together, or the snapshot file and what is wrong
+    with it (see ``read_field``): a grid other than the manifest's or a
+    non-finite value."""
     directory = Path(directory)
     try:
         with open(directory / "manifest.json") as fh:
             manifest = json.load(fh)
     except FileNotFoundError:
         raise ValueError(f"reference archive {directory} has no manifest.json") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError are ones
         raise ValueError(f"reference archive {directory} has a manifest.json that is not "
                          f"JSON: {exc}") from exc
     missing = [key for key in ("grid", "step_dt", "stored_indices") if key not in manifest]
     if missing:
         raise ValueError(f"reference archive {directory} has no key "
                          f"{', '.join(map(repr, missing))} in manifest.json")
-    spec = GridSpec(**manifest["grid"])
+    try:
+        spec = GridSpec(**manifest["grid"])
+    except (TypeError, ValueError) as exc:  # a key missing or unknown, or a bad value
+        raise ValueError(f"reference archive {directory} has a bad grid in manifest.json: "
+                         f"{exc}") from None
     snapshots = {}
     for n in manifest["stored_indices"]:
         path = directory / f"gt_{n:06d}.f64"

@@ -160,7 +160,7 @@ def _laplacian(data: np.ndarray, h: float, out: np.ndarray | None = None) -> np.
     out = np.empty(data.shape) if out is None else out
     shape = _grid(data.shape[-3:])
     _kernel.LIB.laplacian(math.prod(data.shape[:-3]), *shape, pointer(data, data.shape),
-                          pointer(out, data.shape, data), *_scaling(h * h))
+                          pointer(out, data.shape, data, output=True), *_scaling(h * h))
     return out
 
 
@@ -177,7 +177,7 @@ def compute_flux(state: np.ndarray, p: TumorParams, h: float,
     shape = _grid(b.shape)
     _k, k_ptr = _coefficients(p, h)  # held until the call returns
     _kernel.LIB.flux(*shape, pointer(b, shape), pointer(A, shape),
-                     pointer(out, (3,) + shape, state), k_ptr)
+                     pointer(out, (3,) + shape, state, output=True), k_ptr)
     return out
 
 
@@ -186,7 +186,8 @@ def _divergence(flux: np.ndarray, h: float, out: np.ndarray | None = None) -> np
     at the walls, into ``out`` or a new array."""
     out = np.empty(flux.shape[1:]) if out is None else out
     shape = _grid(flux.shape[1:])
-    _kernel.LIB.divergence(*shape, pointer(flux, (3,) + shape), pointer(out, shape, flux),
+    _kernel.LIB.divergence(*shape, pointer(flux, (3,) + shape),
+                           pointer(out, shape, flux, output=True),
                            *_scaling(2.0 * h), *_scaling(h))
     return out
 
@@ -206,7 +207,7 @@ def tumor_tendency(
     # every array is checked before the first foreign call
     shape = _grid(state.shape[1:])
     state_ptr = pointer(state, (5,) + shape, out)
-    out_ptr = pointer(out, (5,) + shape)
+    out_ptr = pointer(out, (5,) + shape, output=True)
     mask_ptr = None if oxygen_source_mask is None else pointer(oxygen_source_mask, shape, out)
 
     # out holds J in slots 1-3 until the Laplacians of c, o and A replace it,

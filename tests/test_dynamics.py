@@ -29,32 +29,42 @@ class TestLogistic:
 
 class TestExplicitStep:
     def test_zero_tendency_keeps_state(self):
-        sys = LinearSystem(0.0)
-        assert explicit_step(sys, 1.7, None, 0.1) == 1.7
+        state = np.array([1.7])
+        assert explicit_step(LinearSystem(0.0), state, None, 0.1) is None
+        assert state[0] == 1.7
 
     def test_logistic_hand_value(self):
-        sys = LogisticSystem()
-        p = LogisticParams(r=1.0, cap=2.0)
-        assert explicit_step(sys, 1.0, p, 0.1) == pytest.approx(1.05, abs=1e-15)
+        state = np.array([1.0])
+        explicit_step(LogisticSystem(), state, LogisticParams(r=1.0, cap=2.0), 0.1)
+        assert state[0] == pytest.approx(1.05, abs=1e-15)
 
     def test_zero_dt_rejected(self):
-        with pytest.raises(ValueError):
-            explicit_step(LogisticSystem(), 1.0, LogisticParams(1.0, 2.0), 0.0)
+        # and every other dt that is not > 0, before the state is written
+        state = np.array([1.0])
+        for dt in (0.0, -0.1, np.nan):
+            with pytest.raises(ValueError, match="dt must be positive"):
+                explicit_step(LogisticSystem(), state, LogisticParams(1.0, 2.0), dt)
+        assert state[0] == 1.0
+
+    def test_a_number_is_not_a_state(self):
+        with pytest.raises(ValueError, match="float64 arrays"):
+            explicit_step(LinearSystem(0.0), 1.7, None, 0.1)
 
     def test_linear_in_dt(self):
         sys = LogisticSystem()
         p = LogisticParams(r=0.8, cap=3.0)
-        b = 1.3
-        tend = sys.tendency(b, p)
-        assert explicit_step(sys, b, p, 0.3) == b + 0.3 * tend
+        b = np.array([1.3])
+        want = b + 0.3 * sys.tendency(b, p)
+        explicit_step(sys, b, p, 0.3)
+        assert b[0] == want[0]
 
     def test_blowup_detected(self):
         class Exploding(LinearSystem):
             def tendency(self, state, params=None):
-                return float("inf")
+                return np.full(state.shape, np.inf)
 
         with pytest.raises(BlowUpError):
-            explicit_step(Exploding(1.0), 1.0, None, 0.1)
+            explicit_step(Exploding(1.0), np.array([1.0]), None, 0.1)
 
 
 def sampled_lipschitz(system, params, draw, noise, scale, samples, seed):

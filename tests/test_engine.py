@@ -28,9 +28,9 @@ from supermodeling.experiments import (
     initial_coupling,
     instantiate_submodels,
 )
-from supermodeling.fields import BlowUpError, GridSpec
+from supermodeling.fields import BlowUpError
 from supermodeling.groundtruth import GroundTruth, generate_gt, gt_at
-from supermodeling.tumor import TumorSystem
+from supermodeling.tumor import FIELD_NAMES
 
 
 def toy_ensemble(states, r_values=None, cap=2.0):
@@ -40,6 +40,14 @@ def toy_ensemble(states, r_values=None, cap=2.0):
     params = [LogisticParams(r=r, cap=cap) for r in r_values]
     ens = SubModelEnsemble(system, params, states[0])
     ens.states[:, 0] = states
+    return ens
+
+
+def still_ensemble(values):
+    """Toy members whose model leaves them where they are, so a coupled step
+    adds the corrections alone: x + 0.0 * dt is x."""
+    ens = SubModelEnsemble(LinearSystem(0.0), [None] * len(values), np.array(values[:1]))
+    ens.states[:, 0] = values
     return ens
 
 
@@ -77,25 +85,25 @@ class TestCoupledStep:
         # one member, no coupling, no nudging: bitwise equal to the free run
         ens = toy_ensemble([0.37], r_values=[1.3])
         cm = CouplingMatrix.uniform(1, 0.0, k_nudge=0.0, c_min=0.0)
-        free = 0.37
+        free = np.array([0.37])
         p = ens.params[0]
         for _ in range(100):
             ens = coupled_step(ens, cm, gt_now=None, dt=0.1)
-            free = explicit_step(LogisticSystem(), free, p, 0.1)
-        assert ens.states[0] == free
+            explicit_step(LogisticSystem(), free, p, 0.1)
+        assert np.array_equal(ens.states[0], free)
 
     def test_pure_synchronization_hand_value(self):
-        ens = toy_ensemble([1.0, 3.0])
+        ens = still_ensemble([1.0, 3.0])
         cm = CouplingMatrix.uniform(2, 0.5, k_nudge=0.0)
-        stepped = coupled_step(ens, cm, gt_now=None, dt=0.0)
+        stepped = coupled_step(ens, cm, gt_now=None, dt=0.1)
         assert stepped.states[0] == pytest.approx(1.5, abs=1e-15)
         assert stepped.states[1] == pytest.approx(2.5, abs=1e-15)
 
     def test_mean_form_nudging_vanishes_at_mean(self):
         # the nudge acts on the ensemble mean: mean(1, 3) == GT == 2
-        ens = toy_ensemble([1.0, 3.0])
+        ens = still_ensemble([1.0, 3.0])
         cm = CouplingMatrix.uniform(2, 0.0, k_nudge=1.0, c_min=0.0)
-        stepped = coupled_step(ens, cm, gt_now=2.0, dt=0.0)
+        stepped = coupled_step(ens, cm, gt_now=2.0, dt=0.1)
         assert stepped.states[0] == 1.0
         assert stepped.states[1] == 3.0
 
@@ -106,7 +114,7 @@ class TestCoupledStep:
             coupled_step(ens, cm, None, 0.1)
         assert np.array_equal(ens.states, [[1.0], [3.0]])
 
-    @pytest.mark.parametrize("dt", [0.0, 0.1])
+    @pytest.mark.parametrize("dt", [0.1, 1.0])
     def test_non_finite_correction_names_the_coupled_variable(self, dt):
         # the free steps stay finite; only the nudge toward an infinite
         # reference makes the corrected values non-finite
@@ -133,11 +141,11 @@ class TestCoupledStep:
         n = int(rng.integers(2, 5))
         states = list(rng.uniform(0.0, 2.0, size=n))
         c = rng.uniform(0.05, 0.95)
-        ens = toy_ensemble(states)
+        ens = still_ensemble(states)
         cm = CouplingMatrix.uniform(n, c, k_nudge=0.0)
         spread = max(states) - min(states)
         for _ in range(20):
-            ens = coupled_step(ens, cm, None, dt=0.0)
+            ens = coupled_step(ens, cm, None, dt=0.1)
             values = list(ens.states)
             new_spread = max(values) - min(values)
             assert new_spread <= spread + 1e-15
@@ -155,7 +163,8 @@ class TestTumorReduction:
         free = [np.array(initial) for _ in params]
         for _ in range(5):
             ens = coupled_step(ens, cm, gt_now=None, dt=0.1)
-            free = [explicit_step(system, x, p, 0.1) for x, p in zip(free, params)]
+            for x, p in zip(free, params):
+                explicit_step(system, x, p, 0.1)
         for member, expected in zip(ens.states, free):
             assert np.array_equal(member, expected)
 
@@ -193,10 +202,21 @@ class TestUpdateCoupling:
             assert np.all(off >= cm.c_min) and np.all(off <= cm.c_max)
 
 
+class StillFields(LinearSystem):
+    """Five fields on a grid of spacing h that a step leaves where they are:
+    the tendency is zero, so a coupled step of any dt adds the corrections
+    alone (x + 0.0 * dt is x)."""
+
+    variables = FIELD_NAMES
+
+    def __init__(self, h):
+        super().__init__(0.0)
+        self.cell_volume = h ** 3
+
+
 def field_ensemble(states, h=1.0):
-    """Tumor-model ensemble on a grid that fits ``states`` (N, 5, nz, ny, nx)."""
-    nz, ny, nx = states.shape[2:]
-    ens = SubModelEnsemble(TumorSystem(GridSpec(nx, ny, nz, h)), [None] * len(states), states[0])
+    """Ensemble of ``states`` (N, 5, nz, ny, nx) on a grid of spacing h."""
+    ens = SubModelEnsemble(StillFields(h), [None] * len(states), states[0])
     ens.states[...] = states
     return ens
 
@@ -248,7 +268,7 @@ class TestCouplingAlgebra:
         cm = raw_coupling(c, k_nudge)
         ens = field_ensemble(states)
         for _ in range(100):
-            coupled_step(ens, cm, x if k_nudge else None, 0.0)
+            coupled_step(ens, cm, x if k_nudge else None, 0.1)
         assert_rel_close(ens.states[:, 0], np.broadcast_to(x, (n,) + x.shape), 1e-14)
 
     @settings(max_examples=60, deadline=None)
@@ -269,7 +289,7 @@ class TestCouplingAlgebra:
         cm = raw_coupling(c, k_nudge, a_rate)
         b = states[:, 0]
 
-        ens = coupled_step(field_ensemble(states, h), cm, gt, 0.0)
+        ens = coupled_step(field_ensemble(states, h), cm, gt, 0.1)
         expected_b = []
         for i in range(n):
             coupling = sum(c[i, j] * (b[j] - b[i]) for j in range(n)) / n
@@ -361,8 +381,9 @@ class TestTrain:
         gt = self.make_toy_gt(steps=3)
         ens = toy_ensemble([0.5, 0.6])
         cm = CouplingMatrix.uniform(2, 0.5, k_nudge=0.9)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="covers steps up to 3, need 10"):
             train(ens, cm, gt, 0.1, steps_per_epoch=10, max_epochs=1, tol=1e-6)
+        assert np.array_equal(ens.states, [[0.5], [0.6]])  # not reset
 
     def test_blowup_carries_partial_report(self):
         # growth fast enough to overflow to inf inside the first epoch
@@ -412,11 +433,11 @@ class TestSimulate:
         ens = toy_ensemble([0.4], r_values=[1.1])
         cm = CouplingMatrix.uniform(1, 0.0, k_nudge=0.0, c_min=0.0)
         outputs = simulate(ens, cm, None, 0.1, steps=50)
-        free = 0.4
+        free = np.array([0.4])
         p = ens.params[0]
         for k in range(50):
-            free = explicit_step(LogisticSystem(), free, p, 0.1)
-            assert outputs[k + 1] == free
+            explicit_step(LogisticSystem(), free, p, 0.1)
+            assert np.array_equal(outputs[k + 1], free)
 
     def test_exact_ensemble_tracks_reference(self):
         gt = generate_gt(LogisticSystem(), LogisticParams(1.0, 2.0), 0.5,

@@ -183,11 +183,13 @@ class TestCouplingFile:
         (lambda payload: {**payload, "c": [[0.0, float("nan")] + row[2:] if i == 0 else row
                                            for i, row in enumerate(payload["c"])]},
          "must be finite"),
+        (lambda payload: json.dumps(payload)[:-2], "is not JSON"),
     ], ids=["ragged-c", "string-k_nudge", "nonzero-diagonal", "inverted-clamps",
-            "bool-k_nudge", "nan-c"])
+            "bool-k_nudge", "nan-c", "not-json"])
     def test_bad_values_rejected_naming_the_file(self, tmp_path, edit, shown):
         _cm, path = self.saved(tmp_path)
-        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        edited = edit(json.loads(path.read_text()))
+        path.write_text(edited if isinstance(edited, str) else json.dumps(edited))
         with pytest.raises(ValueError, match=re.escape(shown)) as err:
             experiments.load_coupling(path)
         assert str(err.value).startswith(f"trained coupling {path}")
@@ -278,17 +280,48 @@ class TestCli:
             manifest.write_text(json.dumps(payload))
             return manifest.parent, ("volume records",)
 
-        for damage in (truncated, another_grid, nan, no_step_dt, no_manifest, no_snapshot,
-                       not_json, volumes_off_the_steps):
-            copy = tmp_path / damage.__name__ / "gt"
+        def header(line, said):
+            """Damage that gives the snapshot the header ``line``."""
+            def damage(snapshot, _manifest):
+                data = snapshot.read_bytes().split(b"\n", 1)[1]
+                snapshot.write_bytes(line + b"\n" + data if line else b"")
+                return snapshot, ("'nx ny nz h t'", said)
+            return damage
+
+        def grid(new, said):
+            """Damage that gives the manifest the grid ``new``."""
+            def damage(_snapshot, manifest):
+                payload = json.loads(manifest.read_text())
+                manifest.write_text(json.dumps({**payload, "grid": new}))
+                return manifest.parent, ("grid", said)
+            return damage
+
+        damages = (
+            truncated, another_grid, nan, no_step_dt, no_manifest, no_snapshot, not_json,
+            volumes_off_the_steps,
+            # the snapshot's header: empty, too few fields, not numbers, not
+            # ASCII, a grid that GridSpec rejects
+            header(b"", "got 0"), header(b"x y", "got 2"), header(b"8 8 8 1.0", "got 4"),
+            header(b"8 8 x 1.0 0.1", "invalid literal"),
+            header("8 8 8 1.0 0.1\u00e9".encode(), "ascii"),
+            header(b"8 8 2 1.0 0.1", "at least 3 cells"),
+            # the manifest's grid: a key missing or unknown, a bad value
+            grid({"nx": 8}, "'ny'"), grid({"nx": 8, "ny": 8, "nz": 8, "h": 1.0, "nw": 8}, "'nw'"),
+            grid({"nx": "8", "ny": 8, "nz": 8, "h": 1.0}, "integers"),
+            grid({"nx": 8.0, "ny": 8, "nz": 8, "h": 1.0}, "integers"),
+            grid({"nx": 8, "ny": 8, "nz": 8, "h": -1.0}, "positive"),
+            grid([8, 8, 8], "mapping"),
+        )
+        for k, damage in enumerate(damages):
+            copy = tmp_path / str(k) / "gt"
             shutil.copytree(archive, copy)
             path, shown = damage(copy / "gt_000002.f64", copy / "manifest.json")
             for command in ("train", "simulate"):
-                out = tmp_path / damage.__name__ / command
-                assert main([command, *GRID, "--out", str(out), "--gt", str(copy)]) == 2, damage
+                out = tmp_path / str(k) / command
+                assert main([command, *GRID, "--out", str(out), "--gt", str(copy)]) == 2, k
                 err = capsys.readouterr().err
-                assert str(path) in err and all(s in err for s in shown), (damage, err)
-                assert not out.exists(), damage
+                assert str(path) in err and all(s in err for s in shown), (k, err)
+                assert not out.exists(), k
 
     def test_missing_coupling_exits_with_its_path(self, tmp_path, capsys, archive):
         out = tmp_path / "cli"

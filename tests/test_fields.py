@@ -22,6 +22,12 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(2, 4, 4, 1.0)
 
+    @pytest.mark.parametrize("nx", [4.0, 4.5, "4"])
+    def test_rejects_cell_counts_that_are_not_integers(self, nx):
+        with pytest.raises(ValueError, match="integers"):
+            GridSpec(nx, 4, 4, 1.0)
+        assert GridSpec(np.int64(4), 4, 4, 1.0) == GridSpec(4, 4, 4, 1.0)
+
     def test_rejects_nonpositive_spacing(self):
         with pytest.raises(ValueError):
             GridSpec(4, 4, 4, 0.0)

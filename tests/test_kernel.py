@@ -185,19 +185,17 @@ def tendency(state, out):
     tumor_tendency(state, TumorParams(), 1.0, out=out)
 
 
-def euler(state, out, tend=None, correction=None):
-    """An Euler pass from ``state`` into ``out``, with a zero tendency and a
-    zero correction unless they are given."""
+def euler(state, tend=None, correction=None):
+    """An Euler pass on ``state``, with a zero tendency and a zero correction
+    unless they are given."""
     tend = np.zeros(state.shape) if tend is None else tend
     correction = np.zeros(state.shape[1:]) if correction is None else correction
-    _kernel.euler(state, tend, 0.1, out, correction)
+    _kernel.euler(state, tend, 0.1, correction)
 
 
-def overlapping(state, _out):
-    """``state`` and an out array that overlaps all of it but its first field."""
-    both = np.empty((len(state) + 1,) + state.shape[1:])
-    both[:-1] = state
-    return both[:-1], both[1:]
+def read_only(array):
+    array.flags.writeable = False
+    return array
 
 
 UNSAFE = {  # a kernel call on a state and an out array -> its complaint
@@ -209,17 +207,16 @@ UNSAFE = {  # a kernel call on a state and an out array -> its complaint
     "out is state": (lambda s, o: tendency(s, s), "overlap"),
     "two cells": (lambda s, o: tendency(np.ascontiguousarray(s[:, :, :2]), o[:, :, :2].copy()),
                   "at least 3 cells"),
-    "euler float32 tendency": (lambda s, o: euler(s, o, tend=s.astype(np.float32)), "float64"),
-    "euler fortran state": (lambda s, o: euler(np.asfortranarray(s), o), "C-contiguous"),
+    "euler float32 tendency": (lambda s, o: euler(s, tend=s.astype(np.float32)), "float64"),
+    "euler fortran state": (lambda s, o: euler(np.asfortranarray(s)), "C-contiguous"),
     "euler strided correction": (
-        lambda s, o: euler(s, o, correction=np.concatenate([s[0], s[0]], axis=2)[..., ::2]),
+        lambda s, o: euler(s, correction=np.concatenate([s[0], s[0]], axis=2)[..., ::2]),
         "C-contiguous"),
-    "euler out shape": (lambda s, o: euler(s, np.empty(s.shape[:3] + (s.shape[3] + 1,))),
-                        "shape"),
-    "euler correction shape": (lambda s, o: euler(s, o, correction=np.zeros(s.shape)), "shape"),
-    "euler tendency is out": (lambda s, o: euler(s, o, tend=o), "overlap"),
-    "euler correction in out": (lambda s, o: euler(s, o, correction=o[0]), "overlap"),
-    "euler out overlaps state": (lambda s, o: euler(*overlapping(s, o)), "overlap"),
+    "euler correction shape": (lambda s, o: euler(s, correction=np.zeros(s.shape)), "shape"),
+    "euler tendency is state": (lambda s, o: euler(s, tend=s), "overlap"),
+    "euler correction in state": (lambda s, o: euler(s, correction=s[0]), "overlap"),
+    "read-only out": (lambda s, o: tendency(s, read_only(o)), "writeable"),
+    "euler read-only state": (lambda s, o: euler(read_only(s)), "writeable"),
 }
 
 
@@ -325,13 +322,11 @@ def same_bits(got, want):
     seed=st.integers(0, 2**32 - 1),
     dt=st.sampled_from([0.1, 0.7, 1e-3, 2.0, 5e-324, 1e300]),
     corrected=st.booleans(),
-    in_place=st.booleans(),
 )
-@example(shape=(5, 7), seed=0, dt=0.1, corrected=True, in_place=True)
-@example(shape=(1, 1), seed=1, dt=0.7, corrected=True, in_place=False)
-@example(shape=(2, 3), seed=2, dt=1e300, corrected=False, in_place=True)
-def test_euler_pass_is_numpys_step_and_correction_bit_for_bit(shape, seed, dt, corrected,
-                                                               in_place):
+@example(shape=(5, 7), seed=0, dt=0.1, corrected=True)
+@example(shape=(1, 1), seed=1, dt=0.7, corrected=True)
+@example(shape=(2, 3), seed=2, dt=1e300, corrected=False)
+def test_euler_pass_is_numpys_step_and_correction_bit_for_bit(shape, seed, dt, corrected):
     rng = np.random.default_rng(seed)
 
     def draw(size):
@@ -348,9 +343,8 @@ def test_euler_pass_is_numpys_step_and_correction_bit_for_bit(shape, seed, dt, c
         want = np.add(state, tend * dt)
         if corrected:
             want[0] += correction
-    out = state if in_place else np.full(shape, np.nan)
-    finite = _kernel.euler(state, tend, dt, out, correction)
-    assert same_bits(out, want)
+    finite = _kernel.euler(state, tend, dt, correction)
+    assert same_bits(state, want)
     assert finite == np.isfinite(want).all()
     assert same_bits(tend, kept_tend)  # the tendency is read, not written
 
@@ -363,10 +357,10 @@ def test_euler_pass_flags_every_non_finite_value(value, field, at):
     params = TumorParams()
     state = random_state(spec, np.random.default_rng(0))
     tend, correction = np.ones(state.shape), np.ones(spec.shape)
-    assert _kernel.euler(state, tend, 0.1, np.empty(state.shape), correction)
+    assert _kernel.euler(state.copy(), tend, 0.1, correction)
     state[FIELD_NAMES.index(field)].flat[at] = value
-    assert not _kernel.euler(state, tend, 0.1, np.empty(state.shape), correction)
-    assert not _kernel.euler(state, tend, 0.1, np.empty(state.shape))
+    assert not _kernel.euler(state.copy(), tend, 0.1, correction)
+    assert not _kernel.euler(state.copy(), tend, 0.1)
     # a step names the field
     with pytest.raises(BlowUpError, match=f"variable '{field}' during explicit step"):
         explicit_step(TumorSystem(spec), state, params, 0.1, tendency=tend)
@@ -376,7 +370,7 @@ def test_euler_pass_flags_what_the_correction_and_the_step_overflow_to():
     state = np.full((2, 3), 1.5e308)
     tend = np.zeros(state.shape)
     correction = np.array([0.0, 0.0, 1e308])
-    assert _kernel.euler(state, tend, 0.1, np.empty(state.shape))
-    assert not _kernel.euler(state, tend, 0.1, np.empty(state.shape), correction)
+    assert _kernel.euler(state.copy(), tend, 0.1)
+    assert not _kernel.euler(state.copy(), tend, 0.1, correction)
     tend[1, 0] = 1e308
-    assert not _kernel.euler(state, tend, 1.0, np.empty(state.shape))
+    assert not _kernel.euler(state.copy(), tend, 1.0)

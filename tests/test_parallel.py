@@ -11,6 +11,7 @@ forked worker process.
 import contextlib
 import dataclasses
 import gc
+import mmap
 import os
 import signal
 import time
@@ -37,7 +38,7 @@ from supermodeling.experiments import (
     run_experiment,
 )
 from supermodeling.fields import BlowUpError
-from supermodeling.groundtruth import generate_gt
+from supermodeling.groundtruth import generate_gt, gt_at
 from supermodeling.tumor import FIELD_NAMES
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="workers need os.fork")
@@ -381,7 +382,6 @@ class Ramp(DynamicalSystem):
 @pytest.mark.parametrize("dt, steps, flags", [
     (0.1, 4, [(False, True), (True, True), (True, True), (True, False)]),
     (0.1, 1, [(False, False)]),
-    (0.0, 3, [(False, False), (True, False), (True, False)]),
 ])
 def test_the_loop_promises_every_step_but_the_last_when_dt_is_positive(
         monkeypatch, dt, steps, flags):
@@ -397,6 +397,30 @@ def test_the_loop_promises_every_step_but_the_last_when_dt_is_positive(
     monkeypatch.setattr(engine, "coupled_step", spy)
     engine._run_steps(ens, cm, gt, dt, steps, lambda _step, cm, _ref: cm)
     assert seen == flags
+
+
+@pytest.mark.parametrize("workers", [False, True], ids=["inline", "workers"])
+@pytest.mark.parametrize("dt", [0.0, -0.1, np.nan])
+def test_non_positive_dt_rejected_before_any_step(monkeypatch, workers, dt):
+    if workers:
+        force_workers(monkeypatch)
+    ens, cm, gt = make_training(3)
+    ens.states[:, 0] *= 1.01  # off the initial state, which train would reset to
+    before = ens.states.copy()
+    seen = []
+    calls = {
+        "coupled_step": lambda: coupled_step(ens, cm, gt_at(gt, 0), dt),
+        "train": lambda: train(ens, cm, gt, dt, STEPS, max_epochs=1, tol=1e-6),
+        "simulate": lambda: simulate(ens, cm, gt, dt, STEPS,
+                                     each_step=lambda step, _ens, _ref: seen.append(step)),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match="dt must be positive"):
+            call()
+        assert np.array_equal(ens.states, before), name
+    assert seen == []
+    assert isinstance(ens.states.base, mmap.mmap) == workers
+    assert ens._workers is None  # no worker was forked
 
 
 # with two processes members 0 and 2 are the worker's, whose tendencies at

@@ -26,8 +26,11 @@ def uniform_state(spec, b=0.0, c=0.0, o=60.0, M=0.0, A=0.0):
 
 
 def euler_step(spec, state, params, dt):
-    """One forward-Euler step of the full model through dynamics.explicit_step."""
-    return explicit_step(TumorSystem(spec), state, params, dt)
+    """One forward-Euler step of the full model through dynamics.explicit_step,
+    on a copy of ``state``."""
+    stepped = np.array(state)
+    explicit_step(TumorSystem(spec), stepped, params, dt)
+    return stepped
 
 
 @pytest.fixture
