@@ -1,7 +1,8 @@
-"""The compiled library: the tumor tendency's stages and the Euler pass.
+"""The compiled library: the tumor tendency and the Euler pass.
 
-``_tendency.c`` holds the four stages of the tumor tendency (``tumor.py``
-calls them) and the forward-Euler pass that ends every member step
+``_tendency.c`` holds the tumor tendency, whose one entry runs its four
+stages in turn (``tumor.tumor_tendency`` calls it; ``tumor.py`` also wraps
+each stage alone), and the forward-Euler pass that ends every member step
 (``dynamics.explicit_step`` calls it).  The first import builds it with the
 interpreter's C compiler into the package's ``__pycache__``, which must be
 writable then; later imports load it from there.  A build or load that
@@ -37,7 +38,7 @@ _SIGNATURES = {
     "flux": ((_LONG,) * 3 + (_ARRAY,) * 4, None),
     "divergence": ((_LONG,) * 3 + (_ARRAY,) * 2 + (_DOUBLE, ctypes.c_int) * 2, None),
     "laplacian": ((_LONG,) * 4 + (_ARRAY,) * 2 + (_DOUBLE, ctypes.c_int), None),
-    "reaction": ((_LONG,) + (_ARRAY,) * 4, None),
+    "tendency": ((_LONG,) * 3 + (_ARRAY,) * 4, None),
     "euler": ((_LONG,) * 2 + (_ARRAY,) * 3 + (_DOUBLE,), ctypes.c_int),
 }
 

@@ -1,5 +1,5 @@
-/* The stages of the tumor tendency as loops over the cells of a grid, and
-   the forward-Euler pass that every member step ends with.
+/* The tumor tendency as loops over the cells of a grid, and the
+   forward-Euler pass that every member step ends with.
 
    _kernel.py builds this file into a shared library, which tumor.py and
    dynamics.py call through ctypes; it is the only code of the tendency and
@@ -16,12 +16,14 @@
    operation to each lane; a lone cell goes through the same code with both
    lanes holding it.
 
-   A tendency runs the four stages on one output array shaped like the
-   state, and needs no other: flux writes J into slots 1 to 3, divergence
-   reads it there and writes div J into slot 0, and the Laplacians of c, o
-   and A replace J in slots 1, 2 and 4.  reaction then turns slots 0, 1, 2
-   and 4 into the tendency and writes slot 3, which still holds Jz, without
-   reading it. */
+   tendency, one call per tendency, runs the four stages in turn on one
+   output array shaped like the state, and needs no other: flux writes J
+   into slots 1 to 3, divergence reads it there and writes div J into
+   slot 0, and the Laplacians of c, o and A replace J in slots 1, 2 and 4.
+   reaction then turns slots 0, 1, 2 and 4 into the tendency and writes
+   slot 3, which still holds Jz, without reading it.  flux, divergence and
+   laplacian are exported too, so tumor.py can run and the tests can check
+   each of them alone. */
 
 #include <string.h>
 
@@ -78,6 +80,8 @@ enum {
        b_M - b_norm, of 2h (centred differences) and of h (one-sided) */
     B_NORM, B_MAX, NEG_D_B, R_B, NORM, NORM_MULTIPLY, CENTRED, CENTRED_MULTIPLY, EDGE,
     EDGE_MULTIPLY,
+    /* the Laplacians: the scaling of h^2 */
+    HH, HH_MULTIPLY,
     /* reaction: the scaling of b_M, then the rates in the order of the terms */
     B_M_SCALING, B_M_MULTIPLY, O_DEATH, O_PROL, TAU_B, P_B, T_DEATH, T_PROL, CHI_C, GAMMA_C,
     ALPHA_O, GAMMA_O, DELTA_O, O_MAX, NEG_BETA_M, GAMMA_A, CHI_AA, GAMMA_OA
@@ -321,8 +325,8 @@ INLINE void dM_dA_cells(const coefficients *p, const double *b, const double *M,
    values (Jz, in a tendency) and lap A, and receives db, dc, do, dM and dA
    in their place.
    ``mask`` is NULL for delivery everywhere; ``k`` holds the coefficients. */
-void reaction(long cells, const double *restrict state, const double *restrict mask,
-              double *restrict out, const double *restrict k)
+static void reaction(long cells, const double *restrict state, const double *restrict mask,
+                     double *restrict out, const double *restrict k)
 {
     const double *b = state, *c = state + cells, *o = state + 2 * cells,
                  *M = state + 3 * cells, *A = state + 4 * cells;
@@ -349,6 +353,25 @@ void reaction(long cells, const double *restrict state, const double *restrict m
 #undef DC
 #undef DO
 #undef DM_DA
+}
+
+/* -- the tendency ------------------------------------------------------------ */
+
+/* The tendency of ``state`` (b, c, o, M and A) into ``out``, shaped like it:
+   the four stages in turn on one output array (see the top of this file).
+   ``mask`` is NULL for delivery everywhere; ``k`` holds the coefficients.
+   ``out`` shares no memory with ``state`` or ``mask``. */
+void tendency(long nz, long ny, long nx, const double *state, const double *mask, double *out,
+              const double *k)
+{
+    long cells = nz * ny * nx;
+
+    flux(nz, ny, nx, state, state + 4 * cells, out + cells, k);
+    divergence(nz, ny, nx, out + cells, out, k[CENTRED], k[CENTRED_MULTIPLY] != 0.0, k[EDGE],
+               k[EDGE_MULTIPLY] != 0.0);
+    laplacian(2, nz, ny, nx, state + cells, out + cells, k[HH], k[HH_MULTIPLY] != 0.0);
+    laplacian(1, nz, ny, nx, state + 4 * cells, out + 4 * cells, k[HH], k[HH_MULTIPLY] != 0.0);
+    reaction(cells, state, mask, out, k);
 }
 
 /* -- forward Euler with the coupling correction ------------------------------ */

@@ -11,6 +11,7 @@ into an array that the engine advances in place, so copy one to keep it.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -35,8 +36,8 @@ class GridSpec:
             raise ValueError("grid cell counts must be integers")
         if min(self.nx, self.ny, self.nz) < 3:
             raise ValueError("grid needs at least 3 cells per axis for stencils")
-        if not self.h > 0:
-            raise ValueError("grid spacing h must be positive")
+        if not 0 < self.h < math.inf:
+            raise ValueError("grid spacing h must be finite and positive")
 
     @property
     def shape(self) -> tuple[int, int, int]:

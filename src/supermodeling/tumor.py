@@ -20,22 +20,25 @@ TumorSystem supplies both from its GridSpec.
 
 The tendency runs in four stages: the flux, its divergence, the Laplacians
 of c, o and A, and the reaction terms, which turn the divergence and the
-Laplacians, written into the output array, into the tendency.  Each stage
-is one call into the package's compiled library (``_kernel``, built from
-``_tendency.c``), the only code of the tendency; the forward-Euler step
-that follows it is one more call into the same library, made by
-``dynamics.explicit_step``.  The loops do each stage's arithmetic cell by
-cell, two cells at a time, in the order of the NumPy formula that the tests
-hold them to (``reference_tendency``), and the build allows no reordering
-or fused operations, so both give the same bits.  The loops multiply by the
-exact reciprocal of a power-of-two divisor (``_scaling``), since x / 2^k
-and x * 2^-k are the same correctly rounded number for every x; every other
-divisor, such as h = 0.7 or T_prol, divides.  The flux and reaction stages
-take their coefficients as one array, built once per parameter set and
-spacing (``_coefficients``).  Before the first call of a tendency the
-wrappers check every array a stage is given (the state, the output and the
-oxygen mask: C-contiguous float64 of the grid's shape, at least 3 cells per
-axis, the output apart from the inputs) and raise ValueError otherwise.
+Laplacians, written into the output array, into the tendency.  One call
+into the package's compiled library (``_kernel``, built from
+``_tendency.c``) runs all four in turn; it is the only code of the
+tendency.  The forward-Euler step that follows it is one more call into
+the same library, made by ``dynamics.explicit_step``.  The loops do each
+stage's arithmetic cell by cell, two cells at a time, in the order of the
+NumPy formula that the tests hold them to (``reference_tendency``), and the
+build allows no reordering or fused operations, so both give the same
+bits.  The loops multiply by the exact reciprocal of a power-of-two divisor
+(``_scaling``), since x / 2^k and x * 2^-k are the same correctly rounded
+number for every x; every other divisor, such as h = 0.7 or T_prol,
+divides.  The call takes the coefficients and the spacing's scalings as one
+array, built once per parameter set and spacing (``_coefficients``).
+Before it, ``tumor_tendency`` checks the state, the output and the oxygen
+mask once (C-contiguous float64 of the grid's shape, at least 3 cells per
+axis, the output writeable and apart from the others) and raises
+ValueError otherwise.  ``compute_flux``, ``_divergence`` and ``_laplacian``
+call one stage each, with the same checks, for the tests and the
+benchmark's layers; the tendency does not go through them.
 
 The tendency writes nothing but its output array: the flux goes into
 slots 1 to 3 of it until the Laplacians replace it.  So a TumorSystem holds
@@ -130,14 +133,14 @@ def _scaling(divisor: float) -> tuple[float, bool]:
 
 @functools.lru_cache(maxsize=64)
 def _coefficients(p: TumorParams, h: float) -> tuple[np.ndarray, int]:
-    """The flux and reaction coefficients of a tendency of ``p`` on spacing
-    ``h``, as the compiled stages take them: one read-only float64 array,
-    laid out as the enum in ``_tendency.c``, and its address.  A caller
-    holds the array until its foreign call returns, since the cache may drop
-    it.  Built once per parameter set and spacing, in place of about 30
-    converted arguments per tendency."""
+    """The coefficients of a tendency of ``p`` on spacing ``h``, as the
+    compiled code takes them: one read-only float64 array, laid out as the
+    enum in ``_tendency.c``, and its address.  It holds the flux's and the
+    reaction's coefficients and the scalings of 2h, h and h^2, so the
+    tendency's one foreign call takes no other number.  A caller holds the
+    array until its foreign call returns, since the cache may drop it."""
     k = np.array([p.b_norm, p.b_M, -p.d_b, p.r_b, *_scaling(p.b_M - p.b_norm),
-                  *_scaling(2.0 * h), *_scaling(h),
+                  *_scaling(2.0 * h), *_scaling(h), *_scaling(h * h),
                   *_scaling(p.b_M), p.o_death, p.o_prol, p.tau_b, p.P_b, p.T_death, p.T_prol,
                   p.chi_c, p.gamma_c, p.alpha_o, p.gamma_o, p.delta_o, p.o_max, -p.beta_M,
                   p.gamma_A, p.chi_aA, p.gamma_oA], dtype=np.float64)
@@ -204,20 +207,12 @@ def tumor_tendency(
     acts everywhere.
     """
     out = np.empty(state.shape) if out is None else out
-    # every array is checked before the first foreign call
     shape = _grid(state.shape[1:])
     state_ptr = pointer(state, (5,) + shape, out)
     out_ptr = pointer(out, (5,) + shape, output=True)
     mask_ptr = None if oxygen_source_mask is None else pointer(oxygen_source_mask, shape, out)
-
-    # out holds J in slots 1-3 until the Laplacians of c, o and A replace it,
-    # and div J and those Laplacians until the reaction terms replace them
-    # with the tendency
-    _divergence(compute_flux(state, p, h, out=out[1:4]), h, out=out[0])
-    _laplacian(state[1:3], h, out=out[1:3])
-    _laplacian(state[4], h, out=out[4])
-    _k, k_ptr = _coefficients(p, h)
-    _kernel.LIB.reaction(math.prod(shape), state_ptr, mask_ptr, out_ptr, k_ptr)
+    _k, k_ptr = _coefficients(p, h)  # held until the call returns
+    _kernel.LIB.tendency(*shape, state_ptr, mask_ptr, out_ptr, k_ptr)
     return out
 
 

@@ -32,6 +32,12 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(4, 4, 4, 0.0)
 
+    @pytest.mark.parametrize("h", [math.inf, -math.inf, math.nan])
+    def test_rejects_spacing_that_is_not_finite(self, h):
+        # an infinite h would give an infinite cell volume
+        with pytest.raises(ValueError, match="finite and positive"):
+            GridSpec(8, 8, 8, h)
+
     def test_shape_runs_x_fastest(self):
         spec = GridSpec(5, 4, 3, 1.0)
         data = np.zeros(spec.shape)
@@ -130,6 +136,16 @@ class TestSnapshotIO:
         message = str(info.value)
         assert str(path) in message
         assert str(expected) in message and str(expected + change) in message
+
+    def test_infinite_spacing_in_the_header_names_the_file(self, tmp_path):
+        spec = GridSpec(5, 4, 3, 0.3)
+        path = tmp_path / "field.f64"
+        write_field(path, np.zeros(spec.shape), spec)
+        data = path.read_bytes().split(b"\n", 1)[1]
+        path.write_bytes(b"5 4 3 inf 0.0\n" + data)
+        with pytest.raises(ValueError, match="finite and positive") as info:
+            read_field(path)
+        assert str(path) in str(info.value)
 
     def test_shape_must_match_grid(self, tmp_path):
         with pytest.raises(ValueError):

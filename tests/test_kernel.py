@@ -25,49 +25,68 @@ from supermodeling.tumor import (
 )
 
 
+def reference_gradient(data, h):
+    """(d/dx, d/dy, d/dz) of a field: centred inside, one-sided at the walls."""
+    gz, gy, gx = np.gradient(data, h)
+    return gx, gy, gz
+
+
+def reference_laplacian(data, h):
+    """7-point Laplacian of a field with mirrored (edge-padded) walls."""
+    p_ = np.pad(data, 1, mode="edge")
+    return (
+        p_[2:, 1:-1, 1:-1] + p_[:-2, 1:-1, 1:-1]
+        + p_[1:-1, 2:, 1:-1] + p_[1:-1, :-2, 1:-1]
+        + p_[1:-1, 1:-1, 2:] + p_[1:-1, 1:-1, :-2]
+        - 6.0 * data
+    ) / (h * h)
+
+
+def reference_flux(state, p, h):
+    """(Jx, Jy, Jz), the flux of a state."""
+    b, A = state[0], state[4]
+    normalized = (b - p.b_norm) / (p.b_M - p.b_norm)
+    gate = ((b >= p.b_norm) & (b <= p.b_M)).astype(np.float64)
+    nx_, ny_, nz_ = reference_gradient(normalized, h)
+    ax, ay, az = reference_gradient(A, h)
+    coeff = -p.d_b * b
+    return (coeff * (nx_ * gate + p.r_b * ax), coeff * (ny_ * gate + p.r_b * ay),
+            coeff * (nz_ * gate + p.r_b * az))
+
+
+def reference_divergence(jx, jy, jz, h):
+    """div J of a flux."""
+    return np.gradient(jx, h, axis=2) + np.gradient(jy, h, axis=1) + np.gradient(jz, h, axis=0)
+
+
 def reference_tendency(state, p, h, oxygen_source_mask=None):
     """The tendency as np.pad / np.gradient expressions, one array per field."""
     b, c, o, M, A = state
-
-    def gradient(data):
-        gz, gy, gx = np.gradient(data, h)
-        return gx, gy, gz
-
-    def laplacian(data):
-        p_ = np.pad(data, 1, mode="edge")
-        return (
-            p_[2:, 1:-1, 1:-1] + p_[:-2, 1:-1, 1:-1]
-            + p_[1:-1, 2:, 1:-1] + p_[1:-1, :-2, 1:-1]
-            + p_[1:-1, 1:-1, 2:] + p_[1:-1, 1:-1, :-2]
-            - 6.0 * data
-        ) / (h * h)
-
     hypoxic = (o < p.o_death).astype(np.float64)
     proliferative = (o > p.o_prol).astype(np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
-        normalized = (b - p.b_norm) / (p.b_M - p.b_norm)
-        gate = ((b >= p.b_norm) & (b <= p.b_M)).astype(np.float64)
-        nx_, ny_, nz_ = gradient(normalized)
-        ax, ay, az = gradient(A)
-        coeff = -p.d_b * b
-        jx = coeff * (nx_ * gate + p.r_b * ax)
-        jy = coeff * (ny_ * gate + p.r_b * ay)
-        jz = coeff * (nz_ * gate + p.r_b * az)
-        div = np.gradient(jx, h, axis=2) + np.gradient(jy, h, axis=1) + np.gradient(jz, h, axis=0)
+        div = reference_divergence(*reference_flux(state, p, h), h)
         mitosis_boost = 1.0 + (p.tau_b * A / (p.tau_b * A + 1.0)) * p.P_b
         db = (
             -div
             - (b / p.T_death) * hypoxic
             + (b / p.T_prol) * mitosis_boost * (1.0 - b / p.b_M) * proliferative
         )
-        dc = p.chi_c * laplacian(c) - p.gamma_c * o * c + b * (1.0 - c) * hypoxic
+        dc = p.chi_c * reference_laplacian(c, h) - p.gamma_c * o * c + b * (1.0 - c) * hypoxic
         delivery = p.delta_o * (p.o_max - o)
         if oxygen_source_mask is not None:
             delivery = delivery * oxygen_source_mask
-        do = p.alpha_o * laplacian(o) - p.gamma_o * b * o + delivery
+        do = p.alpha_o * reference_laplacian(o, h) - p.gamma_o * b * o + delivery
         dM = -p.beta_M * M * b
-        dA = p.gamma_A * M * b + p.chi_aA * laplacian(A) - p.gamma_oA * A
+        dA = p.gamma_A * M * b + p.chi_aA * reference_laplacian(A, h) - p.gamma_oA * A
     return [db, dc, do, dM, dA]
+
+
+def same_bits(got, want):
+    """The same values bit for bit, every NaN matched by a NaN."""
+    nan = np.isnan(want)
+    return (np.array_equal(np.isnan(got), nan)
+            and np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -127,6 +146,47 @@ def test_kernel_matches_numpy_formula(cells, h, seed, masked, levels):
     assert np.array_equal(out, kept)
 
 
+@pytest.mark.parametrize("h", [0.7, 0.5])
+@pytest.mark.parametrize("cells", [(5, 3, 7), (4, 6, 9), (3, 3, 3)])
+def test_stage_wrappers_match_the_reference_stages(cells, h):
+    """The stages a tendency runs in one call, each alone through its wrapper:
+    odd counts leave a lone cell at the end of a row, and x / 0.7 and
+    x * (1 / 0.7) often differ."""
+    spec = GridSpec(*cells, h=h)
+    params = instantiate_submodels(TumorParams(), ExperimentConfig(variant="V2", n_submodels=1),
+                                   seed=sum(cells))[0]
+    state = random_state(spec, np.random.default_rng(sum(cells)), params.b_M)
+    want_flux = np.stack(reference_flux(state, params, h))
+    flux = tumor.compute_flux(state, params, h)
+    assert same_bits(flux, want_flux)
+    assert same_bits(tumor._divergence(flux, h), reference_divergence(*want_flux, h))
+    want_laplacians = np.stack([reference_laplacian(field, h) for field in state])
+    assert same_bits(tumor._laplacian(state[1:3], h), want_laplacians[1:3])
+    assert same_bits(tumor._laplacian(state[4], h), want_laplacians[4])
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_a_tendency_is_one_foreign_call(monkeypatch, masked):
+    spec = GridSpec(6, 5, 4, 1.0)
+    params = TumorParams()
+    state = gaussian_bump_state(spec, params, core_oxygen=1.0)
+    mask = tumor.vessel_free_mask(spec, 0.2) if masked else None
+    want = tumor_tendency(state, params, spec.h, mask)
+    lib, calls = _kernel.LIB, []
+
+    class Recorder:  # forwards every call to the library
+        def __getattr__(self, name):
+            def call(*args):
+                calls.append(name)
+                return getattr(lib, name)(*args)
+            return call
+
+    monkeypatch.setattr(_kernel, "LIB", Recorder())
+    got = tumor_tendency(state, params, spec.h, mask)
+    assert calls == ["tendency"]
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def bump_case():
     """A grid, parameters, a tumor bump and an oxygen mask."""
     spec = GridSpec(7, 6, 5, 0.7)
@@ -181,8 +241,8 @@ def test_read_only_inputs_give_the_same_bits():
     assert np.array_equal(tumor_tendency(state, params, spec.h, mask), want)
 
 
-def tendency(state, out):
-    tumor_tendency(state, TumorParams(), 1.0, out=out)
+def tendency(state, out, mask=None):
+    tumor_tendency(state, TumorParams(), 1.0, mask, out)
 
 
 def euler(state, tend=None, correction=None):
@@ -205,6 +265,12 @@ UNSAFE = {  # a kernel call on a state and an out array -> its complaint
                 "C-contiguous"),
     "out shape": (lambda s, o: tendency(s, np.empty(s.shape[:3] + (s.shape[3] + 1,))), "shape"),
     "out is state": (lambda s, o: tendency(s, s), "overlap"),
+    "mask float32": (lambda s, o: tendency(s, o, np.ones(s.shape[1:], np.float32)), "float64"),
+    "mask strided": (
+        lambda s, o: tendency(s, o, np.ones(s.shape[1:3] + (2 * s.shape[3],))[..., ::2]),
+        "C-contiguous"),
+    "mask shape": (lambda s, o: tendency(s, o, np.ones(s.shape[1:3] + (s.shape[3] + 1,))), "shape"),
+    "mask in out": (lambda s, o: tendency(s, o, o[2]), "overlap"),
     "two cells": (lambda s, o: tendency(np.ascontiguousarray(s[:, :, :2]), o[:, :, :2].copy()),
                   "at least 3 cells"),
     "euler float32 tendency": (lambda s, o: euler(s, tend=s.astype(np.float32)), "float64"),
@@ -305,13 +371,6 @@ def test_build_flags_allow_no_reordering_or_fused_operations():
     which rounds once where NumPy rounds twice."""
     assert "-ffp-contract=off" in _kernel.FLAGS
     assert not {"-ffast-math", "-Ofast", "-march=native", "-ffp-contract=fast"} & set(_kernel.FLAGS)
-
-
-def same_bits(got, want):
-    """The same values bit for bit, every NaN matched by a NaN."""
-    nan = np.isnan(want)
-    return (np.array_equal(np.isnan(got), nan)
-            and np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64)))
 
 
 @settings(max_examples=80, deadline=None)
