@@ -1,14 +1,17 @@
-"""The compiled library: the tumor tendency and the Euler pass.
+"""The compiled library: the tumor tendency, the Euler pass, the serial phase.
 
 ``_tendency.c`` holds the tumor tendency, whose one entry runs its four
 stages in turn (``tumor.tumor_tendency`` calls it; ``tumor.py`` also wraps
-each stage alone), and the forward-Euler pass that ends every member step
-(``dynamics.explicit_step`` calls it).  The first import builds it with the
-interpreter's C compiler into the package's ``__pycache__``, which must be
-writable then; later imports load it from there.  A build or load that
-fails raises ImportError at import, with the compiler's or the loader's
-message.  The build allows no reordering or fused operations, so the loops
-give the bits of the NumPy formulas the tests hold them to.
+each stage alone), the forward-Euler pass that ends every member step
+(``dynamics.explicit_step`` calls it), and the caller's elementwise passes
+of a training step: the coupling update's rows (``engine.mismatch_inner``)
+and the member average (``engine.supermodel_output``).  The first import
+builds it with the interpreter's C compiler into the package's
+``__pycache__``, which must be writable then; later imports load it from
+there.  A build or load that fails raises ImportError at import, with the
+compiler's or the loader's message.  The build allows no reordering or
+fused operations, so the loops give the bits of the NumPy formulas the
+tests hold them to (the sign and payload of a NaN aside).
 
 Before a foreign call the wrappers check every array it is given
 (``pointer``: C-contiguous float64 of the expected shape, outputs apart
@@ -40,6 +43,8 @@ _SIGNATURES = {
     "laplacian": ((_LONG,) * 4 + (_ARRAY,) * 2 + (_DOUBLE, ctypes.c_int), None),
     "tendency": ((_LONG,) * 3 + (_ARRAY,) * 4, None),
     "euler": ((_LONG,) * 2 + (_ARRAY,) * 3 + (_DOUBLE,), ctypes.c_int),
+    "mismatch": ((_LONG,) * 3 + (_ARRAY,) * 3, None),
+    "average": ((_LONG,) * 4 + (_ARRAY,) * 2, None),
 }
 
 

@@ -1,14 +1,23 @@
-/* The tumor tendency as loops over the cells of a grid, and the
-   forward-Euler pass that every member step ends with.
+/* The tumor tendency as loops over the cells of a grid, the forward-Euler
+   pass that every member step ends with, and the elementwise passes of the
+   caller's serial phase in a training step: the rows of the coupling
+   update and the member average.
 
-   _kernel.py builds this file into a shared library, which tumor.py and
-   dynamics.py call through ctypes; it is the only code of the tendency and
-   of the Euler step.  The tests hold it to NumPy formulas: every cell goes
-   through the operations of reference_tendency in tests/test_kernel.py, and
-   every value through those of state + tend * dt, in the same order, in
-   double precision, so the results are the same bits.  That takes a build
-   without -ffast-math and with -ffp-contract=off, so that nothing is
-   reordered, fused or re-rounded.
+   _kernel.py builds this file into a shared library, which tumor.py,
+   dynamics.py and engine.py call through ctypes; it is the only code of
+   the tendency, of the Euler step, of the coupling update's rows and of
+   the average.  The tests hold it to NumPy formulas: every cell goes
+   through the operations of reference_tendency in tests/test_kernel.py,
+   every value through those of state + tend * dt, and the rows and the
+   average through those of the NumPy bodies in tests/test_serial_phase.py,
+   in the same order, in double precision, so the results are the same
+   bits.  That takes a build without -ffast-math and with
+   -ffp-contract=off, so that nothing is reordered, fused or re-rounded.
+   Only a NaN's sign and payload may differ where two NaNs meet in an
+   addition: x86 returns the first operand's, and a compiler may swap the
+   operands of an addition.  The matrix products and the sums over cells
+   stay in NumPy and BLAS, whose order of summation a loop here would not
+   reproduce.
 
    Fields are C-contiguous (nz, ny, nx) blocks of doubles, x fastest, with
    at least 3 cells per axis; the caller checks both.  Two cells are done
@@ -409,4 +418,130 @@ int euler(long cells, long corrected, double *restrict state, const double *rest
 #undef CORRECTED
 #undef FREE
     return !(bad[0] | bad[1]);
+}
+
+/* -- the caller's serial phase: the coupling update's rows and the average --- */
+
+/* ``states`` holds n members, each ``stride`` doubles long; member k's
+   values of a variable are ``cells`` doubles from states + k * stride.
+   Both passes run over BLOCK cells at a time, one member row at a time:
+   the rows lie a field apart and fall on the same cache sets, so a loop
+   over every member's row at once evicts its own lines. */
+
+/* The member mean of ``len`` cells from ``b`` into ``mean``, as NumPy's
+   mean over the members: an add.reduce that starts from 0.0 and adds the
+   members in turn (so -0.0 members give +0.0), then a division by n. */
+static void block_mean(long n, long stride, long len, const double *restrict b,
+                       double *restrict mean)
+{
+    long k;
+
+#define FIRST(i, lanes) store(mean + i, splat(0.0) + load(b + i, lanes), lanes)
+#define ADD(i, lanes) \
+    store(mean + i, load(mean + i, lanes) + load(b + k * stride + i, lanes), lanes)
+#define DIVIDE(i, lanes) store(mean + i, load(mean + i, lanes) / splat((double)n), lanes)
+    FOR_BLOCK(0, len, FIRST);
+    for (k = 1; k < n; k++)
+        FOR_BLOCK(0, len, ADD);
+    FOR_BLOCK(0, len, DIVIDE);
+#undef FIRST
+#undef ADD
+#undef DIVIDE
+}
+
+/* The sum of the n values a[0], a[stride], ... in the order of NumPy's
+   pairwise sum: eight running sums over blocks of up to 128 values, which
+   halve above that.  NumPy's mean over the members sums them
+   so when a variable has one value, and the members' values are then the
+   one run its reduction loops over. */
+static double pairwise(long n, long stride, const double *a)
+{
+    double r[8], sum = 0.0;
+    long i, j;
+
+    if (n < 8) {
+        for (i = 0; i < n; i++)
+            sum += a[i * stride];
+        return sum;
+    }
+    if (n > 128) {
+        long half = n / 2 - n / 2 % 8;
+        return pairwise(half, stride, a) + pairwise(n - half, stride, a + half * stride);
+    }
+    for (j = 0; j < 8; j++)
+        r[j] = a[j * stride];
+    for (i = 8; i < n - n % 8; i += 8)
+        for (j = 0; j < 8; j++)
+            r[j] += a[(i + j) * stride];
+    sum = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+    for (; i < n; i++)
+        sum += a[i * stride];
+    return sum;
+}
+
+/* The rows of the coupling update, into ``work`` (2n rows of ``cells``):
+   row k is gt - B_k and row n + k is B_k - mean, the member's mismatch and
+   its deviation from the member mean.  ``gt`` holds ``cells`` values; the
+   members' first ``cells`` values are the coupled variable.  ``work``
+   shares no memory with ``states`` or ``gt``. */
+void mismatch(long n, long stride, long cells, const double *restrict states,
+              const double *restrict gt, double *restrict work)
+{
+    double mean[BLOCK];
+    long lo, len, k;
+
+    for (lo = 0; lo < cells; lo += len) {
+        len = cells - lo < BLOCK ? cells - lo : BLOCK;
+        if (cells == 1)
+            mean[0] = (0.0 + pairwise(n, stride, states)) / (double)n;
+        else
+            block_mean(n, stride, len, states + lo, mean);
+        for (k = 0; k < n; k++) {
+            const double *b = states + k * stride + lo, *g = gt + lo;
+            double *miss = work + k * cells + lo, *dev = work + (n + k) * cells + lo;
+#define ROWS(i, lanes)                                                   \
+    do {                                                                 \
+        v2 b_ = load(b + i, lanes);                                      \
+        store(miss + i, load(g + i, lanes) - b_, lanes);                 \
+        store(dev + i, b_ - load(mean + i, lanes), lanes);               \
+    } while (0)
+            FOR_BLOCK(0, len, ROWS);
+#undef ROWS
+        }
+    }
+}
+
+/* The member average of the variable ``offset`` doubles into each member,
+   into ``out`` (``cells`` values), as base + (sum over k >= 1 of
+   (B_k - base)) * (1 / n) with base = B_0, summed in member order: n
+   identical members give their value exactly.  One member is copied.
+   ``out`` shares no memory with ``states``. */
+void average(long n, long stride, long offset, long cells, const double *restrict states,
+             double *restrict out)
+{
+    const double *base = states + offset;
+    double by = 1.0 / (double)n;
+    long lo, len, k;
+
+    if (n == 1) {
+        memcpy(out, base, cells * sizeof *out);
+        return;
+    }
+    for (lo = 0; lo < cells; lo += len) {
+        const double *b0 = base + lo;
+        double *o = out + lo;
+        len = cells - lo < BLOCK ? cells - lo : BLOCK;
+#define FIRST(i, lanes) store(o + i, load(b0 + stride + i, lanes) - load(b0 + i, lanes), lanes)
+#define ADD(i, lanes)                                                                \
+    store(o + i, load(o + i, lanes) + (load(b0 + k * stride + i, lanes) - load(b0 + i, lanes)), \
+          lanes)
+#define SCALE(i, lanes) store(o + i, load(o + i, lanes) * splat(by) + load(b0 + i, lanes), lanes)
+        FOR_BLOCK(0, len, FIRST);
+        for (k = 2; k < n; k++)
+            FOR_BLOCK(0, len, ADD);
+        FOR_BLOCK(0, len, SCALE);
+#undef FIRST
+#undef ADD
+#undef SCALE
+    }
 }

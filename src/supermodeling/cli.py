@@ -27,15 +27,13 @@ def _add_common(parser: argparse.ArgumentParser):
 
 
 def _load(args) -> experiments.ExperimentConfig:
-    if args.config is not None:
-        config = experiments.load_config(args.config)
-    else:
-        config = experiments.ExperimentConfig()
+    config = (experiments.ExperimentConfig() if args.config is None
+              else experiments.load_config(args.config))
     overrides = {}
     for item in args.overrides:
         key, sep, value = item.partition("=")
         if not sep:
-            raise SystemExit(f"override {item!r} is not of the form KEY=VALUE")
+            raise ValueError(f"override {item!r} is not of the form KEY=VALUE")
         overrides[key.strip()] = value.strip()
     if args.seed is not None:
         overrides["seed"] = str(args.seed)

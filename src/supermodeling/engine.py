@@ -17,7 +17,10 @@ mix is (C - K)/N off the diagonal and -(rowsum(C) + K)/N on it.  The
 correction is skipped when mix is zero, so an ensemble with no coupling and
 no nudging steps exactly like free models.  The coefficient update reads
 <GT - B_i, B_i - B_j> for every pair from one product of the mismatches with
-the members' deviations from their mean (see ``mismatch_inner``).  The
+the members' deviations from their mean (see ``mismatch_inner``).  Compiled
+passes (``_kernel``) write those rows and the member average, elementwise
+with the bits of the NumPy formulas; the products stay BLAS calls and the
+errors' sums NumPy's, whose order a pass of its own would change.  The
 products sum in another order than the formulas above, so results agree
 with a pair-by-pair evaluation to round-off, not bit for bit.  For the same
 reason the fixed points hold only to round-off: the rows of mix sum to -K in
@@ -100,6 +103,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _kernel
+from ._kernel import pointer
 from .dynamics import DynamicalSystem, explicit_step
 from .fields import BlowUpError
 from .groundtruth import GroundTruth, gt_at, step_error
@@ -354,12 +359,6 @@ def _look_ahead(ens: SubModelEnsemble, members, kept: dict) -> dict:
     return ahead
 
 
-def _first_failure(failures):
-    """The failure of the lowest member index among (member, exception) pairs
-    and Nones, or None."""
-    return min(filter(None, failures), key=lambda failure: failure[0], default=None)
-
-
 class _MemberWorkers:
     """Processes forked from the caller that step an ensemble's members with it.
 
@@ -428,7 +427,8 @@ class _MemberWorkers:
         except BaseException:
             self.close()  # replies may be pending: these workers are out of step
             raise
-        return _first_failure(failures)
+        # the (member, exception) pair of the lowest member index, or None
+        return min(filter(None, failures), key=lambda failure: failure[0], default=None)
 
     def _send(self, command: bytes) -> None:
         for k, fd in enumerate(self.commands):
@@ -592,23 +592,28 @@ def _corrections(ens: SubModelEnsemble, cm: CouplingMatrix, gt_now, out=None):
     return out
 
 
-def mismatch_inner(values, gt_now, cell_volume: float) -> np.ndarray:
+def mismatch_inner(states, gt_now, cell_volume: float) -> np.ndarray:
     """The N-by-N matrix of <GT - B_i, B_i - B_j> * cell_volume over the
-    members' values B (zero on the diagonal).
+    members' coupled values B, the first variable of ``states`` (zero on the
+    diagonal).  ``states`` is an ensemble's (N, V, ...) array and ``gt_now``
+    holds one value per cell of a variable.
 
     Every entry comes from one product P = (GT - B) @ (B - mean)^T as
     P_ii - P_ij.  Centering on the member mean keeps the difference accurate
     when members nearly agree; uncentered, each P_ij would be of the size of
-    |GT - B_i| |B_j| and the difference would cancel to noise.
+    |GT - B_i| |B_j| and the difference would cancel to noise.  One compiled
+    pass writes the rows GT - B_i and B_i - mean with the bits of NumPy's
+    formulas (the mean as NumPy's: a sum from 0.0 in member order, pairwise
+    for one-value members, divided by N); the product is NumPy's BLAS call.
     """
-    flat = np.asarray(values, dtype=np.float64).reshape(len(values), -1)
-    n = len(flat)
-    work = np.empty((2 * n + 1, flat.shape[1]))
-    mismatch, deviation, mean = work[:n], work[n:2 * n], work[2 * n]
+    n, shape = len(states), states.shape[2:]
+    gt = np.ascontiguousarray(gt_now, dtype=np.float64).reshape(shape)
+    work = np.empty((2 * n, gt.size))
+    _kernel.LIB.mismatch(n, math.prod(states.shape[1:]), gt.size,
+                         pointer(states, states.shape), pointer(gt, shape),
+                         pointer(work, work.shape, states, gt, output=True))
     with np.errstate(over="ignore", invalid="ignore"):
-        np.subtract(np.asarray(gt_now).reshape(-1), flat, out=mismatch)
-        np.subtract(flat, flat.mean(axis=0, out=mean), out=deviation)
-        products = mismatch @ deviation.T
+        products = work[:n] @ work[n:].T
         return (np.diagonal(products)[:, None] - products) * cell_volume
 
 
@@ -621,7 +626,7 @@ def update_coupling(
     being the domain integral of the product of the two mismatch fields
     (see ``mismatch_inner``).
     """
-    inner = mismatch_inner(ens.coupled_values(), gt_now, ens.system.cell_volume)
+    inner = mismatch_inner(ens.states, gt_now, ens.system.cell_volume)
     with np.errstate(over="ignore", invalid="ignore"):
         new_c = cm.a_rate * cm.c + cm.a_rate * inner
     if not np.isfinite(new_c).all():
@@ -635,25 +640,18 @@ def supermodel_output(ens: SubModelEnsemble, variables=None) -> np.ndarray:
     """Member average of the named variables, stacked in the order given.
 
     By default every variable is averaged, which gives a state.  Each one is
-    computed so that N identical members return it exactly, and a variable
-    gets the same bits whichever others are averaged with it.
+    one compiled pass, base + (sum of B_k - base) * (1/N) with base the first
+    member, so N identical members return it exactly, and a variable gets
+    the same bits whichever others are averaged with it.
     """
     names = ens.system.variables if variables is None else variables
-    states = ens.states
-    out = np.empty((len(names),) + states.shape[2:])
-    deviation = np.empty(states.shape[2:])
+    states, shape = ens.states, ens.states.shape[2:]
+    out, cells = np.empty((len(names),) + shape), math.prod(shape)
+    states_ptr = pointer(states, states.shape)
     for slot, name in enumerate(names):
-        members = states[:, ens.system.variables.index(name), ...]
-        acc = out[slot, ...]
-        base = members[0, ...]
-        if len(members) == 1:
-            acc[...] = base
-            continue
-        np.subtract(members[1, ...], base, out=acc)
-        for m in members[2:]:
-            acc += np.subtract(m, base, out=deviation)
-        acc *= 1.0 / len(members)
-        acc += base
+        _kernel.LIB.average(len(states), math.prod(states.shape[1:]),
+                            ens.system.variables.index(name) * cells, cells, states_ptr,
+                            pointer(out[slot, ...], shape, states, output=True))
     return out
 
 

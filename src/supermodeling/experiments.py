@@ -102,35 +102,26 @@ class ExperimentConfig:
             if (isinstance(value, float) and f.name not in ("c_min", "c_max")
                     and not np.isfinite(value)):
                 raise ValueError(f"{f.name} must be finite, got {value}")
-        if not 0.0 <= self.spread < 1.0:
-            raise ValueError("spread fraction must be in [0, 1)")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}")
-        if self.placement not in PLACEMENTS:
-            raise ValueError(f"placement must be one of {PLACEMENTS}")
-        if self.variant == "V3" and self.n_submodels != 3:
-            raise ValueError("variant V3 defines placements for exactly 3 sub-models")
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
-        if self.steps < 1:
-            raise ValueError("need at least one step")
-        if self.keep_every < 1:
-            raise ValueError("keep_every must be a positive integer")
-        if self.epochs < 1:
-            raise ValueError("need at least one training epoch")
-        if not self.tol > 0:
-            raise ValueError("tolerance must be positive")
-        if not self.k_nudge >= 0:
-            raise ValueError("k_nudge must be nonnegative")
-        if not self.bump_width > 0:
-            raise ValueError("bump_width must be positive")
-        if not self.vessel_core_radius >= 0:
-            raise ValueError("vessel_core_radius must be nonnegative")
-        if self.core_oxygen > 0 and not self.oxygen_ramp_radius > 0:
-            raise ValueError("oxygen_ramp_radius must be positive when core_oxygen "
-                             "enables the hypoxic core")
-        if self.n_submodels < 1:
-            raise ValueError("need at least one sub-model")
+        for holds, complaint in (
+            (0.0 <= self.spread < 1.0, "spread fraction must be in [0, 1)"),
+            (self.variant in VARIANTS, f"variant must be one of {VARIANTS}"),
+            (self.placement in PLACEMENTS, f"placement must be one of {PLACEMENTS}"),
+            (self.variant != "V3" or self.n_submodels == 3,
+             "variant V3 defines placements for exactly 3 sub-models"),
+            (self.dt > 0, "dt must be positive"),
+            (self.steps >= 1, "need at least one step"),
+            (self.keep_every >= 1, "keep_every must be a positive integer"),
+            (self.epochs >= 1, "need at least one training epoch"),
+            (self.tol > 0, "tolerance must be positive"),
+            (self.k_nudge >= 0, "k_nudge must be nonnegative"),
+            (self.bump_width > 0, "bump_width must be positive"),
+            (self.vessel_core_radius >= 0, "vessel_core_radius must be nonnegative"),
+            (not self.core_oxygen > 0 or self.oxygen_ramp_radius > 0,
+             "oxygen_ramp_radius must be positive when core_oxygen enables the hypoxic core"),
+            (self.n_submodels >= 1, "need at least one sub-model"),
+        ):
+            if not holds:
+                raise ValueError(complaint)
         initial_coupling(self)  # the clamps and the correction factor
         self.grid = GridSpec(self.nx, self.ny, self.nz, self.h)
 
@@ -203,8 +194,11 @@ def _convert_option(name: str, raw: str):
     return raw
 
 
-def load_config(path) -> ExperimentConfig:
-    return parse_config(Path(path).read_text())
+def load_config(path) -> ExperimentConfig:  # ValueError names the file
+    try:
+        return parse_config(Path(path).read_text())
+    except (OSError, ValueError, configparser.Error) as exc:
+        raise ValueError(f"config file {path}: {exc}") from None
 
 
 def apply_overrides(config: ExperimentConfig, overrides: dict) -> ExperimentConfig:

@@ -167,10 +167,10 @@ def load_gt(directory) -> GroundTruth:
     does not read are ignored, so older archives, which also recorded the
     reference parameters, load too.  ValueError names the archive and what
     is wrong with it: a missing manifest.json or snapshot file, a manifest
-    that is not JSON, a missing key, a grid that ``GridSpec`` rejects or
-    records that do not fit together, or the snapshot file and what is wrong
-    with it (see ``read_field``): a grid other than the manifest's or a
-    non-finite value."""
+    that is not JSON, a missing key, stored indices that are not distinct
+    non-negative integers, a grid that ``GridSpec`` rejects or records that
+    do not fit together, or the snapshot file and what is wrong with it (see
+    ``read_field``): a grid other than the manifest's or a non-finite value."""
     directory = Path(directory)
     try:
         with open(directory / "manifest.json") as fh:
@@ -189,8 +189,13 @@ def load_gt(directory) -> GroundTruth:
     except (TypeError, ValueError) as exc:  # a key missing or unknown, or a bad value
         raise ValueError(f"reference archive {directory} has a bad grid in manifest.json: "
                          f"{exc}") from None
+    indices = manifest["stored_indices"]
+    if not (isinstance(indices, list) and all(type(n) is int and n >= 0 for n in indices)
+            and len(set(indices)) == len(indices)):
+        raise ValueError(f"reference archive {directory} has stored_indices {indices!r} in "
+                         "manifest.json, not a list of distinct non-negative integers")
     snapshots = {}
-    for n in manifest["stored_indices"]:
+    for n in indices:
         path = directory / f"gt_{n:06d}.f64"
         try:
             snapshots[n], file_spec, _t = read_field(path)

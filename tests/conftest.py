@@ -7,12 +7,31 @@ import os
 import numpy as np
 import pytest
 
+from supermodeling import _kernel
+
 
 def random_state(spec, rng, b_M=2.0):
     """A random tumor state on ``spec``: b straddles the pressure gate
     [b_norm, b_M] and o both oxygen thresholds."""
     highs = (1.2 * b_M, 1.0, 60.0, 1.0, 1.0)
     return np.stack([rng.uniform(0.0, hi, spec.shape) for hi in highs])
+
+
+@pytest.fixture
+def foreign_calls(monkeypatch):
+    """The names of the compiled library's calls made from now on, each
+    forwarded to the library."""
+    lib, calls = _kernel.LIB, []
+
+    class Recorder:
+        def __getattr__(self, name):
+            def call(*args):
+                calls.append(name)
+                return getattr(lib, name)(*args)
+            return call
+
+    monkeypatch.setattr(_kernel, "LIB", Recorder())
+    return calls
 
 
 def _children():

@@ -117,6 +117,30 @@ class TestBadConfig:
         assert shown in capsys.readouterr().err
         assert not (tmp_path / "cli").exists()
 
+    def test_override_without_a_value_exits_with_message(self, tmp_path, capsys):
+        assert main(["experiment", "--set", "nx", "--out", str(tmp_path / "cli")]) == 2
+        assert ("supermodeling experiment: error: override 'nx' is not of the form KEY=VALUE"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "cli").exists()
+
+    @pytest.mark.parametrize("text, shown", [
+        (None, "No such file"),
+        ("nx = 8\n", "no section headers"),
+        ("[grid]\nnx = 8\nnx = 9\n", "already exists"),
+        ("[grid]\nnx\n", "parsing errors"),
+    ])
+    def test_unreadable_config_file_exits_naming_it(self, tmp_path, capsys, text, shown):
+        path = tmp_path / "config.ini"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(ValueError, match=f"config file {re.escape(str(path))}: .*{shown}"):
+            experiments.load_config(path)
+        assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "cli")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"supermodeling experiment: error: config file {path}")
+        assert shown in err
+        assert not (tmp_path / "cli").exists()
+
 
 def test_manifest_reloads_as_the_runs_config(tmp_path):
     config = experiments.ExperimentConfig(nx=8, ny=8, nz=8, steps=2, epochs=1, seed=3,
@@ -288,6 +312,14 @@ class TestCli:
                 return snapshot, ("'nx ny nz h t'", said)
             return damage
 
+        def indices(new):
+            """Damage that gives the manifest the stored indices ``new``."""
+            def damage(_snapshot, manifest):
+                payload = json.loads(manifest.read_text())
+                manifest.write_text(json.dumps({**payload, "stored_indices": new}))
+                return manifest.parent, ("stored_indices", "distinct non-negative integers")
+            return damage
+
         def grid(new, said):
             """Damage that gives the manifest the grid ``new``."""
             def damage(_snapshot, manifest):
@@ -311,6 +343,9 @@ class TestCli:
             grid({"nx": 8.0, "ny": 8, "nz": 8, "h": 1.0}, "integers"),
             grid({"nx": 8, "ny": 8, "nz": 8, "h": -1.0}, "positive"),
             grid([8, 8, 8], "mapping"),
+            # the manifest's stored indices: not a list, not integers, repeated
+            indices(5), indices(None), indices(["0", 2]), indices([0.0, 2]),
+            indices([False, 2]), indices([0, 2, 2]),
         )
         for k, damage in enumerate(damages):
             copy = tmp_path / str(k) / "gt"

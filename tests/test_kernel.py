@@ -4,6 +4,7 @@ import dataclasses
 import subprocess
 import sysconfig
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from conftest import random_state
 from supermodeling import _kernel, tumor
 from supermodeling.experiments import ExperimentConfig, instantiate_submodels
 from supermodeling.dynamics import explicit_step
+from supermodeling.engine import mismatch_inner, supermodel_output
 from supermodeling.fields import BlowUpError, GridSpec
 from supermodeling.tumor import (
     FIELD_NAMES,
@@ -166,22 +168,13 @@ def test_stage_wrappers_match_the_reference_stages(cells, h):
 
 
 @pytest.mark.parametrize("masked", [False, True])
-def test_a_tendency_is_one_foreign_call(monkeypatch, masked):
+def test_a_tendency_is_one_foreign_call(request, masked):
     spec = GridSpec(6, 5, 4, 1.0)
     params = TumorParams()
     state = gaussian_bump_state(spec, params, core_oxygen=1.0)
     mask = tumor.vessel_free_mask(spec, 0.2) if masked else None
     want = tumor_tendency(state, params, spec.h, mask)
-    lib, calls = _kernel.LIB, []
-
-    class Recorder:  # forwards every call to the library
-        def __getattr__(self, name):
-            def call(*args):
-                calls.append(name)
-                return getattr(lib, name)(*args)
-            return call
-
-    monkeypatch.setattr(_kernel, "LIB", Recorder())
+    calls = request.getfixturevalue("foreign_calls")
     got = tumor_tendency(state, params, spec.h, mask)
     assert calls == ["tendency"]
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -253,6 +246,18 @@ def euler(state, tend=None, correction=None):
     _kernel.euler(state, tend, 0.1, correction)
 
 
+def mismatch(states, gt=None):
+    """The coupling update's rows for the members ``states`` against ``gt``
+    (by default the first member's b)."""
+    mismatch_inner(states, states[0, 0] if gt is None else gt, 1.0)
+
+
+def average(states):
+    """The member average of b and o for the members ``states``."""
+    supermodel_output(SimpleNamespace(system=SimpleNamespace(variables=FIELD_NAMES),
+                                      states=states), ("b", "o"))
+
+
 def read_only(array):
     array.flags.writeable = False
     return array
@@ -283,6 +288,15 @@ UNSAFE = {  # a kernel call on a state and an out array -> its complaint
     "euler correction in state": (lambda s, o: euler(s, correction=s[0]), "overlap"),
     "read-only out": (lambda s, o: tendency(s, read_only(o)), "writeable"),
     "euler read-only state": (lambda s, o: euler(read_only(s)), "writeable"),
+    "mismatch float32 states": (lambda s, o: mismatch(np.stack([s, s]).astype(np.float32)),
+                                "float64"),
+    "mismatch fortran states": (lambda s, o: mismatch(np.asfortranarray(np.stack([s, s]))),
+                                "C-contiguous"),
+    "mismatch gt size": (lambda s, o: mismatch(np.stack([s, s]), s[0, :-1]), "size"),
+    "average float32 states": (lambda s, o: average(np.stack([s, s]).astype(np.float32)),
+                               "float64"),
+    "average fortran states": (lambda s, o: average(np.asfortranarray(np.stack([s, s]))),
+                               "C-contiguous"),
 }
 
 
